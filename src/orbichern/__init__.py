@@ -11,8 +11,6 @@ The package computes, in exact rational arithmetic throughout:
 See the ``orbichern`` command-line tool for the file-driven interface.
 """
 
-from fractions import Fraction as Rational
-
 from .ade import AdeLabel, AdeResolutionData, resolution_data
 from .contributions import (
     ContributionReport,
@@ -62,17 +60,7 @@ from .invariants import (
     pair_orbifold_euler,
     snc_report,
 )
-from .scalars import (
-    CycloScalar,
-    QuadScalar,
-    cyclo_invert,
-    cyclo_to_rational,
-    cyclo_trace,
-    cyclotomic_polynomial,
-    format_rational,
-    parse_rational,
-    quad_invert,
-)
+from .scalars import CycloScalar, cyclo_trace, cyclotomic_polynomial, parse_rational
 
 __version__ = "0.1.0"
 
@@ -94,9 +82,7 @@ __all__ = [
     "IsolatedPointsDescription",
     "NonRationalTotal",
     "OrbichernError",
-    "QuadScalar",
     "Quaternion",
-    "Rational",
     "SncPairDescription",
     "TraceTwoNonIdentity",
     "Verdict",
@@ -112,19 +98,15 @@ __all__ = [
     "codim2_equivalence_check",
     "conjugacy_classes",
     "contribution_for_label",
-    "cyclo_invert",
-    "cyclo_to_rational",
     "cyclo_trace",
     "cyclotomic_polynomial",
     "element_sum_contribution",
-    "format_rational",
     "gerbe_scale",
     "generate_group",
     "isolated_points_report",
     "pair_c1_squared",
     "pair_orbifold_euler",
     "parse_rational",
-    "quad_invert",
     "resolution_data",
     "snc_report",
     "trace",

@@ -46,7 +46,7 @@ from .invariants import (
     isolated_points_report,
     snc_report,
 )
-from .scalars import format_rational, parse_rational, scalar_str
+from .scalars import parse_rational
 
 _GROUP_NAMES = {
     "A": "cyclic group",
@@ -211,15 +211,15 @@ def load_description(path: str):
 
 def _render_report_text(report: InvariantReport) -> str:
     lines = [
-        f"c1^2    = {format_rational(report.c1_squared)}",
-        f"c2      = {format_rational(report.c2)}",
-        f"margin  = {format_rational(report.margin)}",
+        f"c1^2    = {report.c1_squared}",
+        f"c2      = {report.c2}",
+        f"margin  = {report.margin}",
         f"verdict = {report.verdict}",
     ]
     if report.per_point:
         lines.append("per-point terms (chi(E) - 1/|G|):")
         for label, term in report.per_point:
-            lines.append(f"  {label}  {format_rational(term)}")
+            lines.append(f"  {label}  {term}")
     if report.notes:
         lines.append(f"notes: {report.notes}")
     return "\n".join(lines) + "\n"
@@ -227,12 +227,12 @@ def _render_report_text(report: InvariantReport) -> str:
 
 def _render_report_structured(report: InvariantReport) -> str:
     payload = {
-        "c1_squared": format_rational(report.c1_squared),
-        "c2": format_rational(report.c2),
-        "margin": format_rational(report.margin),
+        "c1_squared": str(report.c1_squared),
+        "c2": str(report.c2),
+        "margin": str(report.margin),
         "verdict": report.verdict.value,
         "per_point": [
-            [str(label), format_rational(term)] for label, term in report.per_point
+            [str(label), str(term)] for label, term in report.per_point
         ],
         "notes": report.notes,
     }
@@ -266,18 +266,18 @@ def cmd_group(label_text: str) -> int:
     for c in group.classes:
         out.append(
             f"  size {c.size:>4}  centralizer {c.centralizer_order:>4}  "
-            f"trace {scalar_str(c.trace)}"
+            f"trace {c.trace_str()}"
         )
     report = build_contribution_report(group)
     if report.per_class_terms:
         out.append("per-orbit contribution terms:")
         for desc, value in report.per_class_terms:
-            out.append(f"  {format_rational(value):>8}  from {desc}")
+            out.append(f"  {str(value):>8}  from {desc}")
     element_sum = element_sum_contribution(group)
     closed = closed_form_contribution(label)
-    out.append(f"class sum    = {format_rational(report.class_sum)}")
-    out.append(f"element sum  = {format_rational(element_sum)}")
-    out.append(f"closed form  = {format_rational(closed)}")
+    out.append(f"class sum    = {report.class_sum}")
+    out.append(f"element sum  = {element_sum}")
+    out.append(f"closed form  = {closed}")
     if not (report.class_sum == element_sum == closed):
         raise IdentityFailure(
             f"{label}: contribution routes disagree: "
@@ -304,8 +304,8 @@ def cmd_identity(n: int, which: str) -> int:
         return 2
     sys.stdout.write(
         f"{header}\n"
-        f"lhs = {format_rational(lhs)}\n"
-        f"rhs = {format_rational(rhs)}\n"
+        f"lhs = {lhs}\n"
+        f"rhs = {rhs}\n"
         "PASS\n"
     )
     return 0
@@ -324,13 +324,13 @@ def _table_rows(max_n: int, oracle: bool) -> list[dict]:
             "label": str(label),
             "order": data.group_order,
             "chi_exceptional": data.chi_exceptional,
-            "closed_form": format_rational(report.closed_form),
-            "class_sum": format_rational(report.class_sum),
+            "closed_form": str(report.closed_form),
+            "class_sum": str(report.class_sum),
         }
         agree = report.class_sum == report.closed_form
         if oracle:
             element_sum = element_sum_contribution(group)
-            row["element_sum"] = format_rational(element_sum)
+            row["element_sum"] = str(element_sum)
             agree = agree and element_sum == report.class_sum
         if not agree:
             raise IdentityFailure(f"{label}: table row routes disagree")

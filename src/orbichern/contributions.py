@@ -12,33 +12,30 @@ here and are kept separate on purpose:
   multiplicity, weight 1/|G| (validates the conjugacy bookkeeping).
 * ``closed_form_contribution``: the catalog formula (chi - 1/|G|)/12.
 
-Class terms with irrational traces are summed over Galois orbits, where
-they collapse to rationals: conjugate pairs for quadratic traces, and for
-rotation words the sum over primitive residues j mod d of
-1/(2 - zeta_d^j - zeta_d^-j), written S(d) below.  S(d) is evaluated as
-the field trace of a single cached inverse, so one exact inversion per
-conductor serves every group and every identity check.
+Terms with irrational traces are summed over Galois orbits, where they
+collapse to rationals by one rule: N equally weighted terms 1/(2 - t)
+whose traces t cover one Galois orbit in Q(zeta_m) with uniform
+multiplicity sum to N * Tr(f) / phi(m), f = 1/(2 - t).  For rotation
+words, t = zeta_d^j + zeta_d^-j and Tr(f) is the sum over primitive
+residues j mod d of 1/(2 - zeta_d^j - zeta_d^-j), written S(d) below.
+S(d) is evaluated as the field trace of a single cached inverse, so one
+exact inversion per conductor serves every group and every identity
+check.  For the quaternion groups, t lies in Q(sqrt 2) inside Q(zeta_8)
+or Q(sqrt 5) inside Q(zeta_5), and f is inverted once per orbit.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .ade import AdeLabel, resolution_data
 from .errors import IdentityFailure, NonRationalTotal, TraceTwoNonIdentity
-from .groups import FiniteSubgroup, Word, build_ade_group, element_key
-from .scalars import (
-    CycloScalar,
-    QuadScalar,
-    cyclo_trace,
-    divisors,
-    euler_phi,
-    scalar_key,
-    scalar_str,
-)
+from .groups import ConjugacyClass, FiniteSubgroup, Word, build_ade_group
+from .scalars import CycloScalar, cyclo_trace, divisors, euler_phi
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -70,7 +67,21 @@ def closed_form_contribution(label: AdeLabel) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# brute force over conjugacy classes
+# Galois orbits of irrational traces
+
+
+@dataclass(frozen=True)
+class _GaloisOrbit:
+    """The Galois orbit of an irrational trace t in Q(zeta_m), m = conductor.
+
+    ``points`` labels the distinct conjugates of t; ``term_trace`` is
+    Tr(1/(2 - t)) from Q(zeta_m) down to Q, the same for every t in the
+    orbit.
+    """
+
+    conductor: int
+    points: frozenset
+    term_trace: Fraction
 
 
 def _primitive_residues(d: int) -> list[int]:
@@ -86,33 +97,72 @@ def _rotation_conductor_and_residue(word: Word) -> tuple[int, int]:
     return d, (k // (m // d)) % d
 
 
-def _literal_orbit_part(d: int, weighted_residues: list[tuple[int, Fraction]]) -> Fraction:
-    """Sum weights * 1/(2 - zeta_d^j - zeta_d^-j) literally, in Q(zeta_d)."""
-    base = conjugate_pair_inverse(d)
-    total = CycloScalar.zero(d)
-    for j, weight in weighted_residues:
-        total = total + weight * base.galois(j)
-    value = total.to_rational()
-    if value is None:
+@functools.lru_cache(maxsize=None)
+def _rotation_orbit(d: int) -> _GaloisOrbit:
+    """Traces zeta_d^j + zeta_d^-j, labelled by min(j, d - j)."""
+    points = frozenset(min(j, d - j) for j in _primitive_residues(d))
+    return _GaloisOrbit(d, points, primitive_orbit_sum(d))
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugate_orbit(t: CycloScalar) -> _GaloisOrbit:
+    """Conjugates of t in Q(zeta_m), labelled by themselves."""
+    m = t.conductor
+    points = frozenset(t.galois(j) for j in _primitive_residues(m))
+    return _GaloisOrbit(m, points, cyclo_trace((2 - t).invert()))
+
+
+def _galois_orbit(element, t) -> tuple[_GaloisOrbit, object]:
+    """The orbit of an element's irrational trace t, and t's label in it."""
+    if isinstance(element, Word):
+        d, j = _rotation_conductor_and_residue(element)
+        return _rotation_orbit(d), min(j, d - j)
+    return _conjugate_orbit(t), t
+
+
+def _orbit_sum(orbit: _GaloisOrbit, points: list) -> Fraction:
+    """Sum of the terms 1/(2 - t) for a bucket of traces in one orbit.
+
+    The bucket is Galois-stable when its traces cover the orbit with
+    uniform multiplicity; then its N terms sum to N * Tr(f) / phi(m).
+    Any other bucket raises NonRationalTotal.
+    """
+    counts = Counter(points)
+    if counts.keys() != orbit.points or len(set(counts.values())) != 1:
         raise NonRationalTotal(
-            f"residue multiset mod {d} did not collapse to a rational"
+            f"traces did not cover a Galois orbit in Q(zeta_{orbit.conductor}) uniformly"
         )
-    return value
+    return len(points) * orbit.term_trace / euler_phi(orbit.conductor)
+
+
+# ----------------------------------------------------------------------
+# brute force over conjugacy classes
+
+
+def _orbit_description(orbit: _GaloisOrbit, classes: list, centralizer: int) -> str:
+    if isinstance(classes[0].representative, Word):
+        sizes = {c.size for c in classes}
+        size_note = f"size {sizes.pop()}" if len(sizes) == 1 else "mixed sizes"
+        return (
+            f"{len(classes)} classes of order-{orbit.conductor} rotations "
+            f"({size_note}, centralizer {centralizer})"
+        )
+    reps = " and ".join(str(c.representative) for c in classes)
+    sizes = "+".join(str(c.size) for c in classes)
+    traces = ", ".join(c.trace_str() for c in classes)
+    return f"classes of {reps} (sizes {sizes}, traces {traces})"
 
 
 def _class_rows(group: FiniteSubgroup) -> list[tuple[tuple, str, Fraction]]:
     """One rational row per Galois orbit of nontrivial classes.
 
     Returns (sort key, description, value) triples; the sort key is the
-    class-table position of the orbit's first class.
+    class-table position of the orbit's first class.  Classes with a
+    rational trace are orbits of their own; the others are bucketed by
+    orbit and centralizer order.
     """
     rows: list[tuple[tuple, str, Fraction]] = []
-    quad_groups: dict[tuple, list] = {}
-    cyclo_buckets: dict[tuple, list] = {}
-
-    def class_pos(c) -> tuple:
-        return (c.size, scalar_key(c.trace), element_key(c.representative))
-
+    buckets: dict[tuple, list] = {}
     for c in group.classes:
         if c.representative.is_identity():
             continue
@@ -121,66 +171,21 @@ def _class_rows(group: FiniteSubgroup) -> list[tuple[tuple, str, Fraction]]:
             raise TraceTwoNonIdentity(
                 f"nontrivial class of {c.representative} has trace 2"
             )
-        weight = Fraction(1, c.centralizer_order)
         if isinstance(t, Fraction):
             desc = (
                 f"class of {c.representative} "
                 f"(size {c.size}, centralizer {c.centralizer_order}, trace {t})"
             )
-            rows.append((class_pos(c), desc, weight / (2 - t)))
-        elif isinstance(t, QuadScalar):
-            key = (
-                t.radicand,
-                t.base,
-                abs(t.coeff),
-                c.centralizer_order,
-            )
-            quad_groups.setdefault(key, []).append(c)
+            rows.append((c.sort_key(), desc, Fraction(1, c.centralizer_order) / (2 - t)))
         else:
-            d, j = _rotation_conductor_and_residue(c.representative)
-            cyclo_buckets.setdefault((d, c.centralizer_order), []).append((c, j))
+            orbit, point = _galois_orbit(c.representative, t)
+            buckets.setdefault((orbit, c.centralizer_order), []).append((c, point))
 
-    for key in sorted(quad_groups, key=lambda k: scalar_key(QuadScalar(k[1], k[2], k[0])) + (k[3],)):
-        members = quad_groups[key]
-        if len(members) != 2 or members[0].trace == members[1].trace:
-            raise NonRationalTotal(
-                "quadratic traces did not pair into Galois-conjugate classes"
-            )
-        a, b = sorted(members, key=class_pos)
-        weight = Fraction(1, key[3])
-        total = (2 - a.trace).invert() + (2 - b.trace).invert()
-        value = total.to_rational()
-        if value is None:
-            raise NonRationalTotal("conjugate pair of class terms was not rational")
-        desc = (
-            f"classes of {a.representative} and {b.representative} "
-            f"(sizes {a.size}+{b.size}, traces {scalar_str(a.trace)}, {scalar_str(b.trace)})"
-        )
-        rows.append((class_pos(a), desc, weight * value))
-
-    for d, centralizer in sorted(cyclo_buckets):
-        members = cyclo_buckets[(d, centralizer)]
-        weight = Fraction(1, centralizer)
-        residues = sorted(j for _, j in members)
-        primitive = _primitive_residues(d)
-        mirrored = sorted(set(residues) | {(d - j) % d for j in residues})
-        if residues == primitive:
-            part = primitive_orbit_sum(d)
-        elif (
-            len(residues) == len(set(residues)) == len(primitive) // 2
-            and mirrored == primitive
-        ):
-            part = primitive_orbit_sum(d) / 2
-        else:
-            part = _literal_orbit_part(d, [(j, _F1) for j in residues])
-        sizes = {c.size for c, _ in members}
-        size_note = f"size {sizes.pop()}" if len(sizes) == 1 else "mixed sizes"
-        desc = (
-            f"{len(members)} classes of order-{d} rotations "
-            f"({size_note}, centralizer {centralizer})"
-        )
-        first = min(class_pos(c) for c, _ in members)
-        rows.append((first, desc, weight * part))
+    for (orbit, centralizer), members in buckets.items():
+        classes = sorted((c for c, _ in members), key=ConjugacyClass.sort_key)
+        value = _orbit_sum(orbit, [point for _, point in members]) / centralizer
+        desc = _orbit_description(orbit, classes, centralizer)
+        rows.append((classes[0].sort_key(), desc, value))
 
     rows.sort(key=lambda row: row[0])
     return rows
@@ -198,8 +203,7 @@ def element_sum_contribution(group: FiniteSubgroup) -> Fraction:
     ``class_sum_contribution`` validates the conjugacy bookkeeping.
     """
     total = _F0
-    quad_total: QuadScalar | None = None
-    rotation_counts: dict[int, dict[int, int]] = {}
+    buckets: dict[_GaloisOrbit, list] = {}
     for g in group.elements:
         if g.is_identity():
             continue
@@ -208,28 +212,11 @@ def element_sum_contribution(group: FiniteSubgroup) -> Fraction:
             raise TraceTwoNonIdentity(f"non-identity element {g} has trace 2")
         if isinstance(t, Fraction):
             total += _F1 / (2 - t)
-        elif isinstance(t, QuadScalar):
-            term = (2 - t).invert()
-            quad_total = term if quad_total is None else quad_total + term
         else:
-            d, j = _rotation_conductor_and_residue(g)
-            bucket = rotation_counts.setdefault(d, {})
-            bucket[j] = bucket.get(j, 0) + 1
-    for d in sorted(rotation_counts):
-        bucket = rotation_counts[d]
-        primitive = _primitive_residues(d)
-        counts = set(bucket.values())
-        if sorted(bucket) == primitive and len(counts) == 1:
-            total += counts.pop() * primitive_orbit_sum(d)
-        else:
-            total += _literal_orbit_part(
-                d, [(j, Fraction(count)) for j, count in sorted(bucket.items())]
-            )
-    if quad_total is not None:
-        value = quad_total.to_rational()
-        if value is None:
-            raise NonRationalTotal("element terms with quadratic traces did not collapse")
-        total += value
+            orbit, point = _galois_orbit(g, t)
+            buckets.setdefault(orbit, []).append(point)
+    for orbit, points in buckets.items():
+        total += _orbit_sum(orbit, points)
     return total / group.order
 
 

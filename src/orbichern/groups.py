@@ -3,17 +3,20 @@
 Two exact element representations coexist:
 
 ``Quaternion``
-    x + y*i + z*j + w*k with components all Fraction or all QuadScalar.
-    A unit quaternion embeds in SU(2) as [[x+y*i, z+w*i], [-z+w*i, x-y*i]],
-    so its matrix trace is 2x and its determinant is the quaternion norm.
-    Used for the three exceptional groups (binary tetrahedral, binary
-    octahedral, binary icosahedral).
+    x + y*i + z*j + w*k with components all Fraction (binary tetrahedral)
+    or all CycloScalar in one real quadratic field: Q(sqrt 2) inside
+    Q(zeta_8) (binary octahedral) or Q(sqrt 5) inside Q(zeta_5) (binary
+    icosahedral).  A unit quaternion embeds in SU(2) as
+    [[x+y*i, z+w*i], [-z+w*i, x-y*i]], so its matrix trace is 2x and its
+    determinant is the quaternion norm.  Components and traces print and
+    sort as a + b*sqrt(d).
 
 ``Word``
     Normal form a^e or x*a^e in the cyclic group <a | a^n> or the binary
     dihedral (dicyclic) group <a, x | a^(2n) = 1, x^2 = a^n,
     x^-1 a x = a^-1>, with a acting as the rotation diag(zeta_2n,
-    zeta_2n^-1) and x as [[0, 1], [-1, 0]].  Traces land in Q(zeta_2n).
+    zeta_2n^-1) and x as [[0, 1], [-1, 0]].  Traces land in Q(zeta_2n)
+    and print on its power basis.
 
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
@@ -30,23 +33,41 @@ from typing import Iterable, Union
 
 from .ade import AdeLabel, resolution_data
 from .errors import BoundExceeded, TraceTwoNonIdentity
-from .scalars import CycloScalar, QuadScalar, canonical_scalar, scalar_key
+from .scalars import CycloScalar, canonical_scalar, cyclo_trace, scalar_key, scalar_str
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_F2 = Fraction(2)
 
 
-def _zero_like(sample):
-    if isinstance(sample, QuadScalar):
-        return QuadScalar.from_rational(0, sample.radicand)
-    return _F0
+@functools.lru_cache(maxsize=None)
+def _square_root(conductor: int) -> tuple[int, CycloScalar]:
+    """(d, sqrt(d)) for the real quadratic subfield of Q(zeta_m), m in {5, 8}."""
+    zeta = functools.partial(CycloScalar.zeta_pow, conductor)
+    if conductor == 8:
+        return 2, zeta(1) - zeta(3)
+    if conductor == 5:
+        return 5, 1 + 2 * (zeta(1) + zeta(4))
+    raise ValueError(f"no real quadratic field is set up in Q(zeta_{conductor})")
 
 
-def _one_like(sample):
-    if isinstance(sample, QuadScalar):
-        return QuadScalar.from_rational(1, sample.radicand)
-    return _F1
+def _quadratic(conductor: int, base, coeff=0) -> CycloScalar:
+    """base + coeff*sqrt(d) as an element of Q(zeta_m)."""
+    return base + coeff * _square_root(conductor)[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
+    """(d, a, b) with value = a + b*sqrt(d).
+
+    Tr(sqrt d) = 0, so Tr(value) = phi*a and Tr(value*sqrt d) = phi*d*b.
+    """
+    d, root = _square_root(value.conductor)
+    phi = len(value.coeffs)
+    a = cyclo_trace(value) / phi
+    b = cyclo_trace(value * root) / (d * phi)
+    if a + b * root != value:
+        raise ArithmeticError(f"{value} is not in Q(sqrt{d})")
+    return d, a, b
 
 
 @dataclass(frozen=True)
@@ -75,15 +96,10 @@ class Quaternion:
         return self.x * self.x + self.y * self.y + self.z * self.z + self.w * self.w
 
     def inverse(self) -> "Quaternion":
-        norm = self.norm()
-        if norm == 1:
-            return self.conjugate()
-        if isinstance(norm, QuadScalar):
-            scale = norm.invert()
-            return Quaternion(
-                self.x * scale, -(self.y * scale), -(self.z * scale), -(self.w * scale)
-            )
-        return Quaternion(self.x / norm, -self.y / norm, -self.z / norm, -self.w / norm)
+        """The conjugate; every element of a finite SU(2) subgroup is a unit."""
+        if self.norm() != 1:
+            raise ArithmeticError(f"{self} is not a unit quaternion")
+        return self.conjugate()
 
     def trace(self):
         return canonical_scalar(self.x + self.x)
@@ -92,11 +108,33 @@ class Quaternion:
         return self.x == 1 and self.y == 0 and self.z == 0 and self.w == 0
 
     def identity(self) -> "Quaternion":
-        one, zero = _one_like(self.x), _zero_like(self.x)
-        return Quaternion(one, zero, zero, zero)
+        zero = self.x * 0
+        return Quaternion(zero + 1, zero, zero, zero)
+
+    @staticmethod
+    def value_key(value) -> tuple:
+        """Sort key of a component or trace: rationals, then (d, a, b)."""
+        value = canonical_scalar(value)
+        if isinstance(value, Fraction):
+            return scalar_key(value)
+        d, a, b = _quadratic_parts(value)
+        return (1, d, a.numerator, a.denominator, b.numerator, b.denominator)
+
+    @staticmethod
+    def value_str(value) -> str:
+        """A component or trace as "a + b*sqrtd", "b*sqrtd" or "a"."""
+        value = canonical_scalar(value)
+        if isinstance(value, Fraction):
+            return str(value)
+        d, a, b = _quadratic_parts(value)
+        term = f"sqrt{d}" if abs(b) == 1 else f"{abs(b)}*sqrt{d}"
+        if not a:
+            return term if b > 0 else f"-{term}"
+        return f"{a} {'+' if b > 0 else '-'} {term}"
 
     def __str__(self) -> str:
-        return f"({self.x}) + ({self.y})i + ({self.z})j + ({self.w})k"
+        x, y, z, w = (self.value_str(c) for c in (self.x, self.y, self.z, self.w))
+        return f"({x}) + ({y})i + ({z})j + ({w})k"
 
 
 @dataclass(frozen=True)
@@ -157,6 +195,9 @@ class Word:
     def identity(self) -> "Word":
         return Word(self.family, self.n, False, 0)
 
+    value_key = staticmethod(scalar_key)
+    value_str = staticmethod(scalar_str)
+
     def __str__(self) -> str:
         if self.is_identity():
             return "1"
@@ -180,7 +221,9 @@ def element_key(element: GroupElement) -> tuple:
     if isinstance(element, Word):
         return (0, element.family, element.n, element.flip, element.exp)
     return (1,) + tuple(
-        part for c in (element.x, element.y, element.z, element.w) for part in scalar_key(c)
+        part
+        for c in (element.x, element.y, element.z, element.w)
+        for part in element.value_key(c)
     )
 
 
@@ -221,6 +264,14 @@ class ConjugacyClass:
     size: int
     centralizer_order: int
     trace: object
+
+    def trace_str(self) -> str:
+        return self.representative.value_str(self.trace)
+
+    def sort_key(self) -> tuple:
+        """Class-table position: size, then trace, then representative."""
+        rep = self.representative
+        return (self.size, rep.value_key(self.trace), element_key(rep))
 
 
 @dataclass(frozen=True)
@@ -279,7 +330,7 @@ def conjugacy_classes(
     total = sum(c.size for c in classes)
     if total != order:
         raise ArithmeticError("class sizes do not sum to the group order")
-    classes.sort(key=lambda c: (c.size, scalar_key(c.trace), element_key(c.representative)))
+    classes.sort(key=ConjugacyClass.sort_key)
     return tuple(classes)
 
 
@@ -310,28 +361,26 @@ def _binary_tetrahedral_generators() -> tuple:
 
 
 def _binary_octahedral_generators() -> tuple:
-    def lift(value: Fraction) -> QuadScalar:
-        return QuadScalar.from_rational(value, 2)
+    lift = functools.partial(_quadratic, 8)
 
-    i = Quaternion(lift(_F0), lift(_F1), lift(_F0), lift(_F0))
+    i = Quaternion(lift(0), lift(1), lift(0), lift(0))
     omega = Quaternion(*(lift(Fraction(1, 2)) for _ in range(4)))
     # (1 + i) / sqrt(2) = sqrt(2)/2 * (1 + i)
-    s = QuadScalar(_F0, Fraction(1, 2), 2)
-    extra = Quaternion(s, s, lift(_F0), lift(_F0))
+    s = lift(0, Fraction(1, 2))
+    extra = Quaternion(s, s, lift(0), lift(0))
     return (i, omega, extra)
 
 
 def _binary_icosahedral_generators() -> tuple:
-    def lift(value: Fraction) -> QuadScalar:
-        return QuadScalar.from_rational(value, 5)
+    lift = functools.partial(_quadratic, 5)
 
     omega = Quaternion(*(lift(Fraction(1, 2)) for _ in range(4)))
     # (1/phi + i + phi*j) / 2 with phi the golden ratio
     psi = Quaternion(
-        QuadScalar(Fraction(-1, 4), Fraction(1, 4), 5),
+        lift(Fraction(-1, 4), Fraction(1, 4)),
         lift(Fraction(1, 2)),
-        QuadScalar(Fraction(1, 4), Fraction(1, 4), 5),
-        lift(_F0),
+        lift(Fraction(1, 4), Fraction(1, 4)),
+        lift(0),
     )
     return (omega, psi)
 

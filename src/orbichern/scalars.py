@@ -1,11 +1,12 @@
-"""Exact scalar arithmetic: rationals, real quadratic fields, cyclotomic fields.
+"""Exact scalar arithmetic: rationals and cyclotomic fields.
 
-Rationals are ``fractions.Fraction`` (aliased ``Rational``): arbitrary
-precision, always in lowest terms, positive denominator.  ``QuadScalar``
-represents a + b*sqrt(d) for d in {2, 5}.  ``CycloScalar`` represents an
-element of Q(zeta_m) as a dense polynomial residue modulo the m-th
-cyclotomic polynomial, with coefficients on the power basis
-1, zeta, ..., zeta^(phi(m)-1).
+Rationals are ``fractions.Fraction``: arbitrary precision, always in
+lowest terms, positive denominator.  ``CycloScalar`` represents an element
+of Q(zeta_m) as a dense polynomial residue modulo the m-th cyclotomic
+polynomial, with coefficients on the power basis 1, zeta, ...,
+zeta^(phi(m)-1).  It is the one irrational field type: the real quadratic
+fields the exceptional groups need sit inside it, Q(sqrt 2) in Q(zeta_8)
+and Q(sqrt 5) in Q(zeta_5).
 
 Every value is immutable and hashable.  The memoized per-conductor tables
 (cyclotomic polynomials, monomial reduction rows) are written once under
@@ -20,13 +21,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import FieldMismatch, ZeroInversion
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,11 +42,6 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
-
-
-def format_rational(value: Fraction) -> str:
-    """Render lowest-terms "p/q", or "p" when the denominator is 1."""
-    return str(value)
 
 
 # ----------------------------------------------------------------------
@@ -110,16 +103,6 @@ def moebius(m: int) -> int:
 
 # ----------------------------------------------------------------------
 # integer polynomials (dense, index = degree), used for cyclotomic tables
-
-
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -258,140 +241,6 @@ def _invert_mod(z: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
         r = [c * inv for c in r]
         s = [c * inv for c in s]
         r0, r1, s0, s1 = r1, r, s1, s
-
-
-# ----------------------------------------------------------------------
-# real quadratic scalars a + b*sqrt(d), d in {2, 5}
-
-
-_QUAD_RADICANDS = (2, 5)
-
-
-@dataclass(frozen=True)
-class QuadScalar:
-    """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d))."""
-
-    base: Fraction
-    coeff: Fraction
-    radicand: int
-
-    def __post_init__(self) -> None:
-        if self.radicand not in _QUAD_RADICANDS:
-            raise ValueError(f"unsupported radicand {self.radicand}")
-        object.__setattr__(self, "base", Fraction(self.base))
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int, radicand: int) -> "QuadScalar":
-        return cls(Fraction(value), _ZERO, radicand)
-
-    @classmethod
-    def sqrt_of(cls, radicand: int) -> "QuadScalar":
-        return cls(_ZERO, _ONE, radicand)
-
-    def _coerce(self, other: object) -> "QuadScalar":
-        if isinstance(other, QuadScalar):
-            if other.radicand != self.radicand:
-                raise FieldMismatch(
-                    f"sqrt{self.radicand} and sqrt{other.radicand} do not mix"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadScalar.from_rational(other, self.radicand)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: object) -> "QuadScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadScalar(self.base + other.base, self.coeff + other.coeff, self.radicand)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadScalar":
-        return QuadScalar(-self.base, -self.coeff, self.radicand)
-
-    def __sub__(self, other: object) -> "QuadScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadScalar(self.base - other.base, self.coeff - other.coeff, self.radicand)
-
-    def __rsub__(self, other: object) -> "QuadScalar":
-        return (-self).__add__(other)
-
-    def __mul__(self, other: object) -> "QuadScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadScalar(
-            self.base * other.base + self.radicand * self.coeff * other.coeff,
-            self.base * other.coeff + self.coeff * other.base,
-            self.radicand,
-        )
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "QuadScalar":
-        norm = self.base * self.base - self.radicand * self.coeff * self.coeff
-        if not norm:
-            if not self.base and not self.coeff:
-                raise ZeroInversion("cannot invert zero")
-            raise ArithmeticError("norm vanished for a nonzero element")
-        return QuadScalar(self.base / norm, -self.coeff / norm, self.radicand)
-
-    def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.base, -self.coeff, self.radicand)
-
-    def is_rational(self) -> bool:
-        return not self.coeff
-
-    def to_rational(self) -> Fraction | None:
-        return self.base if not self.coeff else None
-
-    def is_zero(self) -> bool:
-        return not self.base and not self.coeff
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuadScalar):
-            if other.radicand != self.radicand:
-                return self.is_rational() and other.is_rational() and self.base == other.base
-            return self.base == other.base and self.coeff == other.coeff
-        if isinstance(other, (int, Fraction)):
-            return not self.coeff and self.base == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if not self.coeff:
-            return hash(self.base)
-        return hash((self.radicand, self.base, self.coeff))
-
-    def __str__(self) -> str:
-        root = f"sqrt{self.radicand}"
-        if not self.coeff:
-            return str(self.base)
-        if self.coeff == 1:
-            head = root
-        elif self.coeff == -1:
-            head = f"-{root}"
-        else:
-            head = f"{self.coeff}*{root}"
-        if not self.base:
-            return head
-        sign = "-" if self.coeff < 0 else "+"
-        mag = -self.coeff if self.coeff < 0 else self.coeff
-        tail = root if mag == 1 else f"{mag}*{root}"
-        return f"{self.base} {sign} {tail}"
-
-    def __repr__(self) -> str:
-        return f"QuadScalar({self.base!r}, {self.coeff!r}, {self.radicand})"
-
-
-def quad_invert(value: QuadScalar) -> QuadScalar:
-    return value.invert()
 
 
 # ----------------------------------------------------------------------
@@ -583,9 +432,6 @@ class CycloScalar:
             return a is not None and a == b
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
-        if isinstance(other, QuadScalar):
-            a, b = self.to_rational(), other.to_rational()
-            return a is not None and a == b
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -621,14 +467,6 @@ class CycloScalar:
         return f"CycloScalar({self.conductor}, {self.coeffs!r})"
 
 
-def cyclo_invert(value: CycloScalar) -> CycloScalar:
-    return value.invert()
-
-
-def cyclo_to_rational(value: CycloScalar) -> Fraction | None:
-    return value.to_rational()
-
-
 def cyclo_trace(value: CycloScalar) -> Fraction:
     """Trace down to Q: sum of all Galois images, computed coefficientwise.
 
@@ -650,18 +488,15 @@ def cyclo_trace(value: CycloScalar) -> Fraction:
 # ----------------------------------------------------------------------
 # helpers shared by the group/contribution layers
 
-Scalar = "Fraction | QuadScalar | CycloScalar"
-
-
 def canonical_scalar(value):
     """Collapse a scalar to the smallest field that contains it.
 
-    Rational-valued QuadScalar/CycloScalar become plain Fractions; anything
+    A CycloScalar with a rational value becomes a plain Fraction; anything
     already rational or genuinely irrational is returned unchanged.
     """
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (QuadScalar, CycloScalar)):
+    if isinstance(value, CycloScalar):
         q = value.to_rational()
         return q if q is not None else value
     return value
@@ -672,17 +507,8 @@ def scalar_key(value) -> tuple:
     value = canonical_scalar(value)
     if isinstance(value, Fraction):
         return (0, value.numerator, value.denominator)
-    if isinstance(value, QuadScalar):
-        return (
-            1,
-            value.radicand,
-            value.base.numerator,
-            value.base.denominator,
-            value.coeff.numerator,
-            value.coeff.denominator,
-        )
     if isinstance(value, CycloScalar):
-        return (2, value.conductor) + tuple(
+        return (1, value.conductor) + tuple(
             part for c in value.coeffs for part in (c.numerator, c.denominator)
         )
     raise TypeError(f"not a scalar: {value!r}")

@@ -204,6 +204,122 @@ def test_group_bad_label(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# exact `group` output, pinned: class order, trace and quaternion text, rows
+GROUP_GOLDEN = {
+    "E6": """\
+label E6: binary tetrahedral group, order 24
+conjugacy classes (size, centralizer, trace):
+  size    1  centralizer   24  trace -2
+  size    1  centralizer   24  trace 2
+  size    4  centralizer    6  trace -1
+  size    4  centralizer    6  trace -1
+  size    4  centralizer    6  trace 1
+  size    4  centralizer    6  trace 1
+  size    6  centralizer    4  trace 0
+per-orbit contribution terms:
+      1/96  from class of (-1) + (0)i + (0)j + (0)k (size 1, centralizer 24, trace -2)
+      1/18  from class of (-1/2) + (-1/2)i + (-1/2)j + (-1/2)k (size 4, centralizer 6, trace -1)
+      1/18  from class of (-1/2) + (-1/2)i + (-1/2)j + (1/2)k (size 4, centralizer 6, trace -1)
+       1/6  from class of (1/2) + (-1/2)i + (-1/2)j + (-1/2)k (size 4, centralizer 6, trace 1)
+       1/6  from class of (1/2) + (-1/2)i + (-1/2)j + (1/2)k (size 4, centralizer 6, trace 1)
+       1/8  from class of (0) + (-1)i + (0)j + (0)k (size 6, centralizer 4, trace 0)
+class sum    = 167/288
+element sum  = 167/288
+closed form  = 167/288
+exact agreement: yes
+""",
+    "E7": """\
+label E7: binary octahedral group, order 48
+conjugacy classes (size, centralizer, trace):
+  size    1  centralizer   48  trace -2
+  size    1  centralizer   48  trace 2
+  size    6  centralizer    8  trace 0
+  size    6  centralizer    8  trace -sqrt2
+  size    6  centralizer    8  trace sqrt2
+  size    8  centralizer    6  trace -1
+  size    8  centralizer    6  trace 1
+  size   12  centralizer    4  trace 0
+per-orbit contribution terms:
+     1/192  from class of (-1) + (0)i + (0)j + (0)k (size 1, centralizer 48, trace -2)
+      1/16  from class of (0) + (-1)i + (0)j + (0)k (size 6, centralizer 8, trace 0)
+       1/4  from classes of (-1/2*sqrt2) + (0)i + (0)j + (-1/2*sqrt2)k and (1/2*sqrt2) + (0)i + (0)j + (-1/2*sqrt2)k (sizes 6+6, traces -sqrt2, sqrt2)
+      1/18  from class of (-1/2) + (-1/2)i + (-1/2)j + (-1/2)k (size 8, centralizer 6, trace -1)
+       1/6  from class of (1/2) + (-1/2)i + (-1/2)j + (-1/2)k (size 8, centralizer 6, trace 1)
+       1/8  from class of (0) + (0)i + (-1/2*sqrt2)j + (-1/2*sqrt2)k (size 12, centralizer 4, trace 0)
+class sum    = 383/576
+element sum  = 383/576
+closed form  = 383/576
+exact agreement: yes
+""",
+    "E8": """\
+label E8: binary icosahedral group, order 120
+conjugacy classes (size, centralizer, trace):
+  size    1  centralizer  120  trace -2
+  size    1  centralizer  120  trace 2
+  size   12  centralizer   10  trace -1/2 - 1/2*sqrt5
+  size   12  centralizer   10  trace -1/2 + 1/2*sqrt5
+  size   12  centralizer   10  trace 1/2 - 1/2*sqrt5
+  size   12  centralizer   10  trace 1/2 + 1/2*sqrt5
+  size   20  centralizer    6  trace -1
+  size   20  centralizer    6  trace 1
+  size   30  centralizer    4  trace 0
+per-orbit contribution terms:
+     1/480  from class of (-1) + (0)i + (0)j + (0)k (size 1, centralizer 120, trace -2)
+      1/10  from classes of (-1/4 - 1/4*sqrt5) + (-1/2)i + (0)j + (-1/4 + 1/4*sqrt5)k and (-1/4 + 1/4*sqrt5) + (-1/2)i + (-1/4 - 1/4*sqrt5)j + (0)k (sizes 12+12, traces -1/2 - 1/2*sqrt5, -1/2 + 1/2*sqrt5)
+      3/10  from classes of (1/4 - 1/4*sqrt5) + (-1/2)i + (-1/4 - 1/4*sqrt5)j + (0)k and (1/4 + 1/4*sqrt5) + (-1/2)i + (0)j + (-1/4 + 1/4*sqrt5)k (sizes 12+12, traces 1/2 - 1/2*sqrt5, 1/2 + 1/2*sqrt5)
+      1/18  from class of (-1/2) + (-1/2)i + (-1/2)j + (-1/2)k (size 20, centralizer 6, trace -1)
+       1/6  from class of (1/2) + (-1/2)i + (-1/2)j + (-1/2)k (size 20, centralizer 6, trace 1)
+       1/8  from class of (0) + (-1)i + (0)j + (0)k (size 30, centralizer 4, trace 0)
+class sum    = 1079/1440
+element sum  = 1079/1440
+closed form  = 1079/1440
+exact agreement: yes
+""",
+    "A4": """\
+label A4: cyclic group, order 5
+conjugacy classes (size, centralizer, trace):
+  size    1  centralizer    5  trace 2
+  size    1  centralizer    5  trace -1 - z5^2 - z5^3
+  size    1  centralizer    5  trace -1 - z5^2 - z5^3
+  size    1  centralizer    5  trace z5^2 + z5^3
+  size    1  centralizer    5  trace z5^2 + z5^3
+per-orbit contribution terms:
+       2/5  from 4 classes of order-5 rotations (size 1, centralizer 5)
+class sum    = 2/5
+element sum  = 2/5
+closed form  = 2/5
+exact agreement: yes
+""",
+    "D6": """\
+label D6: binary dihedral group, order 16
+conjugacy classes (size, centralizer, trace):
+  size    1  centralizer   16  trace -2
+  size    1  centralizer   16  trace 2
+  size    2  centralizer    8  trace 0
+  size    2  centralizer    8  trace -z8 + z8^3
+  size    2  centralizer    8  trace z8 - z8^3
+  size    4  centralizer    4  trace 0
+  size    4  centralizer    4  trace 0
+per-orbit contribution terms:
+      1/64  from class of a^4 (size 1, centralizer 16, trace -2)
+      1/16  from class of a^2 (size 2, centralizer 8, trace 0)
+       1/4  from 2 classes of order-8 rotations (size 2, centralizer 8)
+       1/8  from class of x (size 4, centralizer 4, trace 0)
+       1/8  from class of x*a (size 4, centralizer 4, trace 0)
+class sum    = 37/64
+element sum  = 37/64
+closed form  = 37/64
+exact agreement: yes
+""",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GROUP_GOLDEN))
+def test_group_golden_output(capsys, label):
+    assert main(["group", label]) == 0
+    assert capsys.readouterr().out == GROUP_GOLDEN[label]
+
+
 # ----------------------------------------------------------------------
 # identity
 

@@ -7,7 +7,6 @@ computation is cross-checked against numpy-free float arithmetic.
 """
 
 import cmath
-import math
 import random
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from orbichern.groups import (
     generate_group,
     trace,
 )
-from orbichern.scalars import CycloScalar, QuadScalar
+from orbichern.scalars import CycloScalar
 
 F = Fraction
 
@@ -39,8 +38,10 @@ F = Fraction
 
 
 def scalar_float(value) -> float:
-    if isinstance(value, QuadScalar):
-        return float(value.base) + float(value.coeff) * math.sqrt(value.radicand)
+    if isinstance(value, CycloScalar):
+        z = cyclo_float(value)
+        assert abs(z.imag) < 1e-9  # quaternion components are real
+        return z.real
     return float(value)
 
 
@@ -218,6 +219,11 @@ def test_quaternion_inverse_in_irrational_groups():
         for g in builder():
             assert (g * g.inverse()).is_identity()
             assert g.norm() == 1
+
+
+def test_non_unit_quaternion_has_no_group_inverse():
+    with pytest.raises(ArithmeticError):
+        Quaternion(F(1), F(1), F(0), F(0)).inverse()
 
 
 def test_mixed_family_words_do_not_combine():

@@ -12,19 +12,15 @@ from fractions import Fraction
 import pytest
 
 from orbichern.errors import FieldMismatch, ZeroInversion
+from orbichern.groups import Quaternion
 from orbichern.scalars import (
     CycloScalar,
-    QuadScalar,
-    cyclo_invert,
-    cyclo_to_rational,
     cyclo_trace,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
-    format_rational,
     moebius,
     parse_rational,
-    quad_invert,
     scalar_key,
 )
 
@@ -38,8 +34,14 @@ def approx(z: CycloScalar) -> complex:
     )
 
 
-def quad_float(q: QuadScalar) -> float:
-    return float(q.base) + float(q.coeff) * math.sqrt(q.radicand)
+def root2() -> CycloScalar:
+    """sqrt(2) = zeta_8 - zeta_8^3 in Q(zeta_8)."""
+    return CycloScalar.zeta_pow(8, 1) - CycloScalar.zeta_pow(8, 3)
+
+
+def root5() -> CycloScalar:
+    """sqrt(5) = 1 + 2*(zeta_5 + zeta_5^4) in Q(zeta_5)."""
+    return 1 + 2 * (CycloScalar.zeta_pow(5, 1) + CycloScalar.zeta_pow(5, 4))
 
 
 def int_poly_mul(a, b):
@@ -56,7 +58,7 @@ def int_poly_mul(a, b):
 
 def test_parse_and_format_round_trip():
     for text in ["0", "7", "-7", "3/4", "-3/4", "22/7"]:
-        assert format_rational(parse_rational(text)) == text
+        assert str(parse_rational(text)) == text
     assert parse_rational("6/4") == F(3, 2)  # parsed exactly, reduced
 
 
@@ -124,20 +126,20 @@ def test_zeta_power_reduction_and_periodicity():
 
 
 def test_invert_examples():
-    assert cyclo_invert(CycloScalar.from_rational(2, 5)) == F(1, 2)
+    assert CycloScalar.from_rational(2, 5).invert() == F(1, 2)
     z4 = CycloScalar.zeta_pow(4)
-    assert cyclo_invert(z4) == -z4
+    assert z4.invert() == -z4
     z3 = CycloScalar.zeta_pow(3)
-    inv = cyclo_invert(1 - z3)
+    inv = (1 - z3).invert()
     assert inv * (1 - z3) == 1
     assert inv == (2 + z3) * F(1, 3)
 
 
 def test_invert_zero_raises():
     with pytest.raises(ZeroInversion):
-        cyclo_invert(CycloScalar.zero(7))
+        CycloScalar.zero(7).invert()
     with pytest.raises(ZeroInversion):
-        QuadScalar.from_rational(0, 2).invert()
+        (root2() * root2() - 2).invert()  # zero of Q(sqrt 2) inside Q(zeta_8)
 
 
 def test_random_inverses_are_exact():
@@ -149,14 +151,14 @@ def test_random_inverses_are_exact():
         z = CycloScalar(m, tuple(coeffs))
         if z.is_zero():
             continue
-        assert cyclo_invert(z) * z == 1
+        assert z.invert() * z == 1
 
 
 def test_to_rational():
-    assert cyclo_to_rational(CycloScalar.from_rational(F(7, 3), 12)) == F(7, 3)
-    assert cyclo_to_rational(CycloScalar.zeta_pow(5)) is None
+    assert CycloScalar.from_rational(F(7, 3), 12).to_rational() == F(7, 3)
+    assert CycloScalar.zeta_pow(5).to_rational() is None
     z6 = CycloScalar.zeta_pow(6)
-    assert cyclo_to_rational(z6 + z6 ** -1) == 1
+    assert (z6 + z6 ** -1).to_rational() == 1
 
 
 def test_conductor_mixing_is_an_error():
@@ -225,60 +227,21 @@ def test_field_axioms_fuzz():
         assert a * (b + c) == a * b + a * c
         assert a - a == CycloScalar.zero(m)
         if not a.is_zero():
-            assert a * cyclo_invert(a) == 1
-
-
-# ----------------------------------------------------------------------
-# quadratic scalars
-
-
-def test_quad_invert_examples():
-    assert quad_invert(QuadScalar.from_rational(2, 5)) == F(1, 2)
-    root2 = QuadScalar.sqrt_of(2)
-    assert quad_invert(root2) == QuadScalar(F(0), F(1, 2), 2)
-    z = 2 - root2
-    assert quad_invert(z) == QuadScalar(F(1), F(1, 2), 2)
-    assert quad_invert(z) * z == 1
-
-
-def test_quad_arithmetic_and_conjugate():
-    phi = QuadScalar(F(1, 2), F(1, 2), 5)  # golden ratio
-    assert phi * phi == phi + 1
-    assert phi + phi.conjugate() == 1
-    assert phi * phi.conjugate() == -1
-    rng = random.Random(55)
-    for _ in range(40):
-        a = QuadScalar(F(rng.randint(-9, 9), rng.randint(1, 5)),
-                       F(rng.randint(-9, 9), rng.randint(1, 5)), 2)
-        b = QuadScalar(F(rng.randint(-9, 9), rng.randint(1, 5)),
-                       F(rng.randint(-9, 9), rng.randint(1, 5)), 2)
-        assert a * b == b * a
-        assert abs(quad_float(a * b) - quad_float(a) * quad_float(b)) < 1e-9
-        if not a.is_zero():
             assert a * a.invert() == 1
 
 
-def test_quad_radicand_mixing_is_an_error():
-    with pytest.raises(FieldMismatch):
-        QuadScalar.sqrt_of(2) + QuadScalar.sqrt_of(5)
-    with pytest.raises(ValueError):
-        QuadScalar.sqrt_of(3)
-
-
 def test_rational_collapse_equality_and_hash():
-    assert QuadScalar.from_rational(F(3, 2), 2) == F(3, 2)
-    assert hash(QuadScalar.from_rational(F(3, 2), 2)) == hash(F(3, 2))
     z6 = CycloScalar.zeta_pow(6)
     one = z6 + z6 ** 5  # zeta_6 + zeta_6^-1 = 1
     assert one == 1 and hash(one) == hash(F(1))
-    assert one == QuadScalar.from_rational(1, 5)
+    assert one == CycloScalar.from_rational(1, 5)
     # irrational values of different fields stay distinct
     assert CycloScalar.zeta_pow(5) != CycloScalar.zeta_pow(7)
-    assert QuadScalar.sqrt_of(2) != QuadScalar.sqrt_of(5)
+    assert root2() != root5()
 
 
 def test_scalar_key_orders_mixed_scalars():
-    values = [F(1, 2), QuadScalar.sqrt_of(2), CycloScalar.zeta_pow(5), F(-3)]
+    values = [F(1, 2), root2(), CycloScalar.zeta_pow(5), F(-3)]
     keys = [scalar_key(v) for v in values]
     assert sorted(keys) == sorted(set(keys))  # all distinct and comparable
 
@@ -287,7 +250,7 @@ def test_string_rendering_is_stable():
     z = CycloScalar.zeta_pow(12)
     # zeta_12^-1 reduces to zeta_12 - zeta_12^3 modulo x^4 - x^2 + 1
     assert str(2 - z - z ** -1) == "2 - 2*z12 + z12^3"
-    assert str(QuadScalar(F(1, 2), F(-3, 2), 5)) == "1/2 - 3/2*sqrt5"
+    assert Quaternion.value_str(F(1, 2) - F(3, 2) * root5()) == "1/2 - 3/2*sqrt5"
     assert str(CycloScalar.zero(9)) == "0"
 
 
