@@ -175,6 +175,16 @@ def _parse_isolated_points(obj: dict):
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` that refuses a key given twice in one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DescriptionError(f"duplicate field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_description(path: str):
     """Parse a surface-description file; returns (description, gerbe_order)."""
     try:
@@ -182,10 +192,17 @@ def load_description(path: str):
             text = handle.read()
     except OSError as exc:
         raise DescriptionError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DescriptionError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DescriptionError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except DescriptionError as exc:
+        raise DescriptionError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting past the stack
+        raise DescriptionError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise DescriptionError(f"{path}: top level must be an object")
     kind = obj.get("kind")

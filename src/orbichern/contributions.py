@@ -20,8 +20,11 @@ words, t = zeta_d^j + zeta_d^-j and Tr(f) is the sum over primitive
 residues j mod d of 1/(2 - zeta_d^j - zeta_d^-j), written S(d) below.
 S(d) is evaluated as the field trace of a single cached inverse, so one
 exact inversion per conductor serves every group and every identity
-check.  For the quaternion groups, t lies in Q(sqrt 2) inside Q(zeta_8)
-or Q(sqrt 5) inside Q(zeta_5), and f is inverted once per orbit.
+check.  Words are split and bucketed by their label ``rotation() ==
+(d, j)`` and ``rational_trace()`` from ``groups``, so no field element
+is built per element.  For the quaternion groups, t lies in Q(sqrt 2)
+inside Q(zeta_8) or Q(sqrt 5) inside Q(zeta_5), and f is inverted once
+per orbit.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ from math import gcd
 
 from .ade import AdeLabel, resolution_data
 from .errors import IdentityFailure, NonRationalTotal, TraceTwoNonIdentity
-from .groups import ConjugacyClass, FiniteSubgroup, Word, build_ade_group
+from .groups import FiniteSubgroup, Word, build_ade_group
 from .scalars import CycloScalar, cyclo_trace, divisors, euler_phi
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,15 +90,6 @@ def _primitive_residues(d: int) -> list[int]:
     return [j for j in range(1, d) if gcd(j, d) == 1]
 
 
-def _rotation_conductor_and_residue(word: Word) -> tuple[int, int]:
-    """Order d of the rotation and its primitive residue j (trace is
-    zeta_d^j + zeta_d^-j)."""
-    m = word.n if word.family == "cyclic" else 2 * word.n
-    k = word.exp % m
-    d = m // gcd(k, m)
-    return d, (k // (m // d)) % d
-
-
 @functools.lru_cache(maxsize=None)
 def _rotation_orbit(d: int) -> _GaloisOrbit:
     """Traces zeta_d^j + zeta_d^-j, labelled by min(j, d - j)."""
@@ -112,11 +105,16 @@ def _conjugate_orbit(t: CycloScalar) -> _GaloisOrbit:
     return _GaloisOrbit(m, points, cyclo_trace((2 - t).invert()))
 
 
-def _galois_orbit(element, t) -> tuple[_GaloisOrbit, object]:
-    """The orbit of an element's irrational trace t, and t's label in it."""
+def _galois_orbit(element) -> tuple[_GaloisOrbit, object]:
+    """The orbit of an element's irrational trace, and the trace's point in it.
+
+    A word's point is j of its label ``rotation() == (d, j)``, so no field
+    element is built for it.
+    """
     if isinstance(element, Word):
-        d, j = _rotation_conductor_and_residue(element)
-        return _rotation_orbit(d), min(j, d - j)
+        d, j = element.rotation()
+        return _rotation_orbit(d), j
+    t = element.trace()
     return _conjugate_orbit(t), t
 
 
@@ -153,17 +151,17 @@ def _orbit_description(orbit: _GaloisOrbit, classes: list, centralizer: int) -> 
     return f"classes of {reps} (sizes {sizes}, traces {traces})"
 
 
-def _class_rows(group: FiniteSubgroup) -> list[tuple[tuple, str, Fraction]]:
+def _class_rows(group: FiniteSubgroup) -> list[tuple[int, str, Fraction]]:
     """One rational row per Galois orbit of nontrivial classes.
 
-    Returns (sort key, description, value) triples; the sort key is the
-    class-table position of the orbit's first class.  Classes with a
-    rational trace are orbits of their own; the others are bucketed by
-    orbit and centralizer order.
+    Returns (position, description, value) triples; the position is the
+    index in ``group.classes``, which is in class-table order, of the
+    orbit's first class.  Classes with a rational trace are orbits of
+    their own; the others are bucketed by orbit and centralizer order.
     """
-    rows: list[tuple[tuple, str, Fraction]] = []
+    rows: list[tuple[int, str, Fraction]] = []
     buckets: dict[tuple, list] = {}
-    for c in group.classes:
+    for position, c in enumerate(group.classes):
         if c.representative.is_identity():
             continue
         t = c.trace
@@ -176,16 +174,15 @@ def _class_rows(group: FiniteSubgroup) -> list[tuple[tuple, str, Fraction]]:
                 f"class of {c.representative} "
                 f"(size {c.size}, centralizer {c.centralizer_order}, trace {t})"
             )
-            rows.append((c.sort_key(), desc, Fraction(1, c.centralizer_order) / (2 - t)))
+            rows.append((position, desc, Fraction(1, c.centralizer_order) / (2 - t)))
         else:
-            orbit, point = _galois_orbit(c.representative, t)
-            buckets.setdefault((orbit, c.centralizer_order), []).append((c, point))
+            orbit, point = _galois_orbit(c.representative)
+            buckets.setdefault((orbit, c.centralizer_order), []).append((position, c, point))
 
     for (orbit, centralizer), members in buckets.items():
-        classes = sorted((c for c, _ in members), key=ConjugacyClass.sort_key)
-        value = _orbit_sum(orbit, [point for _, point in members]) / centralizer
-        desc = _orbit_description(orbit, classes, centralizer)
-        rows.append((classes[0].sort_key(), desc, value))
+        value = _orbit_sum(orbit, [point for _, _, point in members]) / centralizer
+        desc = _orbit_description(orbit, [c for _, c, _ in members], centralizer)
+        rows.append((members[0][0], desc, value))
 
     rows.sort(key=lambda row: row[0])
     return rows
@@ -201,20 +198,24 @@ def element_sum_contribution(group: FiniteSubgroup) -> Fraction:
 
     Never consults class sizes or centralizers; agreement with
     ``class_sum_contribution`` validates the conjugacy bookkeeping.
+    Elements are split by ``rational_trace()`` and bucketed by their
+    Galois orbit point, so a word's trace is never built as a field
+    element here.
     """
-    total = _F0
+    rational: Counter = Counter()
     buckets: dict[_GaloisOrbit, list] = {}
     for g in group.elements:
         if g.is_identity():
             continue
-        t = g.trace()
-        if t == 2:
-            raise TraceTwoNonIdentity(f"non-identity element {g} has trace 2")
-        if isinstance(t, Fraction):
-            total += _F1 / (2 - t)
-        else:
-            orbit, point = _galois_orbit(g, t)
+        t = g.rational_trace()
+        if t is None:
+            orbit, point = _galois_orbit(g)
             buckets.setdefault(orbit, []).append(point)
+        elif t == 2:
+            raise TraceTwoNonIdentity(f"non-identity element {g} has trace 2")
+        else:
+            rational[t] += 1
+    total = sum((count / (2 - t) for t, count in rational.items()), _F0)
     for orbit, points in buckets.items():
         total += _orbit_sum(orbit, points)
     return total / group.order

@@ -18,6 +18,15 @@ Two exact element representations coexist:
     zeta_2n^-1) and x as [[0, 1], [-1, 0]].  Traces land in Q(zeta_2n)
     and print on its power basis.
 
+Every element answers ``trace_label()``: a hashable label that two
+elements share exactly when their traces are equal.  A quaternion's label
+is its trace.  A word's label is ``rotation()``, the pair (d, j) with
+trace zeta_d^j + zeta_d^-j, so no field element is built for it.  The
+per-element loops (trace constancy on each conjugacy class, the trace-2
+check, and the element sum in ``contributions``) read labels and
+``rational_trace()`` only.  A word's dense trace in Q(zeta_2n) is built
+once per conjugacy class, for the class table's text and order.
+
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
 conjugation by the generators, and centralizer orders come from the
@@ -29,6 +38,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 from .ade import AdeLabel, resolution_data
@@ -37,6 +47,9 @@ from .scalars import CycloScalar, canonical_scalar, cyclo_trace, scalar_key, sca
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# zeta_d^j + zeta_d^-j for the five rotation orders d where it is rational
+_RATIONAL_TRACES = {1: Fraction(2), 2: Fraction(-2), 3: Fraction(-1), 4: _F0, 6: _F1}
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,6 +116,12 @@ class Quaternion:
 
     def trace(self):
         return canonical_scalar(self.x + self.x)
+
+    trace_label = trace
+
+    def rational_trace(self) -> Fraction | None:
+        t = self.trace()
+        return t if isinstance(t, Fraction) else None
 
     def is_identity(self) -> bool:
         return self.x == 1 and self.y == 0 and self.z == 0 and self.w == 0
@@ -182,12 +201,29 @@ class Word:
         # (x a^i)^-1 = a^-i x a^-n ... = x a^(i+n)
         return Word(self.family, self.n, True, self.exp + self.n)
 
-    def trace(self):
+    def rotation(self) -> tuple[int, int]:
+        """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j = min(j, d - j).
+
+        A flip x*a^k has trace 0 = zeta_4 + zeta_4^-1, so it gets (4, 1).
+        """
         if self.flip:
-            return _F0
-        conductor = self._period()
-        z = CycloScalar.zeta_pow(conductor, self.exp)
-        return canonical_scalar(z + CycloScalar.zeta_pow(conductor, -self.exp))
+            return 4, 1
+        m = self._period()
+        g = gcd(self.exp, m)
+        d, j = m // g, self.exp // g
+        return d, min(j, d - j)
+
+    trace_label = rotation
+
+    def rational_trace(self) -> Fraction | None:
+        return _RATIONAL_TRACES.get(self.rotation()[0])
+
+    def trace(self):
+        """The trace in Q(zeta_period), a Fraction when it is rational."""
+        rational = self.rational_trace()
+        if rational is not None:
+            return rational
+        return CycloScalar.zeta_pair_sum(self._period(), self.exp)
 
     def is_identity(self) -> bool:
         return not self.flip and self.exp == 0
@@ -292,7 +328,8 @@ def conjugacy_classes(
     elements plus generators that generate the group.  Classes come back
     sorted by (size, trace, representative) and each class's centralizer
     order is derived from orbit-stabilizer; both the class equation and
-    trace constancy along each orbit are verified.
+    trace constancy along each orbit (by trace label) are verified.  The
+    representative's trace is the one field element built per class.
     """
     if isinstance(elements, FiniteSubgroup):
         generators = elements.generators
@@ -320,12 +357,12 @@ def conjugacy_classes(
         if order % size != 0:
             raise ArithmeticError("orbit size does not divide the group order")
         rep = min(orbit, key=element_key)
-        rep_trace = rep.trace()
+        label = rep.trace_label()
         for e in orbit:
-            if e is not rep and e.trace() != rep_trace:
+            if e is not rep and e.trace_label() != label:
                 raise ArithmeticError("trace is not constant on a conjugacy class")
         classes.append(
-            ConjugacyClass(rep, size, order // size, rep_trace)
+            ConjugacyClass(rep, size, order // size, rep.trace())
         )
     total = sum(c.size for c in classes)
     if total != order:
@@ -344,7 +381,7 @@ def _finite_subgroup(
     classes = conjugacy_classes(members, gens)
     identity_count = 0
     for g in members:
-        if g.trace() == 2:
+        if g.rational_trace() == 2:
             if not g.is_identity():
                 raise TraceTwoNonIdentity(f"non-identity element {g} has trace 2")
             identity_count += 1

@@ -295,6 +295,18 @@ class CycloScalar:
         row = _monomial_table(conductor)[exponent % conductor]
         return cls._make(conductor, [Fraction(c) for c in row])
 
+    @classmethod
+    def zeta_pair_sum(cls, conductor: int, exponent: int) -> "CycloScalar":
+        """zeta_m^e + zeta_m^-e, added on the integer rows of the monomial table.
+
+        Equal coefficients share one Fraction object, so the value holds
+        phi(m) references to a handful of Fractions.
+        """
+        rows = _monomial_table(conductor)
+        ints = [a + b for a, b in zip(rows[exponent % conductor], rows[-exponent % conductor])]
+        shared = {c: Fraction(c) for c in set(ints)}
+        return cls._make(conductor, [shared[c] for c in ints])
+
     def _coerce(self, other: object) -> "CycloScalar":
         if isinstance(other, CycloScalar):
             if other.conductor != self.conductor:

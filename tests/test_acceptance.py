@@ -259,10 +259,10 @@ def test_criterion_11_gerbe_invariance_fuzz():
                   "100 reports x orders 1..10")
 
 
-def test_criterion_12_table_determinism():
+def test_criterion_12_table_determinism(child_env):
     command = [sys.executable, "-m", "orbichern", "table", "--max-n", "50"]
-    first = subprocess.run(command, capture_output=True, check=False)
-    second = subprocess.run(command, capture_output=True, check=False)
+    first = subprocess.run(command, capture_output=True, check=False, env=child_env)
+    second = subprocess.run(command, capture_output=True, check=False, env=child_env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

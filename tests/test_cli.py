@@ -171,6 +171,43 @@ def test_check_reports_json_syntax_position(tmp_path, capsys):
     assert "broken.json:1:" in err
 
 
+def test_check_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(kummer_payload()).encode().replace(b'"A1"', b'"A\xff"', 1))
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+
+
+def test_check_rejects_oversized_integer(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    text = json.dumps({**kummer_payload(), "chi_structure_sheaf": 0})
+    path.write_text(text.replace('"chi_structure_sheaf": 0', '"chi_structure_sheaf": ' + "7" * 5000))
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_check_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_rejects_duplicate_keys(tmp_path, capsys):
+    # a second canonical_nef_asserted would otherwise win and flip the verdict
+    text = json.dumps({**kummer_payload(), "canonical_nef_asserted": False})
+    path = tmp_path / "dup.json"
+    path.write_text(text[:-1] + ', "canonical_nef_asserted": true}')
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate field 'canonical_nef_asserted'" in captured.err
+
+
 # ----------------------------------------------------------------------
 # group
 
@@ -311,6 +348,59 @@ element sum  = 37/64
 closed form  = 37/64
 exact agreement: yes
 """,
+    "A11": """\
+label A11: cyclic group, order 12
+conjugacy classes (size, centralizer, trace):
+  size    1  centralizer   12  trace -2
+  size    1  centralizer   12  trace -1
+  size    1  centralizer   12  trace -1
+  size    1  centralizer   12  trace 0
+  size    1  centralizer   12  trace 0
+  size    1  centralizer   12  trace 1
+  size    1  centralizer   12  trace 1
+  size    1  centralizer   12  trace 2
+  size    1  centralizer   12  trace -2*z12 + z12^3
+  size    1  centralizer   12  trace -2*z12 + z12^3
+  size    1  centralizer   12  trace 2*z12 - z12^3
+  size    1  centralizer   12  trace 2*z12 - z12^3
+per-orbit contribution terms:
+      1/48  from class of a^6 (size 1, centralizer 12, trace -2)
+      1/36  from class of a^4 (size 1, centralizer 12, trace -1)
+      1/36  from class of a^8 (size 1, centralizer 12, trace -1)
+      1/24  from class of a^3 (size 1, centralizer 12, trace 0)
+      1/24  from class of a^9 (size 1, centralizer 12, trace 0)
+      1/12  from class of a^2 (size 1, centralizer 12, trace 1)
+      1/12  from class of a^10 (size 1, centralizer 12, trace 1)
+       2/3  from 4 classes of order-12 rotations (size 1, centralizer 12)
+class sum    = 143/144
+element sum  = 143/144
+closed form  = 143/144
+exact agreement: yes
+""",
+    "D9": """\
+label D9: binary dihedral group, order 28
+conjugacy classes (size, centralizer, trace):
+  size    1  centralizer   28  trace -2
+  size    1  centralizer   28  trace 2
+  size    2  centralizer   14  trace -1 - z14^2 + z14^3 - z14^4 + z14^5
+  size    2  centralizer   14  trace -z14^2 + z14^5
+  size    2  centralizer   14  trace -z14^3 + z14^4
+  size    2  centralizer   14  trace z14^3 - z14^4
+  size    2  centralizer   14  trace z14^2 - z14^5
+  size    2  centralizer   14  trace 1 + z14^2 - z14^3 + z14^4 - z14^5
+  size    7  centralizer    4  trace 0
+  size    7  centralizer    4  trace 0
+per-orbit contribution terms:
+     1/112  from class of a^7 (size 1, centralizer 28, trace -2)
+       1/7  from 3 classes of order-7 rotations (size 2, centralizer 14)
+       3/7  from 3 classes of order-14 rotations (size 2, centralizer 14)
+       1/8  from class of x (size 7, centralizer 4, trace 0)
+       1/8  from class of x*a (size 7, centralizer 4, trace 0)
+class sum    = 93/112
+element sum  = 93/112
+closed form  = 93/112
+exact agreement: yes
+""",
 }
 
 
@@ -398,24 +488,25 @@ def test_table_small_max_n_is_an_input_error(capsys):
 # determinism (subprocess, the real entry point)
 
 
-def run_cli(*args):
+def run_cli(env, *args):
     return subprocess.run(
         [sys.executable, "-m", "orbichern", *args],
         capture_output=True,
         text=False,
         check=False,
+        env=env,
     )
 
 
-def test_module_entry_point_runs():
-    result = run_cli("identity", "--n", "6", "--which", "type_a")
+def test_module_entry_point_runs(child_env):
+    result = run_cli(child_env, "identity", "--n", "6", "--which", "type_a")
     assert result.returncode == 0
     assert b"35/72" in result.stdout
 
 
-def test_table_output_is_byte_deterministic():
-    first = run_cli("table", "--max-n", "8")
-    second = run_cli("table", "--max-n", "8")
+def test_table_output_is_byte_deterministic(child_env):
+    first = run_cli(child_env, "table", "--max-n", "8")
+    second = run_cli(child_env, "table", "--max-n", "8")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty

@@ -8,6 +8,10 @@ Two independent oracles pin the rotation sums:
   u - u^2, and power sums of u come from g', g'' at 1);
 * literal one-term-at-a-time field inversions, bypassing the Galois-orbit
   fast path entirely.
+
+A third, field-free oracle pins each orbit sum on its own:
+S(d) = J_2(d)/12 with J_2 Jordan's totient, which follows from
+sum_{j<d} csc^2(pi j/d) = (d^2 - 1)/3 by Moebius inversion.
 """
 
 import random
@@ -77,6 +81,20 @@ def literal_half_angle_sum(n: int) -> Fraction:
     return value
 
 
+def jordan_totient_2(d: int) -> int:
+    """J_2(d) = sum over e | d of mu(d/e) e^2 = d^2 prod over primes p | d of (1 - 1/p^2)."""
+    result, rest, p = d * d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            result = result // (p * p) * (p * p - 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        result = result // (rest * rest) * (rest * rest - 1)
+    return result
+
+
 def literal_orbit_sum(d: int) -> Fraction:
     """S(d) = sum over primitive k of 1/(2 - zeta_d^k - zeta_d^-k), literally."""
     from math import gcd
@@ -112,6 +130,15 @@ def test_primitive_orbit_sum_small_values():
 def test_primitive_orbit_sum_matches_literal_inversions():
     for d in range(2, 31):
         assert primitive_orbit_sum(d) == literal_orbit_sum(d)
+
+
+def test_jordan_totient_oracle_values():
+    assert [jordan_totient_2(d) for d in range(1, 11)] == [1, 3, 8, 12, 24, 24, 48, 48, 72, 72]
+
+
+def test_primitive_orbit_sum_matches_jordan_totient():
+    for d in range(2, 121):
+        assert primitive_orbit_sum(d) == F(jordan_totient_2(d), 12), d
 
 
 def test_rotation_identity_matches_partial_fraction_oracle():

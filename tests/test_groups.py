@@ -243,6 +243,54 @@ def test_element_keys_are_distinct_within_a_group():
 
 
 # ----------------------------------------------------------------------
+# rotation labels
+
+
+def test_rotation_labels():
+    assert Word("cyclic", 7, False, 0).rotation() == (1, 0)
+    assert Word("dicyclic", 5, False, 5).rotation() == (2, 1)  # a^n = -1
+    assert Word("dicyclic", 5, True, 3).rotation() == (4, 1)  # trace 0
+    assert Word("cyclic", 12, False, 10).rotation() == (6, 1)
+    assert Word("cyclic", 12, False, 7).rotation() == (12, 5)
+    assert Word("dicyclic", 9, False, 14).rotation() == (9, 2)  # a^14 in Q(zeta_18)
+
+
+def word_groups():
+    yield from (AdeLabel("A", n) for n in range(1, 121))
+    yield from (AdeLabel("D", n) for n in range(4, 65))
+
+
+def test_rotation_labels_classify_dense_traces_exactly():
+    # every word of A1..A120 and D4..D64 against zeta^e + zeta^-e built
+    # from two zeta_pow vectors in Q(zeta_period)
+    for label in word_groups():
+        dense_of: dict = {}
+        labels_of_trace: dict = {}
+        traces_of_label: dict = {}
+        for g in build_ade_group(label).elements:
+            m = 2 * g.n if g.family == "dicyclic" else g.n
+            key = None if g.flip else g.exp
+            if key not in dense_of:
+                dense_of[key] = (
+                    CycloScalar.zero(m)
+                    if g.flip
+                    else CycloScalar.zeta_pow(m, g.exp) + CycloScalar.zeta_pow(m, -g.exp)
+                )
+            dense = dense_of[key]
+            labels_of_trace.setdefault(dense, set()).add(g.rotation())
+            traces_of_label.setdefault(g.rotation(), set()).add(dense)
+            rational = g.rational_trace()
+            if rational is None:
+                assert not dense.is_rational(), (label, g)
+            else:
+                assert dense.to_rational() == rational, (label, g)
+            assert g.trace() == dense, (label, g)
+        # equal labels exactly when equal dense traces
+        assert all(len(v) == 1 for v in labels_of_trace.values()), label
+        assert all(len(v) == 1 for v in traces_of_label.values()), label
+
+
+# ----------------------------------------------------------------------
 # conjugacy classes
 
 
