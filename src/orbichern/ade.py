@@ -56,7 +56,11 @@ class AdeLabel:
         match = _LABEL_RE.match(text.strip()) if isinstance(text, str) else None
         if not match:
             raise InvalidLabel(f"not an ADE label: {text!r}")
-        kind, sub = match.group(1), int(match.group(2))
+        kind, digits = match.groups()
+        try:
+            sub = int(digits)
+        except ValueError:  # past Python's integer-string digit limit
+            raise InvalidLabel(f"label subscript has too many digits ({len(digits)})") from None
         if kind == "A":
             return cls("A", sub + 1)
         if kind == "D":

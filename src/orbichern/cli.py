@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``check <file> [--format text|structured]``: read a surface description
-  (strict JSON schema), compute the invariant report, exit 0 unless the
-  inequality fails (exit 3) or the file is invalid (exit 1).
+  (strict JSON schema, the ``_KINDS`` table), compute the invariant
+  report, exit 0 unless the inequality fails (exit 3) or the file is
+  invalid (exit 1, with the offending value's path in the message).
 * ``group <label>``: conjugacy table and the three contribution routes
   for one ADE group, with an exact-equality confirmation.
 * ``identity --n N --which type_a|half_angle``: print both sides of the
@@ -13,9 +14,11 @@ Subcommands:
   closed forms next to brute-force class sums for every label with
   family parameter up to N, plus the three E types.
 
-Exit codes: 0 success (including NotApplicable), 1 input error, 2
-internal identity failure, 3 inequality fails.  Output is deterministic:
-fixed orderings, exact rationals, no timestamps.
+Exit codes: 0 success (including NotApplicable), 1 input error (a usage
+error, ``DescriptionError`` or ``InvalidLabel``), 2 any other package
+error (an internal cross-check failed), 3 inequality fails.  ``main``
+takes the code from the error's ``exit_code`` and prints one stderr line.
+Output is deterministic: fixed orderings, exact rationals, no timestamps.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .contributions import (
     verify_type_a_identity,
     verify_type_d_half_angle_identity,
 )
-from .errors import DescriptionError, IdentityFailure, InvalidLabel
+from .errors import DescriptionError, IdentityFailure, InvalidLabel, OrbichernError
 from .groups import build_ade_group
 from .invariants import (
     Crossing,
@@ -58,121 +61,95 @@ _GROUP_NAMES = {
 
 
 # ----------------------------------------------------------------------
-# strict description-file parsing
+# description files: one schema table
+#
+# A reader takes (value, where), where ``where`` is the value's path in the
+# file, and returns the converted value or raises DescriptionError naming
+# the path.  Range checks live in the ``invariants`` dataclasses; a record
+# prefixes their messages with its own path.
 
 
-def _check_keys(obj: dict, where: str, required: tuple, optional: tuple = ()) -> None:
-    for key in obj:
-        if key not in required and key not in optional:
-            raise DescriptionError(f"{where}: unknown field {key!r}")
-    for key in required:
-        if key not in obj:
-            raise DescriptionError(f"{where}: missing field {key!r}")
-
-
-def _as_int(value, where: str) -> int:
+def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DescriptionError(f"{where} must be an integer")
     return value
 
 
-def _as_bool(value, where: str) -> bool:
+def _flag(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise DescriptionError(f"{where} must be true or false")
     return value
 
 
-def _as_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise DescriptionError(f"{where} must be a rational \"p/q\" string or integer")
-    if isinstance(value, int):
+def _rational(value, where: str) -> Fraction:
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise DescriptionError(f"{where}: {exc}") from None
-    raise DescriptionError(f"{where} must be a rational \"p/q\" string or integer")
-
-
-def _as_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise DescriptionError(f"{where} must be a list")
-    return value
-
-
-def _parse_snc_pair(obj: dict):
-    _check_keys(
-        obj,
-        "snc_pair",
-        ("kind", "chi_coarse", "k_squared", "divisors", "crossings", "canonical_nef_asserted"),
-        ("gerbe_order",),
-    )
-    divisors = []
-    for index, raw in enumerate(_as_list(obj["divisors"], "divisors")):
-        where = f"divisors[{index}]"
-        if not isinstance(raw, dict):
-            raise DescriptionError(f"{where} must be an object")
-        _check_keys(raw, where, ("ramification", "chi_divisor", "k_dot", "self_int"))
-        fields = (
-            _as_int(raw["ramification"], f"{where}.ramification"),
-            _as_int(raw["chi_divisor"], f"{where}.chi_divisor"),
-            _as_rational(raw["k_dot"], f"{where}.k_dot"),
-            _as_rational(raw["self_int"], f"{where}.self_int"),
-        )
-        try:
-            divisors.append(DivisorEntry(*fields))
-        except DescriptionError as exc:
-            raise DescriptionError(f"{where}: {exc}") from None
-    crossings = []
-    for index, raw in enumerate(_as_list(obj["crossings"], "crossings")):
-        where = f"crossings[{index}]"
-        if not isinstance(raw, dict):
-            raise DescriptionError(f"{where} must be an object")
-        _check_keys(raw, where, ("i", "j", "count"))
-        fields = (
-            _as_int(raw["i"], f"{where}.i"),
-            _as_int(raw["j"], f"{where}.j"),
-            _as_int(raw["count"], f"{where}.count"),
-        )
-        try:
-            crossings.append(Crossing(*fields))
-        except DescriptionError as exc:
-            raise DescriptionError(f"{where}: {exc}") from None
     try:
-        return SncPairDescription(
-            _as_int(obj["chi_coarse"], "chi_coarse"),
-            _as_rational(obj["k_squared"], "k_squared"),
-            tuple(divisors),
-            tuple(crossings),
-            _as_bool(obj["canonical_nef_asserted"], "canonical_nef_asserted"),
-        )
-    except DescriptionError as exc:
-        raise DescriptionError(f"snc_pair: {exc}") from None
+        return parse_rational(value)
+    except ValueError as exc:
+        raise DescriptionError(f"{where}: {exc}") from None
 
 
-def _parse_isolated_points(obj: dict):
-    _check_keys(
-        obj,
-        "isolated_points",
-        ("kind", "chi_structure_sheaf", "c1_squared", "points", "canonical_nef_asserted"),
-        ("gerbe_order",),
-    )
-    points = []
-    for index, raw in enumerate(_as_list(obj["points"], "points")):
-        where = f"points[{index}]"
-        if not isinstance(raw, str):
-            raise DescriptionError(f"{where} must be an ADE label string")
+def _label(value, where: str) -> AdeLabel:
+    try:
+        return AdeLabel.from_string(value)
+    except InvalidLabel as exc:
+        raise DescriptionError(f"{where}: {exc}") from None
+
+
+def _list_of(read):
+    def read_list(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise DescriptionError(f"{where} must be a list")
+        return tuple(read(item, f"{where}[{index}]") for index, item in enumerate(value))
+
+    return read_list
+
+
+def _record(cls, **fields):
+    """Reader of a JSON object whose keys are exactly ``cls``'s field names."""
+
+    def read_record(value, where: str):
+        if not isinstance(value, dict):
+            raise DescriptionError(f"{where} must be an object")
+        for key in value:
+            if key not in fields:
+                raise DescriptionError(f"{where}: unknown field {key!r}")
+        for key in fields:
+            if key not in value:
+                raise DescriptionError(f"{where}: missing field {key!r}")
+        values = {key: read(value[key], f"{where}.{key}") for key, read in fields.items()}
         try:
-            points.append(AdeLabel.from_string(raw))
-        except InvalidLabel as exc:
+            return cls(**values)
+        except DescriptionError as exc:
             raise DescriptionError(f"{where}: {exc}") from None
-    return IsolatedPointsDescription(
-        _as_int(obj["chi_structure_sheaf"], "chi_structure_sheaf"),
-        _as_rational(obj["c1_squared"], "c1_squared"),
-        tuple(points),
-        _as_bool(obj["canonical_nef_asserted"], "canonical_nef_asserted"),
-    )
+
+    return read_record
+
+
+_KINDS = {
+    "snc_pair": _record(
+        SncPairDescription,
+        chi_coarse=_integer,
+        k_squared=_rational,
+        divisors=_list_of(_record(
+            DivisorEntry,
+            ramification=_integer,
+            chi_divisor=_integer,
+            k_dot=_rational,
+            self_int=_rational,
+        )),
+        crossings=_list_of(_record(Crossing, i=_integer, j=_integer, count=_integer)),
+        canonical_nef_asserted=_flag,
+    ),
+    "isolated_points": _record(
+        IsolatedPointsDescription,
+        chi_structure_sheaf=_integer,
+        c1_squared=_rational,
+        points=_list_of(_label),
+        canonical_nef_asserted=_flag,
+    ),
+}
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -186,40 +163,35 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_description(path: str):
-    """Parse a surface-description file; returns (description, gerbe_order)."""
+    """Parse a surface-description file; returns (description, gerbe_order).
+
+    The top-level object holds ``kind``, an optional ``gerbe_order`` and
+    the fields of the kind's record in ``_KINDS``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            obj = json.loads(handle.read(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DescriptionError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DescriptionError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DescriptionError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except DescriptionError as exc:
-        raise DescriptionError(f"{path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        # an integer literal past Python's digit limit, or nesting past the stack
+    except (DescriptionError, ValueError, RecursionError) as exc:
+        # a duplicate key, an integer literal past Python's digit limit,
+        # or nesting past the stack
         raise DescriptionError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise DescriptionError(f"{path}: top level must be an object")
-    kind = obj.get("kind")
-    if kind == "snc_pair":
-        desc = _parse_snc_pair(obj)
-    elif kind == "isolated_points":
-        desc = _parse_isolated_points(obj)
-    else:
+    kind = obj.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DescriptionError(
             f"{path}: kind must be \"snc_pair\" or \"isolated_points\", got {kind!r}"
         )
-    gerbe_order = 1
-    if "gerbe_order" in obj:
-        gerbe_order = _as_int(obj["gerbe_order"], "gerbe_order")
-        if gerbe_order < 1:
-            raise DescriptionError("gerbe_order must be >= 1")
-    return desc, gerbe_order
+    gerbe_order = _integer(obj.pop("gerbe_order", 1), f"{path}: gerbe_order")
+    if gerbe_order < 1:
+        raise DescriptionError(f"{path}: gerbe_order must be >= 1")
+    return _KINDS[kind](obj, f"{path}: {kind}"), gerbe_order
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +354,16 @@ def cmd_table(max_n: int, oracle: bool, fmt: str) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, the input-error code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbichern",
         description=(
             "Exact orbifold Chern/Euler invariants, ADE quotient contributions, "
@@ -427,15 +407,10 @@ def main(argv=None) -> int:
             print("error: --max-n must be >= 2", file=sys.stderr)
             return 1
         return cmd_table(args.max_n, args.oracle, args.format)
-    except DescriptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvalidLabel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IdentityFailure as exc:
-        print(f"internal identity failure: {exc}", file=sys.stderr)
-        return 2
+    except OrbichernError as exc:
+        prefix = "error" if exc.exit_code == 1 else f"internal error ({type(exc).__name__})"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

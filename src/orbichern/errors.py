@@ -2,7 +2,13 @@
 
 
 class OrbichernError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``exit_code`` is the command line's exit status: 2, a cross-check that
+    must hold did not, unless the class is an input error (1).
+    """
+
+    exit_code = 2
 
 
 class ZeroInversion(OrbichernError):
@@ -10,11 +16,14 @@ class ZeroInversion(OrbichernError):
 
 
 class FieldMismatch(OrbichernError):
-    """Arithmetic mixed scalars from different fields (conductor or radicand)."""
+    """Cyclotomic scalars of different conductors were mixed, or embedded
+    into a field that does not contain them."""
 
 
 class InvalidLabel(OrbichernError):
     """ADE label outside the admissible range."""
+
+    exit_code = 1
 
 
 class BoundExceeded(OrbichernError):
@@ -35,3 +44,5 @@ class TraceTwoNonIdentity(OrbichernError):
 
 class DescriptionError(OrbichernError):
     """A surface description failed strict validation."""
+
+    exit_code = 1

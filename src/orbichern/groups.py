@@ -334,7 +334,7 @@ def conjugacy_classes(
     if isinstance(elements, FiniteSubgroup):
         generators = elements.generators
         elements = elements.elements
-    members = sorted(elements, key=element_key)
+    members = tuple(elements)
     order = len(members)
     gens = list(generators)
     gen_pairs = [(g, g.inverse()) for g in gens]

@@ -29,12 +29,13 @@ from .errors import FieldMismatch, ZeroInversion
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire form "p/q" or "p" (sign on the numerator only)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse the wire form "p/q" or "p": ASCII digits, a sign on the
+    numerator only, nothing before or after."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")

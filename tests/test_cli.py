@@ -1,15 +1,26 @@
 """End-to-end command-line tests (in-process main plus subprocess checks)."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbichern.cli as cli
 from orbichern.cli import main
-from orbichern.errors import IdentityFailure
+from orbichern.errors import (
+    BoundExceeded,
+    FieldMismatch,
+    IdentityFailure,
+    NonRationalTotal,
+    TraceTwoNonIdentity,
+    ZeroInversion,
+)
 
 F = Fraction
 
@@ -208,6 +219,122 @@ def test_check_rejects_duplicate_keys(tmp_path, capsys):
     assert "duplicate field 'canonical_nef_asserted'" in captured.err
 
 
+def assert_input_error(out, err):
+    """Exit-1 output: empty stdout and exactly one ``error: `` line on stderr."""
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_check_error_names_the_field_path(tmp_path, capsys):
+    payload = triangle_payload()
+    payload["divisors"][0]["ramification"] = 1
+    path = write_json(tmp_path, "bad.json", payload)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert_input_error(*captured)
+    assert captured.err == f"error: {path}: snc_pair.divisors[0]: ramification must be >= 2\n"
+
+    payload = triangle_payload()
+    payload["crossings"][2]["count"] = "1"
+    path = write_json(tmp_path, "count.json", payload)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: snc_pair.crossings[2].count must be an integer\n"
+    )
+
+
+@pytest.mark.parametrize("kind", [[], {}, None, 7, "snc"])
+def test_check_rejects_non_string_or_unknown_kind(tmp_path, capsys, kind):
+    payload = kummer_payload()
+    payload["kind"] = kind
+    path = write_json(tmp_path, "kind.json", payload)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert_input_error(*captured)
+    assert "kind must be" in captured.err
+
+
+def test_check_rejects_oversized_label_subscript(tmp_path, capsys):
+    payload = kummer_payload()
+    payload["points"] = ["A1", "A" + "9" * 5000]
+    path = write_json(tmp_path, "huge_label.json", payload)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert_input_error(*captured)
+    assert "isolated_points.points[1]" in captured.err
+
+
+@pytest.mark.parametrize("literal", ["3\n", "3/4\n", "\u0663", "3/\u0664", " 3"])
+def test_check_rejects_loose_rational_literals(tmp_path, capsys, literal):
+    payload = kummer_payload()
+    payload["c1_squared"] = literal
+    path = write_json(tmp_path, "loose.json", payload)
+    assert main(["check", path]) == 1
+    assert_input_error(*capsys.readouterr())
+
+
+# JSON values of every type; keys are drawn partly from the schema's own
+# field names so that records get past the unknown-field check.
+FIELD_NAMES = (
+    "kind", "gerbe_order", "chi_coarse", "k_squared", "divisors", "crossings",
+    "canonical_nef_asserted", "chi_structure_sheaf", "c1_squared", "points",
+    "ramification", "chi_divisor", "k_dot", "self_int", "i", "j", "count",
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(("snc_pair", "isolated_points", "A1", "D4", "E9", "3/4", "1/0")),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=6), children, max_size=5),
+    max_leaves=10,
+)
+
+
+def slots(value):
+    """(container, key) for every field and list item of a description, nested too."""
+    for key, item in list(value.items() if isinstance(value, dict) else enumerate(value)):
+        yield value, key
+        if isinstance(item, (dict, list)):
+            yield from slots(item)
+
+
+@st.composite
+def mutated_descriptions(draw):
+    """A valid description with one field or list item dropped, added or retyped."""
+    payload = draw(st.sampled_from((kummer_payload, triangle_payload)))()
+    container, key = draw(st.sampled_from(list(slots(payload))))
+    action = draw(st.sampled_from(("drop", "add", "retype")))
+    value = draw(JSON_VALUES)
+    if action == "drop":
+        del container[key]
+    elif action == "retype":
+        container[key] = value
+    elif isinstance(container, list):
+        container.insert(key, value)
+    else:
+        container[draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=6))] = value
+    return payload
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(payload=JSON_VALUES | mutated_descriptions())
+def test_check_never_raises_on_any_json(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    assert code in (0, 1, 3)
+    if code == 1:
+        assert_input_error(out.getvalue(), err.getvalue())
+    else:
+        assert out.getvalue() and err.getvalue() == ""
+
+
 # ----------------------------------------------------------------------
 # group
 
@@ -239,6 +366,26 @@ def test_group_trivial_label(capsys):
 def test_group_bad_label(capsys):
     assert main(["group", "Z9"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_group_rejects_oversized_label_subscript(capsys):
+    assert main(["group", "A" + "9" * 5000]) == 1
+    assert_input_error(*capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "error",
+    [IdentityFailure, NonRationalTotal, TraceTwoNonIdentity, BoundExceeded, ZeroInversion, FieldMismatch],
+)
+def test_internal_errors_exit_2_with_one_line(capsys, monkeypatch, error):
+    def sabotaged(group):
+        raise error("sabotaged")
+
+    monkeypatch.setattr(cli, "build_contribution_report", sabotaged)
+    assert main(["group", "A1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error ({error.__name__}): sabotaged\n"
 
 
 # exact `group` output, pinned: class order, trace and quaternion text, rows
@@ -482,6 +629,29 @@ def test_table_structured(capsys):
 def test_table_small_max_n_is_an_input_error(capsys):
     assert main(["table", "--max-n", "1"]) == 1
     assert "--max-n must be >= 2" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# usage errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "--n", "abc", "--which", "type_a"],
+        ["identity", "--n", "5"],
+        ["table", "--max-n", "3", "--format", "xml"],
+        ["group"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,9 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_rejects_non_canonical():
-    for bad in ["1.5", "1e3", "1/0", "1/-2", "+3", "", "a", "3 / 4", None, 7]:
+    for bad in ["1.5", "1e3", "1/0", "1/-2", "+3", "", "a", "3 / 4", None, 7,
+                # ASCII digits only, nothing before or after
+                "3\n", "3/4\n", "\n3", " 3", "3 ", "\u0663", "3/\u0664", "\uff13"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
