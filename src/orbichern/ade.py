@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidLabel
 
-_LABEL_RE = re.compile(r"^([ADE])(\d+)$")
+_LABEL_RE = re.compile(r"([ADE])([0-9]+)")
 
 _E_DATA = {
     # subscript -> (node count, group order)
@@ -53,7 +53,7 @@ class AdeLabel:
 
     @classmethod
     def from_string(cls, text: str) -> "AdeLabel":
-        match = _LABEL_RE.match(text.strip()) if isinstance(text, str) else None
+        match = _LABEL_RE.fullmatch(text) if isinstance(text, str) else None
         if not match:
             raise InvalidLabel(f"not an ADE label: {text!r}")
         kind, digits = match.groups()

@@ -8,10 +8,12 @@ zeta^(phi(m)-1).  It is the one irrational field type: the real quadratic
 fields the exceptional groups need sit inside it, Q(sqrt 2) in Q(zeta_8)
 and Q(sqrt 5) in Q(zeta_5).
 
-Every value is immutable and hashable.  The memoized per-conductor tables
-(cyclotomic polynomials, monomial reduction rows) are written once under
-``functools.lru_cache`` and only read afterwards, so concurrent readers are
-safe; there is no other shared state in this module.
+Phi_m is built as the integer power series prod over d | m of
+(1 - x^d)^mu(m/d), cut at degree phi(m).  Every product, zeta power,
+Galois image and embedding places its coefficients at their exponents and
+is reduced by one remainder modulo Phi_m (``_reduce``), a long division
+over the nonzero coefficients of Phi_m only.  Every value is immutable and
+hashable.
 
 There are no floating-point code paths here: every operation is exact, and
 anything that cannot be represented exactly raises instead of approximating.
@@ -103,60 +105,67 @@ def moebius(m: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# integer polynomials (dense, index = degree), used for cyclotomic tables
-
-
-def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide num by a monic den, requiring zero remainder."""
-    r = list(num)
-    db = len(den) - 1
-    q = [0] * (len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] -= c * den[j]
-    if any(r[:db]):
-        raise ArithmeticError("division was not exact")
-    return q
+# cyclotomic polynomials and the one remainder modulo Phi_m
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m (constant term first, monic, degree phi(m)).
 
-    Computed by exact division of x^m - 1 by Phi_d over the proper
-    divisors d of m; no floating point, no factoring of coefficients.
+    For m > 1, Phi_m is the product over d | m of (1 - x^d)^mu(m/d),
+    expanded as an integer power series cut at degree phi(m): a factor with
+    mu = 1 is one pass of subtractions, a factor with mu = -1 (the series
+    1 + x^d + x^2d + ...) one pass of running sums.  Phi_1 = x - 1.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in divisors(m)[:-1]:
-        poly = _int_poly_exact_div(poly, cyclotomic_polynomial(d))
-    assert len(poly) - 1 == euler_phi(m)
+    if m == 1:
+        return (-1, 1)
+    deg = euler_phi(m)
+    poly = [1] + [0] * deg
+    for d in divisors(m):
+        mu = moebius(m // d)
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        elif mu == -1:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
+    assert poly[-1] == 1  # monic of degree phi(m)
     return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row e = coefficients of x^e reduced modulo Phi_m, for e in 0..m-1."""
+def _division_terms(m: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """phi(m) and the nonzero lower coefficients of Phi_m as (value, places)."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for e in range(min(deg, m)):
-        rows.append(tuple(1 if i == e else 0 for i in range(deg)))
-    cur = list(rows[-1])
-    for _ in range(deg, m):
-        spill = cur[deg - 1]
-        nxt = [0] + cur[: deg - 1]
-        if spill:
-            for i in range(deg):
-                if phi[i]:
-                    nxt[i] -= spill * phi[i]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return tuple(rows)
+    places: dict[int, list[int]] = {}
+    for j, c in enumerate(phi[:deg]):
+        if c:
+            places.setdefault(c, []).append(j)
+    return deg, tuple((c, tuple(js)) for c, js in places.items())
+
+
+def _reduce(m: int, poly: list) -> list:
+    """poly modulo Phi_m, in place; returns the phi(m) coefficients.
+
+    poly is dense (index = degree) and at least phi(m) long.  Long division
+    by the monic Phi_m visits only its nonzero lower coefficients, with one
+    product per distinct coefficient value, and adds nothing of another
+    type: integer rows stay ``int``, Fraction rows stay ``Fraction``.
+    """
+    deg, terms = _division_terms(m)
+    for i in range(len(poly) - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            base = i - deg
+            for value, places in terms:
+                t = c * value
+                for j in places:
+                    poly[base + j] -= t
+    del poly[deg:]
+    return poly
 
 
 # ----------------------------------------------------------------------
@@ -291,22 +300,30 @@ class CycloScalar:
         return cls.from_rational(1, conductor)
 
     @classmethod
+    def _from_monomials(cls, conductor: int, exponents: tuple[int, ...]) -> "CycloScalar":
+        """Sum of zeta_m^e over the exponents (each reduced mod m, then mod Phi_m).
+
+        The row is reduced as integers; equal coefficients then share one
+        Fraction object, so the value holds phi(m) references to a handful
+        of Fractions.
+        """
+        exponents = [e % conductor for e in exponents]
+        poly = [0] * max(len(cyclotomic_polynomial(conductor)) - 1, max(exponents) + 1)
+        for e in exponents:
+            poly[e] += 1
+        ints = _reduce(conductor, poly)
+        shared = {c: Fraction(c) for c in set(ints)}
+        return cls._make(conductor, [shared[c] for c in ints])
+
+    @classmethod
     def zeta_pow(cls, conductor: int, exponent: int = 1) -> "CycloScalar":
-        """zeta_m raised to any integer exponent (reduced mod m, then mod Phi_m)."""
-        row = _monomial_table(conductor)[exponent % conductor]
-        return cls._make(conductor, [Fraction(c) for c in row])
+        """zeta_m raised to any integer exponent."""
+        return cls._from_monomials(conductor, (exponent,))
 
     @classmethod
     def zeta_pair_sum(cls, conductor: int, exponent: int) -> "CycloScalar":
-        """zeta_m^e + zeta_m^-e, added on the integer rows of the monomial table.
-
-        Equal coefficients share one Fraction object, so the value holds
-        phi(m) references to a handful of Fractions.
-        """
-        rows = _monomial_table(conductor)
-        ints = [a + b for a, b in zip(rows[exponent % conductor], rows[-exponent % conductor])]
-        shared = {c: Fraction(c) for c in set(ints)}
-        return cls._make(conductor, [shared[c] for c in ints])
+        """zeta_m^e + zeta_m^-e, reduced as one integer row."""
+        return cls._from_monomials(conductor, (exponent, -exponent))
 
     def _coerce(self, other: object) -> "CycloScalar":
         if isinstance(other, CycloScalar):
@@ -348,25 +365,13 @@ class CycloScalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        deg = len(a)
-        m = self.conductor
-        conv = [_ZERO] * (2 * deg - 1)
+        conv = [_ZERO] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        res = list(conv[:deg])
-        if deg > 1:
-            rows = _monomial_table(m)
-            for e in range(deg, 2 * deg - 1):
-                c = conv[e]
-                if c:
-                    row = rows[e % m]
-                    for i, ri in enumerate(row):
-                        if ri:
-                            res[i] += c * ri
-        return CycloScalar._make(m, res)
+        return CycloScalar._make(self.conductor, _reduce(self.conductor, conv))
 
     __rmul__ = __mul__
 
@@ -395,16 +400,10 @@ class CycloScalar:
         j %= m
         if gcd(j, m) != 1:
             raise ValueError(f"{j} is not invertible modulo {m}")
-        rows = _monomial_table(m)
-        deg = len(self.coeffs)
-        res = [_ZERO] * deg
+        poly = [_ZERO] * m
         for i, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(i * j) % m]
-                for k, rk in enumerate(row):
-                    if rk:
-                        res[k] += c * rk
-        return CycloScalar._make(m, res)
+            poly[(i * j) % m] = c  # distinct places: j is a unit mod m
+        return CycloScalar._make(m, _reduce(m, poly))
 
     def embed(self, conductor: int) -> "CycloScalar":
         """Image in Q(zeta_M) for a multiple M of the conductor (zeta_m = zeta_M^(M/m))."""
@@ -414,16 +413,10 @@ class CycloScalar:
         if conductor == m:
             return self
         step = conductor // m
-        rows = _monomial_table(conductor)
-        deg = len(cyclotomic_polynomial(conductor)) - 1
-        res = [_ZERO] * deg
+        poly = [_ZERO] * conductor
         for i, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(i * step) % conductor]
-                for k, rk in enumerate(row):
-                    if rk:
-                        res[k] += c * rk
-        return CycloScalar._make(conductor, res)
+            poly[i * step] = c
+        return CycloScalar._make(conductor, _reduce(conductor, poly))
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

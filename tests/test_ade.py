@@ -24,7 +24,9 @@ def test_subscript_convention():
 
 
 def test_invalid_labels_rejected():
-    for bad in ["D3", "D2", "E5", "E9", "B2", "a1", "A-1", "A", "", "A1.5", "F4"]:
+    for bad in ["D3", "D2", "E5", "E9", "B2", "a1", "A-1", "A", "", "A1.5", "F4",
+                # ASCII digits only, nothing before or after
+                "A\u0663", " A2\n", "A1 "]:
         with pytest.raises(InvalidLabel):
             AdeLabel.from_string(bad)
     with pytest.raises(InvalidLabel):

@@ -161,6 +161,17 @@ def test_check_rejects_bad_labels(tmp_path, capsys):
     assert "points[0]" in err and "subscript must be >= 4" in err
 
 
+@pytest.mark.parametrize("label", ["A\u0663", " A2\n", "A1 "])
+def test_check_rejects_loose_labels(tmp_path, capsys, label):
+    payload = kummer_payload()
+    payload["points"] = ["A1", label]
+    path = write_json(tmp_path, "looselabel.json", payload)
+    assert main(["check", path]) == 1
+    out, err = capsys.readouterr()
+    assert_input_error(out, err)
+    assert "points[1]" in err and "not an ADE label" in err
+
+
 def test_check_rejects_bad_gerbe_order(tmp_path, capsys):
     payload = kummer_payload()
     payload["gerbe_order"] = 0
@@ -366,6 +377,12 @@ def test_group_trivial_label(capsys):
 def test_group_bad_label(capsys):
     assert main(["group", "Z9"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["A\u0663", " A2\n", "A1 "])
+def test_group_rejects_loose_labels(capsys, label):
+    assert main(["group", label]) == 1
+    assert_input_error(*capsys.readouterr())
 
 
 def test_group_rejects_oversized_label_subscript(capsys):
@@ -579,8 +596,12 @@ def test_identity_half_angle(capsys):
 
 
 def test_identity_small_n_is_an_input_error(capsys):
-    assert main(["identity", "--n", "1", "--which", "type_a"]) == 1
-    assert "--n must be >= 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        main(["identity", "--n", "1", "--which", "type_a"])
+    assert stop.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n: must be >= 2" in captured.err
 
 
 def test_identity_failure_exits_2(capsys, monkeypatch):
@@ -627,8 +648,12 @@ def test_table_structured(capsys):
 
 
 def test_table_small_max_n_is_an_input_error(capsys):
-    assert main(["table", "--max-n", "1"]) == 1
-    assert "--max-n must be >= 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        main(["table", "--max-n", "1"])
+    assert stop.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-n: must be >= 2" in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbichern.errors import FieldMismatch, ZeroInversion
 from orbichern.groups import Quaternion
@@ -52,6 +54,19 @@ def int_poly_mul(a, b):
     return out
 
 
+def int_poly_divmod(num, den):
+    """Quotient and remainder of num by a monic den (index = degree)."""
+    r = list(num)
+    db = len(den) - 1
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        q[i - db] = c
+        for j, dj in enumerate(den):
+            r[i - db + j] -= c * dj
+    return q, r[:db]
+
+
 # ----------------------------------------------------------------------
 # rationals on the wire
 
@@ -91,11 +106,10 @@ def test_cyclotomic_degree_is_totient_up_to_200():
 
 
 def test_cyclotomic_divides_x_m_minus_1_up_to_200():
-    from orbichern.scalars import _int_poly_exact_div
-
     for m in range(1, 201):
         big = [-1] + [0] * (m - 1) + [1]
-        _int_poly_exact_div(big, cyclotomic_polynomial(m))  # raises if inexact
+        quotient, remainder = int_poly_divmod(big, cyclotomic_polynomial(m))
+        assert not any(remainder) and any(quotient)
 
 
 def test_product_over_divisors_reconstructs_x_m_minus_1():
@@ -125,6 +139,18 @@ def test_zeta_power_reduction_and_periodicity():
         assert power == 1  # zeta_m^m = 1 by repeated multiplication
         assert CycloScalar.zeta_pow(m, m) == 1
         assert CycloScalar.zeta_pow(m, -1) == CycloScalar.zeta_pow(m, m - 1)
+
+
+@pytest.mark.parametrize("m", [210, 243, 3974, 3998, 4000])
+def test_float_oracle_on_zeta_powers_and_pair_sums(m):
+    """Products and zeta powers share one remainder, so check rows by floats."""
+    rng = random.Random(m)
+    exponents = {0, 1, m // 2, m - 1, m, -1, -m - 3, 2 * m + 5}
+    exponents |= {rng.randrange(-2 * m, 2 * m) for _ in range(12)}
+    for e in sorted(exponents):
+        angle = 2 * cmath.pi * e / m
+        assert abs(approx(CycloScalar.zeta_pow(m, e)) - cmath.exp(1j * angle)) < 1e-6
+        assert abs(approx(CycloScalar.zeta_pair_sum(m, e)) - 2 * math.cos(angle)) < 1e-6
 
 
 def test_invert_examples():
@@ -263,3 +289,54 @@ def test_float_oracle_agrees_on_small_products():
         a = CycloScalar(m, tuple(F(rng.randint(-3, 3)) for _ in range(deg)))
         b = CycloScalar(m, tuple(F(rng.randint(-3, 3)) for _ in range(deg)))
         assert abs(approx(a * b) - approx(a) * approx(b)) < 1e-9
+
+
+# ----------------------------------------------------------------------
+# field axioms as properties, over conductors of every shape: primes,
+# twice a prime, prime powers and one with four prime factors
+
+CONDUCTORS = [2, 3, 5, 7, 11, 13, 6, 10, 14, 22, 26, 4, 8, 9, 16, 25, 27, 210]
+
+
+@st.composite
+def field_elements(draw, count):
+    m = draw(st.sampled_from(CONDUCTORS))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    values = [
+        CycloScalar(m, tuple(draw(st.lists(coefficients, min_size=euler_phi(m), max_size=euler_phi(m)))))
+        for _ in range(count)
+    ]
+    return m, values
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(field_elements(1))
+def test_property_inverse(sample):
+    _, (x,) = sample
+    if not x.is_zero():
+        assert x * x.invert() == 1
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(field_elements(2), st.integers(min_value=1, max_value=500))
+def test_property_galois_is_a_ring_map(sample, j):
+    m, (x, y) = sample
+    while math.gcd(j, m) != 1:
+        j += 1
+    assert (x + y).galois(j) == x.galois(j) + y.galois(j)
+    assert (x * y).galois(j) == x.galois(j) * y.galois(j)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(field_elements(2), st.integers(min_value=1, max_value=6))
+def test_property_embedding_is_a_ring_map(sample, k):
+    m, (x, y) = sample
+    M = k * m
+    assert (x + y).embed(M) == x.embed(M) + y.embed(M)
+    assert (x * y).embed(M) == x.embed(M) * y.embed(M)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_property_zeta_powers_multiply(m, e, f):
+    assert CycloScalar.zeta_pow(m, e) * CycloScalar.zeta_pow(m, f) == CycloScalar.zeta_pow(m, e + f)
