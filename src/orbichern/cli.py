@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -64,8 +65,8 @@ _GROUP_NAMES = {
 #
 # A reader takes (value, where), where ``where`` is the value's path in the
 # file, and returns the converted value or raises DescriptionError naming
-# the path.  Range checks live in the ``invariants`` dataclasses; a record
-# prefixes their messages with its own path.
+# the path.  Range checks live in ``invariants`` (its dataclasses and
+# ``gerbe_scale``); a record, or ``cmd_check``, prefixes their messages.
 
 
 def _integer(value, where: str) -> int:
@@ -188,8 +189,6 @@ def load_description(path: str):
             f"{path}: kind must be \"snc_pair\" or \"isolated_points\", got {kind!r}"
         )
     gerbe_order = _integer(obj.pop("gerbe_order", 1), f"{path}: gerbe_order")
-    if gerbe_order < 1:
-        raise DescriptionError(f"{path}: gerbe_order must be >= 1")
     return _KINDS[kind](obj, f"{path}: {kind}"), gerbe_order
 
 
@@ -237,7 +236,10 @@ def cmd_check(path: str, fmt: str) -> int:
         report = snc_report(desc)
     else:
         report = isolated_points_report(desc)
-    report = gerbe_scale(report, gerbe_order)
+    try:
+        report = gerbe_scale(report, gerbe_order)
+    except DescriptionError as exc:
+        raise DescriptionError(f"{path}: {exc}") from None
     if fmt == "structured":
         sys.stdout.write(_render_report_structured(report))
     else:
@@ -359,14 +361,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _order(text: str) -> int:
-    """argparse type of ``--n`` and ``--max-n``: an integer >= 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 2:
+    """argparse type of ``--n`` and ``--max-n``: ASCII digits, at least 2."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if int(text) < 2:
         raise argparse.ArgumentTypeError("must be >= 2")
-    return value
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -75,7 +75,7 @@ def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
     Tr(sqrt d) = 0, so Tr(value) = phi*a and Tr(value*sqrt d) = phi*d*b.
     """
     d, root = _square_root(value.conductor)
-    phi = len(value.coeffs)
+    phi = len(value.row)
     a = cyclo_trace(value) / phi
     b = cyclo_trace(value * root) / (d * phi)
     if a + b * root != value:

@@ -229,7 +229,7 @@ def gerbe_scale(report: InvariantReport, gerbe_order: int) -> InvariantReport:
     copied unchanged.
     """
     if not isinstance(gerbe_order, int) or gerbe_order < 1:
-        raise ValueError("gerbe order must be a positive integer")
+        raise DescriptionError("gerbe_order must be >= 1")
     if gerbe_order == 1:
         return report
     scale = Fraction(1, gerbe_order)

@@ -3,16 +3,21 @@
 Rationals are ``fractions.Fraction``: arbitrary precision, always in
 lowest terms, positive denominator.  ``CycloScalar`` represents an element
 of Q(zeta_m) as a dense polynomial residue modulo the m-th cyclotomic
-polynomial, with coefficients on the power basis 1, zeta, ...,
-zeta^(phi(m)-1).  It is the one irrational field type: the real quadratic
-fields the exceptional groups need sit inside it, Q(sqrt 2) in Q(zeta_8)
-and Q(sqrt 5) in Q(zeta_5).
+polynomial on the power basis 1, zeta, ..., zeta^(phi(m)-1), stored as
+one row of integer numerators over one positive denominator in lowest
+terms (FLINT's fmpq_poly layout).  It is the one irrational field type:
+the real quadratic fields the exceptional groups need sit inside it,
+Q(sqrt 2) in Q(zeta_8) and Q(sqrt 5) in Q(zeta_5).
 
 Phi_m is built as the integer power series prod over d | m of
 (1 - x^d)^mu(m/d), cut at degree phi(m).  Every product, zeta power,
-Galois image and embedding places its coefficients at their exponents and
-is reduced by one remainder modulo Phi_m (``_reduce``), a long division
-over the nonzero coefficients of Phi_m only.  Every value is immutable and
+Galois image and embedding places its integer numerators at their
+exponents and is reduced by one remainder modulo Phi_m (``_reduce``), a
+long division over the nonzero coefficients of Phi_m only.  Inversion is
+one half-extended Euclid over the integers with primitive remainders
+(``_inverse_row``), exact by construction.  No polynomial code works on
+Fractions: a Fraction is built only for a result that is a rational
+number, and for the ``coeffs`` view.  Every value is immutable and
 hashable.
 
 There are no floating-point code paths here: every operation is exact, and
@@ -24,12 +29,9 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import FieldMismatch, ZeroInversion
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -152,8 +154,7 @@ def _reduce(m: int, poly: list) -> list:
 
     poly is dense (index = degree) and at least phi(m) long.  Long division
     by the monic Phi_m visits only its nonzero lower coefficients, with one
-    product per distinct coefficient value, and adds nothing of another
-    type: integer rows stay ``int``, Fraction rows stay ``Fraction``.
+    product per distinct coefficient value.
     """
     deg, terms = _division_terms(m)
     for i in range(len(poly) - 1, deg - 1, -1):
@@ -169,88 +170,78 @@ def _reduce(m: int, poly: list) -> list:
 
 
 # ----------------------------------------------------------------------
-# polynomials over Q (dense Fraction lists), only what inversion needs
+# the one inversion: half-extended Euclid over the integers
 
 
-def _trim(poly: list[Fraction]) -> None:
+def _trim(poly: list[int]) -> list[int]:
     while poly and not poly[-1]:
         poly.pop()
+    return poly
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        if bi:
-            out[i] -= bi
-    _trim(out)
-    return out
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, mu) with mu*a = q*b + r, deg r < deg b <= deg a, mu > 0.
 
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    _trim(out)
-    return out
-
-
-def _divmod_by_monic(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by a monic b with deg b >= 1."""
+    Whenever the leading coefficient of b does not divide the term being
+    cancelled, the partial remainder and quotient are scaled by the least
+    factor that makes it divide, so mu is 1 while b is monic.
+    """
+    lead = b[-1]
     db = len(b) - 1
-    if len(a) <= db:
-        return [], list(a)
+    terms = [(j, c) for j, c in enumerate(b[:db]) if c]
     r = list(a)
-    q = [_ZERO] * (len(a) - db)
+    q = [0] * (len(a) - db)
+    mu = 1
     for i in range(len(a) - 1, db - 1, -1):
         c = r[i]
-        if c:
-            q[i - db] = c
-            for j in range(db):
-                if b[j]:
-                    r[i - db + j] -= c * b[j]
-            r[i] = _ZERO
-    rem = r[:db]
-    _trim(rem)
-    return q, rem
+        if not c:
+            continue
+        if c % lead:
+            f = abs(lead) // gcd(c, lead)
+            mu *= f
+            r = [x * f for x in r[: i + 1]]
+            q = [x * f for x in q]
+            c *= f
+        t = c // lead
+        q[i - db] = t
+        for j, bj in terms:
+            r[i - db + j] -= t * bj
+    return q, _trim(r[:db]), mu
 
 
-def _invert_mod(z: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
-    """u with u*z = 1 modulo phi (phi monic irreducible), deg z < deg phi.
+def _inverse_row(row: tuple[int, ...], phi: tuple[int, ...]) -> tuple[list[int], int]:
+    """(s, lam) with s*row = lam modulo phi, lam a nonzero integer.
 
-    Half-extended Euclid.  Each remainder is rescaled to be monic, which
-    keeps the division loop free of coefficient inversions and bounds the
-    intermediate growth.
+    phi is monic and irreducible and row is nonzero of lower degree.
+    Half-extended Euclid over Z with primitive remainders: each step
+    pseudo-divides the last two remainders, mu*r0 = q*r1 + r, and divides
+    r by its content.  The cofactors keep s*row = lam*r (mod phi), and s
+    and lam are divided by their common content at every step, so every
+    number stays an integer and the last remainder, a constant, gives
+    the inverse s/lam exactly.
     """
-    r1 = list(z)
-    _trim(r1)
+    r0, r1 = list(phi), _trim(list(row))
     if not r1:
         raise ZeroInversion("cannot invert zero")
-    if len(r1) == 1:
-        return [_ONE / r1[0]]
-    inv = _ONE / r1[-1]
-    r0 = [Fraction(c) for c in phi]
-    r1 = [c * inv for c in r1]
-    s0: list[Fraction] = []
-    s1: list[Fraction] = [inv]
-    while True:
-        q, r = _divmod_by_monic(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
+    s0, s1, lam0, lam1 = [], [1], 1, 1
+    while len(r1) > 1:
+        q, r, mu = _pseudo_divmod(r0, r1)
         if not r:
             raise ZeroInversion("element shares a factor with the modulus")
-        if len(r) == 1:
-            c = r[0]
-            return [x / c for x in s]
-        inv = _ONE / r[-1]
-        r = [c * inv for c in r]
-        s = [c * inv for c in s]
-        r0, r1, s0, s1 = r1, r, s1, s
+        # s*row = lam0*lam1*r (mod phi) for s = mu*lam1*s0 - lam0*q*s1
+        s = [mu * lam1 * c for c in s0] + [0] * (len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                t = lam0 * qi
+                for j, c in enumerate(s1):
+                    s[i + j] -= t * c
+        content = gcd(*r)
+        lam = lam0 * lam1 * content
+        g = gcd(lam, *s)
+        r0, r1 = r1, [c // content for c in r]
+        s0, s1 = s1, _trim([c // g for c in s])
+        lam0, lam1 = lam1, lam // g
+    return s1, lam1 * r1[0]
 
 
 # ----------------------------------------------------------------------
@@ -260,12 +251,15 @@ def _invert_mod(z: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
 class CycloScalar:
     """Element of Q(zeta_m), zeta_m = exp(2*pi*i/m), as a residue mod Phi_m.
 
-    ``coeffs`` has length phi(m) on the power basis.  Arithmetic between two
-    CycloScalars requires equal conductors (FieldMismatch otherwise);
-    rational constants coerce.  Change of field is explicit via ``embed``.
+    ``row`` holds phi(m) integer numerators on the power basis over one
+    positive integer ``den``, with gcd(den, *row) == 1, so every value has
+    one representation.  ``coeffs`` is the same row as Fractions, built on
+    each access.  Arithmetic between two CycloScalars requires equal
+    conductors (FieldMismatch otherwise); rational constants coerce.
+    Change of field is explicit via ``embed``.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "row", "den")
 
     def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
         deg = len(cyclotomic_polynomial(conductor)) - 1
@@ -273,23 +267,41 @@ class CycloScalar:
             raise ValueError(
                 f"conductor {conductor} needs {deg} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        values = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in values))
+        self._store(conductor, [c.numerator * (den // c.denominator) for c in values], den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycloScalar is immutable")
 
-    @classmethod
-    def _make(cls, conductor: int, coeffs: list[Fraction]) -> "CycloScalar":
-        self = object.__new__(cls)
+    def _store(self, conductor: int, row: list[int], den: int) -> None:
+        """Set row/den in lowest terms: den > 0 and gcd(den, *row) == 1."""
+        if den != 1:
+            g = gcd(den, *row) if den > 0 else -gcd(den, *row)
+            if g != 1:
+                den //= g
+                row = [c // g for c in row]
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "row", tuple(row))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _new(cls, conductor: int, row: list[int], den: int = 1) -> "CycloScalar":
+        self = object.__new__(cls)
+        self._store(conductor, row, den)
         return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients on the power basis as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.row)
 
     @classmethod
     def from_rational(cls, value: Fraction | int, conductor: int) -> "CycloScalar":
+        value = Fraction(value)
         deg = len(cyclotomic_polynomial(conductor)) - 1
-        return cls._make(conductor, [Fraction(value)] + [_ZERO] * (deg - 1))
+        return cls._new(conductor, [value.numerator] + [0] * (deg - 1), value.denominator)
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloScalar":
@@ -301,19 +313,12 @@ class CycloScalar:
 
     @classmethod
     def _from_monomials(cls, conductor: int, exponents: tuple[int, ...]) -> "CycloScalar":
-        """Sum of zeta_m^e over the exponents (each reduced mod m, then mod Phi_m).
-
-        The row is reduced as integers; equal coefficients then share one
-        Fraction object, so the value holds phi(m) references to a handful
-        of Fractions.
-        """
+        """Sum of zeta_m^e over the exponents (each reduced mod m, then mod Phi_m)."""
         exponents = [e % conductor for e in exponents]
         poly = [0] * max(len(cyclotomic_polynomial(conductor)) - 1, max(exponents) + 1)
         for e in exponents:
             poly[e] += 1
-        ints = _reduce(conductor, poly)
-        shared = {c: Fraction(c) for c in set(ints)}
-        return cls._make(conductor, [shared[c] for c in ints])
+        return cls._new(conductor, _reduce(conductor, poly))
 
     @classmethod
     def zeta_pow(cls, conductor: int, exponent: int = 1) -> "CycloScalar":
@@ -336,26 +341,26 @@ class CycloScalar:
             return CycloScalar.from_rational(other, self.conductor)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: object) -> "CycloScalar":
+    def _plus(self, other: object, sign: int) -> "CycloScalar":
+        """self + sign*other over the least common denominator."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloScalar._make(
-            self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        row = [a * fa + b * fb for a, b in zip(self.row, other.row)]
+        return CycloScalar._new(self.conductor, row, self.den * fa)
+
+    def __add__(self, other: object) -> "CycloScalar":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloScalar":
-        return CycloScalar._make(self.conductor, [-a for a in self.coeffs])
+        return CycloScalar._new(self.conductor, [-a for a in self.row], self.den)
 
     def __sub__(self, other: object) -> "CycloScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloScalar._make(
-            self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._plus(other, -1)
 
     def __rsub__(self, other: object) -> "CycloScalar":
         return (-self).__add__(other)
@@ -364,14 +369,15 @@ class CycloScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        conv = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CycloScalar._make(self.conductor, _reduce(self.conductor, conv))
+        a, b = self.row, other.row
+        right = [(j, y) for j, y in enumerate(b) if y]
+        conv = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in right:
+                    conv[i + j] += x * y
+        m = self.conductor
+        return CycloScalar._new(m, _reduce(m, conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -380,19 +386,18 @@ class CycloScalar:
             return self.invert() ** (-exponent)
         result = CycloScalar.one(self.conductor)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base
-            e >>= 1
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def invert(self) -> "CycloScalar":
-        phi = cyclotomic_polynomial(self.conductor)
-        inv = _invert_mod(list(self.coeffs), phi)
-        inv += [_ZERO] * (len(self.coeffs) - len(inv))
-        return CycloScalar._make(self.conductor, inv)
+        s, lam = _inverse_row(self.row, cyclotomic_polynomial(self.conductor))
+        row = [self.den * c for c in s] + [0] * (len(self.row) - len(s))
+        return CycloScalar._new(self.conductor, row, lam)
 
     def galois(self, j: int) -> "CycloScalar":
         """Image under the automorphism zeta -> zeta^j, gcd(j, m) = 1."""
@@ -400,10 +405,10 @@ class CycloScalar:
         j %= m
         if gcd(j, m) != 1:
             raise ValueError(f"{j} is not invertible modulo {m}")
-        poly = [_ZERO] * m
-        for i, c in enumerate(self.coeffs):
+        poly = [0] * m
+        for i, c in enumerate(self.row):
             poly[(i * j) % m] = c  # distinct places: j is a unit mod m
-        return CycloScalar._make(m, _reduce(m, poly))
+        return CycloScalar._new(m, _reduce(m, poly), self.den)
 
     def embed(self, conductor: int) -> "CycloScalar":
         """Image in Q(zeta_M) for a multiple M of the conductor (zeta_m = zeta_M^(M/m))."""
@@ -413,19 +418,19 @@ class CycloScalar:
         if conductor == m:
             return self
         step = conductor // m
-        poly = [_ZERO] * conductor
-        for i, c in enumerate(self.coeffs):
+        poly = [0] * conductor
+        for i, c in enumerate(self.row):
             poly[i * step] = c
-        return CycloScalar._make(conductor, _reduce(conductor, poly))
+        return CycloScalar._new(conductor, _reduce(conductor, poly), self.den)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.row[1:])
 
     def to_rational(self) -> Fraction | None:
-        return self.coeffs[0] if self.is_rational() else None
+        return Fraction(self.row[0], self.den) if self.is_rational() else None
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.row)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -433,41 +438,33 @@ class CycloScalar:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycloScalar):
             if other.conductor == self.conductor:
-                return self.coeffs == other.coeffs
+                return self.den == other.den and self.row == other.row
             a, b = self.to_rational(), other.to_rational()
             return a is not None and a == b
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            num, den = other.numerator, other.denominator
+            return self.is_rational() and self.row[0] * den == num * self.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+        value = self.to_rational()
+        if value is not None:
+            return hash(value)
+        return hash((self.conductor, self.den, self.row))
 
     def __str__(self) -> str:
-        m = self.conductor
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-                continue
-            sym = f"z{m}" if i == 1 else f"z{m}^{i}"
-            if c == 1:
-                term = sym
-            elif c == -1:
-                term = f"-{sym}"
-            else:
-                term = f"{c}*{sym}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts) if parts else "0"
+        """Terms "c*zm^i" in power order, joined by their signs; "0" for zero."""
+        terms = []
+        for i, num in enumerate(self.row):
+            if num:
+                c = abs(Fraction(num, self.den))
+                sym = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
+                body = str(c) if i == 0 else sym if c == 1 else f"{c}*{sym}"
+                terms.append(("-" if num < 0 else "+", body))
+        if not terms:
+            return "0"
+        text = " ".join(f"{sign} {body}" for sign, body in terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"CycloScalar({self.conductor}, {self.coeffs!r})"
@@ -477,18 +474,17 @@ def cyclo_trace(value: CycloScalar) -> Fraction:
     """Trace down to Q: sum of all Galois images, computed coefficientwise.
 
     Uses Tr(zeta_m^i) = mu(e) * phi(m)/phi(e) with e = m/gcd(i, m), so no
-    automorphism images are materialized.
+    automorphism images are materialized: the numerators are summed per e,
+    as integers over the one denominator.
     """
-    m = value.conductor
-    deg = len(value.coeffs)
-    total = _ZERO
-    for i, c in enumerate(value.coeffs):
+    m, deg = value.conductor, len(value.row)
+    sums: dict[int, int] = {}
+    for i, c in enumerate(value.row):
         if c:
             e = m // gcd(i, m)
-            phi_e = euler_phi(e)
-            assert deg % phi_e == 0
-            total += c * moebius(e) * (deg // phi_e)
-    return total
+            sums[e] = sums.get(e, 0) + c
+    total = sum(c * moebius(e) * (deg // euler_phi(e)) for e, c in sums.items())
+    return Fraction(total, value.den)
 
 
 # ----------------------------------------------------------------------
@@ -514,9 +510,12 @@ def scalar_key(value) -> tuple:
     if isinstance(value, Fraction):
         return (0, value.numerator, value.denominator)
     if isinstance(value, CycloScalar):
-        return (1, value.conductor) + tuple(
-            part for c in value.coeffs for part in (c.numerator, c.denominator)
-        )
+        key = [1, value.conductor]
+        den = value.den
+        for c in value.row:
+            g = gcd(c, den)  # each coefficient c/den in lowest terms
+            key += (c // g, den // g)
+        return tuple(key)
     raise TypeError(f"not a scalar: {value!r}")
 
 

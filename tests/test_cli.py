@@ -177,7 +177,9 @@ def test_check_rejects_bad_gerbe_order(tmp_path, capsys):
     payload["gerbe_order"] = 0
     path = write_json(tmp_path, "gerbe0.json", payload)
     assert main(["check", path]) == 1
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert_input_error(out, err)
+    assert err == f"error: {path}: gerbe_order must be >= 1\n"
 
 
 def test_check_missing_file(capsys):
@@ -654,6 +656,17 @@ def test_table_small_max_n_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --max-n: must be >= 2" in captured.err
+
+
+@pytest.mark.parametrize("text", ["\u0663", " 3 ", "+3", "1_0"])
+@pytest.mark.parametrize("argv", [["identity", "--which", "type_a", "--n"], ["table", "--max-n"]])
+def test_orders_take_ascii_digits_only(capsys, argv, text):
+    with pytest.raises(SystemExit) as stop:
+        main(argv + [text])
+    assert stop.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid int value: {text!r}" in captured.err
 
 
 # ----------------------------------------------------------------------

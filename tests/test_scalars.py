@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichern.errors import FieldMismatch, ZeroInversion
+from orbichern.contributions import conjugate_pair_inverse
 from orbichern.groups import Quaternion
 from orbichern.scalars import (
     CycloScalar,
@@ -58,11 +59,12 @@ def int_poly_divmod(num, den):
     """Quotient and remainder of num by a monic den (index = degree)."""
     r = list(num)
     db = len(den) - 1
+    terms = [(j, dj) for j, dj in enumerate(den) if dj]
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
         q[i - db] = c
-        for j, dj in enumerate(den):
+        for j, dj in terms:
             r[i - db + j] -= c * dj
     return q, r[:db]
 
@@ -180,6 +182,15 @@ def test_random_inverses_are_exact():
         if z.is_zero():
             continue
         assert z.invert() * z == 1
+
+
+@pytest.mark.parametrize("d", [997, 1155, 1998, 3974, 3990])
+def test_large_conductor_pair_inverse_matches_closed_form(d):
+    """1/(2 - zeta - zeta^-1) = -(1/(2d)) * sum_{j<d} j(d-j) zeta^j, no inversion."""
+    row = [j * (d - j) for j in range(d)]
+    _, remainder = int_poly_divmod(row, cyclotomic_polynomial(d))
+    expected = tuple(F(-c, 2 * d) for c in remainder)
+    assert conjugate_pair_inverse(d).coeffs == expected
 
 
 def test_to_rational():
@@ -340,3 +351,55 @@ def test_property_embedding_is_a_ring_map(sample, k):
 @given(st.sampled_from(CONDUCTORS), st.integers(-1000, 1000), st.integers(-1000, 1000))
 def test_property_zeta_powers_multiply(m, e, f):
     assert CycloScalar.zeta_pow(m, e) * CycloScalar.zeta_pow(m, f) == CycloScalar.zeta_pow(m, e + f)
+
+
+# ----------------------------------------------------------------------
+# storage: integer numerators over one denominator behave as the
+# Fraction coefficients they stand for
+
+
+def reference_str(m, coeffs):
+    """The rendering rule, read off the Fraction coefficients."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            sym = f"z{m}" if i == 1 else f"z{m}^{i}"
+            body = str(abs(c)) if i == 0 else sym if abs(c) == 1 else f"{abs(c)}*{sym}"
+            terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0"
+    (sign, body), rest = terms[0], terms[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
+@st.composite
+def stored_elements(draw):
+    m = draw(st.sampled_from(CONDUCTORS))
+    coefficient = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    coeffs = draw(st.lists(coefficient, min_size=euler_phi(m), max_size=euler_phi(m)))
+    if draw(st.booleans()):  # often a rational value
+        coeffs = coeffs[:1] + [F(0)] * (len(coeffs) - 1)
+    return m, tuple(coeffs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stored_elements())
+def test_property_storage_keeps_the_fraction_rules(sample):
+    m, coeffs = sample
+    x = CycloScalar(m, coeffs)
+    assert x.coeffs == coeffs
+    assert x.den > 0 and math.gcd(x.den, *x.row) == 1
+    assert str(x) == reference_str(m, coeffs)
+    rational = not any(coeffs[1:])
+    assert x.is_rational() == rational
+    for q in (coeffs[0], coeffs[0] + F(1, 7), int(coeffs[0]), 0):
+        assert (x == q) == (rational and coeffs[0] == q)
+    if rational:
+        assert hash(x) == hash(coeffs[0])
+        assert scalar_key(x) == (0, coeffs[0].numerator, coeffs[0].denominator)
+    else:
+        assert scalar_key(x) == (1, m) + tuple(
+            part for c in coeffs for part in (c.numerator, c.denominator)
+        )
+    y = (3 * x + F(1, 3)) * F(1, 3) - F(1, 9)  # x again, by another route
+    assert y == x and hash(y) == hash(x)
