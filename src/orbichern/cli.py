@@ -24,6 +24,7 @@ Output is deterministic: fixed orderings, exact rationals, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -369,7 +370,9 @@ def _order(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="orbichern",
         description=(

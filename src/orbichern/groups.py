@@ -25,7 +25,8 @@ trace zeta_d^j + zeta_d^-j, so no field element is built for it.  The
 per-element loops (trace constancy on each conjugacy class, the trace-2
 check, and the element sum in ``contributions``) read labels and
 ``rational_trace()`` only.  A word's dense trace in Q(zeta_2n) is built
-once per conjugacy class, for the class table's text and order.
+once per conjugacy class, for the class table's text and order, as
+``CycloScalar.zeta_pair_sum``: two zeta-power rows built once per conductor.
 
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under

@@ -13,7 +13,10 @@ Phi_m is built as the integer power series prod over d | m of
 (1 - x^d)^mu(m/d), cut at degree phi(m).  Every product, zeta power,
 Galois image and embedding places its integer numerators at their
 exponents and is reduced by one remainder modulo Phi_m (``_reduce``), a
-long division over the nonzero coefficients of Phi_m only.  Inversion is
+long division over the nonzero coefficients of Phi_m only.  Two rows skip
+it: zeta^-1 is read off Phi_m, and a class trace zeta^e + zeta^-e adds two
+rows of ``_power_rows``, which builds zeta^phi .. zeta^(m-1) in one pass
+of multiplications by zeta, for one conductor at a time.  Inversion is
 one half-extended Euclid over the integers with primitive remainders
 (``_inverse_row``), exact by construction.  No polynomial code works on
 Fractions: a Fraction is built only for a result that is a rational
@@ -169,6 +172,27 @@ def _reduce(m: int, poly: list) -> list:
     return poly
 
 
+@functools.lru_cache(maxsize=1)
+def _power_rows(m: int) -> tuple[list[int], ...]:
+    """Rows of zeta_m^e for e = phi(m) .. m - 1, kept for one conductor at a time.
+
+    zeta^(e+1) = zeta * zeta^e: shift the row up one place and reduce the
+    coefficient leaving the top by the nonzero lower coefficients of Phi_m.
+    """
+    deg, terms = _division_terms(m)
+    row = [0] * (deg - 1) + [1]  # zeta^(deg - 1)
+    rows = []
+    for _ in range(deg, m):
+        top = row[-1]
+        row = [0] + row[:-1]
+        for value, places in terms:
+            t = top * value
+            for j in places:
+                row[j] -= t
+        rows.append(row)
+    return tuple(rows)
+
+
 # ----------------------------------------------------------------------
 # the one inversion: half-extended Euclid over the integers
 
@@ -312,23 +336,28 @@ class CycloScalar:
         return cls.from_rational(1, conductor)
 
     @classmethod
-    def _from_monomials(cls, conductor: int, exponents: tuple[int, ...]) -> "CycloScalar":
-        """Sum of zeta_m^e over the exponents (each reduced mod m, then mod Phi_m)."""
-        exponents = [e % conductor for e in exponents]
-        poly = [0] * max(len(cyclotomic_polynomial(conductor)) - 1, max(exponents) + 1)
-        for e in exponents:
-            poly[e] += 1
+    def zeta_pow(cls, conductor: int, exponent: int = 1) -> "CycloScalar":
+        """zeta_m raised to any integer exponent.  Phi_m = sum c_j x^j has
+        c_0 = 1 for m > 1, so zeta^-1 = -sum_{j >= 1} c_j zeta^(j-1)."""
+        phi = cyclotomic_polynomial(conductor)
+        e = exponent % conductor
+        if conductor > 1 and e == conductor - 1:
+            return cls._new(conductor, [-c for c in phi[1:]])
+        poly = [0] * max(len(phi) - 1, e + 1)
+        poly[e] = 1
         return cls._new(conductor, _reduce(conductor, poly))
 
     @classmethod
-    def zeta_pow(cls, conductor: int, exponent: int = 1) -> "CycloScalar":
-        """zeta_m raised to any integer exponent."""
-        return cls._from_monomials(conductor, (exponent,))
-
-    @classmethod
     def zeta_pair_sum(cls, conductor: int, exponent: int) -> "CycloScalar":
-        """zeta_m^e + zeta_m^-e, reduced as one integer row."""
-        return cls._from_monomials(conductor, (exponent, -exponent))
+        """zeta_m^e + zeta_m^-e, as the sum of two rows of ``_power_rows``."""
+        deg = len(cyclotomic_polynomial(conductor)) - 1
+        row = [0] * deg
+        for e in (exponent % conductor, -exponent % conductor):
+            if e < deg:
+                row[e] += 1
+            else:
+                row = [a + b for a, b in zip(row, _power_rows(conductor)[e - deg])]
+        return cls._new(conductor, row)
 
     def _coerce(self, other: object) -> "CycloScalar":
         if isinstance(other, CycloScalar):
@@ -455,11 +484,13 @@ class CycloScalar:
     def __str__(self) -> str:
         """Terms "c*zm^i" in power order, joined by their signs; "0" for zero."""
         terms = []
+        den = self.den
         for i, num in enumerate(self.row):
             if num:
-                c = abs(Fraction(num, self.den))
+                g = gcd(num, den) if den != 1 else 1  # |num|/den in lowest terms
+                c = str(abs(num) // g) if den == g else f"{abs(num) // g}/{den // g}"
                 sym = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-                body = str(c) if i == 0 else sym if c == 1 else f"{c}*{sym}"
+                body = c if i == 0 else sym if c == "1" else f"{c}*{sym}"
                 terms.append(("-" if num < 0 else "+", body))
         if not terms:
             return "0"
@@ -510,12 +541,15 @@ def scalar_key(value) -> tuple:
     if isinstance(value, Fraction):
         return (0, value.numerator, value.denominator)
     if isinstance(value, CycloScalar):
-        key = [1, value.conductor]
-        den = value.den
-        for c in value.row:
-            g = gcd(c, den)  # each coefficient c/den in lowest terms
-            key += (c // g, den // g)
-        return tuple(key)
+        den, row = value.den, value.row
+        pairs = [1] * (2 * len(row))  # each coefficient c/den in lowest terms
+        if den == 1:
+            pairs[::2] = row
+        else:
+            for i, c in enumerate(row):
+                g = gcd(c, den)
+                pairs[2 * i : 2 * i + 2] = c // g, den // g
+        return (1, value.conductor, *pairs)
     raise TypeError(f"not a scalar: {value!r}")
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (in-process main plus subprocess checks)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -576,6 +577,23 @@ def test_group_golden_output(capsys, label):
     assert capsys.readouterr().out == GROUP_GOLDEN[label]
 
 
+# sha256 of `group` stdout for composite conductors, where a class trace is
+# a dense row of ζ-powers past φ(m): one moved coefficient or class fails
+GROUP_DIGESTS = {
+    "A209": "7a3464fb236deede2be1638ec94ce3585d8d1ca002cefe58c7c8112e3860787e",
+    "A272": "78d62be0da1649fc001a4e6393ab93d4eca09302f05cae4e55ce19100f15d641",
+    "A299": "84e66a6745a0fc20c01406c8824c6c6c435806dc47e1ee9c23dd7b733761d127",
+    "D107": "22d217061a82901e1a9ef14c9e94e3f496523cbae2f85f1bb5c846119980d673",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GROUP_DIGESTS))
+def test_group_output_digest(capsys, label):
+    assert main(["group", label]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_DIGESTS[label]
+
+
 # ----------------------------------------------------------------------
 # identity
 
@@ -604,6 +622,35 @@ def test_identity_small_n_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --n: must be >= 2" in captured.err
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
+    """main builds its parser once; no state carries from one call to the next."""
+    path = write_json(tmp_path, "kummer.json", kummer_payload())
+    sequence = [
+        ["check", path],
+        ["identity", "--n", "12", "--which", "half_angle"],
+        ["table", "--max-n", "3", "--format", "xml"],
+        ["group", "A4"],
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        return (code, *capsys.readouterr())
+
+    fresh = [run(argv, fresh=True) for argv in sequence]
+    parser = cli._build_parser()
+    reused = [run(argv, fresh=False) for argv in sequence]
+    assert cli._build_parser() is parser
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0]
+    assert reused[2][1] == "" and reused[2][2].startswith("usage: orbichern")
+    assert "invalid choice: 'xml'" in reused[2][2]
 
 
 def test_identity_failure_exits_2(capsys, monkeypatch):

@@ -143,7 +143,24 @@ def test_zeta_power_reduction_and_periodicity():
         assert CycloScalar.zeta_pow(m, -1) == CycloScalar.zeta_pow(m, m - 1)
 
 
-@pytest.mark.parametrize("m", [210, 243, 3974, 3998, 4000])
+def test_zeta_inverse_matches_long_division():
+    """zeta^-1 read off Phi_m against x^(m-1) reduced by int_poly_divmod."""
+    for m in [*range(2, 401), 3974, 3990, 3998, 4000]:
+        _, remainder = int_poly_divmod([0] * (m - 1) + [1], cyclotomic_polynomial(m))
+        inverse = CycloScalar.zeta_pow(m, -1)
+        assert inverse.row == tuple(remainder) and inverse.den == 1
+        assert CycloScalar.zeta_pow(m) * inverse == 1
+
+
+def test_pair_sums_match_zeta_power_sums():
+    """The power rows against two zeta_pow rows, every conductor of group A299 and D152."""
+    for m in range(1, 321):
+        for e in range(m):
+            pair = CycloScalar.zeta_pair_sum(m, e)
+            assert pair == CycloScalar.zeta_pow(m, e) + CycloScalar.zeta_pow(m, -e)
+
+
+@pytest.mark.parametrize("m", [210, 243, 273, 298, 3974, 3998, 4000])
 def test_float_oracle_on_zeta_powers_and_pair_sums(m):
     """Products and zeta powers share one remainder, so check rows by floats."""
     rng = random.Random(m)
