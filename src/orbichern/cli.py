@@ -254,10 +254,14 @@ def cmd_group(label_text: str) -> int:
     family = _GROUP_NAMES.get(str(label)) or _GROUP_NAMES[label.kind]
     out = [f"label {label}: {family}, order {group.order}"]
     out.append("conjugacy classes (size, centralizer, trace):")
+    texts: dict = {}  # trace label -> trace text, printed once per distinct trace
     for c in group.classes:
+        key = c.representative.trace_label()
+        if key not in texts:
+            texts[key] = c.trace_str()
         out.append(
             f"  size {c.size:>4}  centralizer {c.centralizer_order:>4}  "
-            f"trace {c.trace_str()}"
+            f"trace {texts[key]}"
         )
     report = build_contribution_report(group)
     if report.per_class_terms:

@@ -24,7 +24,10 @@ check.  Words are split and bucketed by their label ``rotation() ==
 (d, j)`` and ``rational_trace()`` from ``groups``, so no field element
 is built per element.  For the quaternion groups, t lies in Q(sqrt 2)
 inside Q(zeta_8) or Q(sqrt 5) inside Q(zeta_5), and f is inverted once
-per orbit.
+per orbit.  Buckets are keyed by the orbit, which hashes on its
+conductor and points only (no Fraction hash per lookup) and compares by
+value, so the equal orbits reached from two conjugate traces share one
+bucket.
 """
 
 from __future__ import annotations
@@ -78,12 +81,16 @@ class _GaloisOrbit:
 
     ``points`` labels the distinct conjugates of t; ``term_trace`` is
     Tr(1/(2 - t)) from Q(zeta_m) down to Q, the same for every t in the
-    orbit.
+    orbit.  Equality is by value; the hash leaves out ``term_trace``, a
+    function of the other two, so a bucket lookup hashes no Fraction.
     """
 
     conductor: int
     points: frozenset
     term_trace: Fraction
+
+    def __hash__(self) -> int:
+        return hash((self.conductor, self.points))
 
 
 def _primitive_residues(d: int) -> list[int]:
@@ -165,11 +172,11 @@ def _class_rows(group: FiniteSubgroup) -> list[tuple[int, str, Fraction]]:
         if c.representative.is_identity():
             continue
         t = c.trace
-        if t == 2:
-            raise TraceTwoNonIdentity(
-                f"nontrivial class of {c.representative} has trace 2"
-            )
         if isinstance(t, Fraction):
+            if t == 2:
+                raise TraceTwoNonIdentity(
+                    f"nontrivial class of {c.representative} has trace 2"
+                )
             desc = (
                 f"class of {c.representative} "
                 f"(size {c.size}, centralizer {c.centralizer_order}, trace {t})"

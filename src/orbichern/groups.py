@@ -24,9 +24,13 @@ is its trace.  A word's label is ``rotation()``, the pair (d, j) with
 trace zeta_d^j + zeta_d^-j, so no field element is built for it.  The
 per-element loops (trace constancy on each conjugacy class, the trace-2
 check, and the element sum in ``contributions``) read labels and
-``rational_trace()`` only.  A word's dense trace in Q(zeta_2n) is built
-once per conjugacy class, for the class table's text and order, as
-``CycloScalar.zeta_pair_sum``: two zeta-power rows built once per conductor.
+``rational_trace()`` only, and a word computes its label once.  A dense
+trace is built once per trace label, not per class, for the class
+table's text and order; classes with equal labels (a^e and a^-e) share
+it.  A word's dense trace in Q(zeta_2n) is ``CycloScalar.zeta_pair_sum``:
+two zeta-power rows built once per conductor.  Products and inverses of
+words copy their presentation and skip re-validation; ``Word(...)``
+itself validates every field.
 
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
@@ -166,6 +170,8 @@ class Word:
     flip: bool
     exp: int
 
+    _rotation = None  # not a field: rotation() sets it once per word
+
     def __post_init__(self) -> None:
         if self.family not in ("cyclic", "dicyclic"):
             raise ValueError(f"unknown family {self.family!r}")
@@ -182,37 +188,52 @@ class Word:
         if self.family != other.family or self.n != other.n:
             raise ValueError("words from different presentations do not multiply")
 
+    def _word(self, flip: bool, exp: int) -> "Word":
+        """A word of this presentation: family and n are copied, not validated again."""
+        word = object.__new__(Word)
+        set_field = object.__setattr__
+        set_field(word, "family", self.family)
+        set_field(word, "n", self.n)
+        set_field(word, "flip", flip)
+        set_field(word, "exp", exp % self._period())
+        return word
+
     def __mul__(self, other: "Word") -> "Word":
         self._check(other)
-        n = self.n
         if not self.flip and not other.flip:
-            return Word(self.family, n, False, self.exp + other.exp)
+            return self._word(False, self.exp + other.exp)
         if not self.flip and other.flip:
             # a^i * (x a^j) = x a^(j-i)
-            return Word(self.family, n, True, other.exp - self.exp)
+            return self._word(True, other.exp - self.exp)
         if self.flip and not other.flip:
             # (x a^i) * a^j = x a^(i+j)
-            return Word(self.family, n, True, self.exp + other.exp)
+            return self._word(True, self.exp + other.exp)
         # (x a^i)(x a^j) = x^2 a^(j-i) = a^(n+j-i)
-        return Word(self.family, n, False, self.n + other.exp - self.exp)
+        return self._word(False, self.n + other.exp - self.exp)
 
     def inverse(self) -> "Word":
         if not self.flip:
-            return Word(self.family, self.n, False, -self.exp)
+            return self._word(False, -self.exp)
         # (x a^i)^-1 = a^-i x a^-n ... = x a^(i+n)
-        return Word(self.family, self.n, True, self.exp + self.n)
+        return self._word(True, self.exp + self.n)
 
     def rotation(self) -> tuple[int, int]:
         """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j = min(j, d - j).
 
         A flip x*a^k has trace 0 = zeta_4 + zeta_4^-1, so it gets (4, 1).
+        Computed once per word.
         """
-        if self.flip:
-            return 4, 1
-        m = self._period()
-        g = gcd(self.exp, m)
-        d, j = m // g, self.exp // g
-        return d, min(j, d - j)
+        rotation = self._rotation
+        if rotation is None:
+            if self.flip:
+                rotation = 4, 1
+            else:
+                m = self._period()
+                g = gcd(self.exp, m)
+                d, j = m // g, self.exp // g
+                rotation = d, min(j, d - j)
+            object.__setattr__(self, "_rotation", rotation)
+        return rotation
 
     trace_label = rotation
 
@@ -305,11 +326,6 @@ class ConjugacyClass:
     def trace_str(self) -> str:
         return self.representative.value_str(self.trace)
 
-    def sort_key(self) -> tuple:
-        """Class-table position: size, then trace, then representative."""
-        rep = self.representative
-        return (self.size, rep.value_key(self.trace), element_key(rep))
-
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
@@ -330,7 +346,8 @@ def conjugacy_classes(
     sorted by (size, trace, representative) and each class's centralizer
     order is derived from orbit-stabilizer; both the class equation and
     trace constancy along each orbit (by trace label) are verified.  The
-    representative's trace is the one field element built per class.
+    trace and its sort key are built once per trace label, and classes
+    with equal labels share that one trace object.
     """
     if isinstance(elements, FiniteSubgroup):
         generators = elements.generators
@@ -340,7 +357,8 @@ def conjugacy_classes(
     gens = list(generators)
     gen_pairs = [(g, g.inverse()) for g in gens]
     seen: set = set()
-    classes = []
+    traces: dict = {}  # trace label -> (trace, its sort key)
+    keyed = []
     for start in members:
         if start in seen:
             continue
@@ -362,14 +380,17 @@ def conjugacy_classes(
         for e in orbit:
             if e is not rep and e.trace_label() != label:
                 raise ArithmeticError("trace is not constant on a conjugacy class")
-        classes.append(
-            ConjugacyClass(rep, size, order // size, rep.trace())
+        if label not in traces:
+            t = rep.trace()
+            traces[label] = t, rep.value_key(t)
+        t, t_key = traces[label]
+        keyed.append(
+            ((size, t_key, element_key(rep)), ConjugacyClass(rep, size, order // size, t))
         )
-    total = sum(c.size for c in classes)
-    if total != order:
+    if sum(c.size for _, c in keyed) != order:
         raise ArithmeticError("class sizes do not sum to the group order")
-    classes.sort(key=ConjugacyClass.sort_key)
-    return tuple(classes)
+    keyed.sort(key=lambda pair: pair[0])
+    return tuple(c for _, c in keyed)
 
 
 def _finite_subgroup(

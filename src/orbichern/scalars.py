@@ -13,12 +13,13 @@ Phi_m is built as the integer power series prod over d | m of
 (1 - x^d)^mu(m/d), cut at degree phi(m).  Every product, zeta power,
 Galois image and embedding places its integer numerators at their
 exponents and is reduced by one remainder modulo Phi_m (``_reduce``), a
-long division over the nonzero coefficients of Phi_m only.  Two rows skip
-it: zeta^-1 is read off Phi_m, and a class trace zeta^e + zeta^-e adds two
-rows of ``_power_rows``, which builds zeta^phi .. zeta^(m-1) in one pass
-of multiplications by zeta, for one conductor at a time.  Inversion is
-one half-extended Euclid over the integers with primitive remainders
-(``_inverse_row``), exact by construction.  No polynomial code works on
+long division over the nonzero coefficients of Phi_m only.  Three rows
+skip it: zeta^e for e < phi(m) is a unit row, zeta^-1 is read off Phi_m,
+and a class trace zeta^e + zeta^-e adds two rows of ``_power_rows``,
+which builds zeta^phi .. zeta^(m-1) in one pass of multiplications by
+zeta, for one conductor at a time.  Inversion is one half-extended
+Euclid over the integers with primitive remainders (``_inverse_row``),
+exact by construction.  No polynomial code works on
 Fractions: a Fraction is built only for a result that is a rational
 number, and for the ``coeffs`` view.  Every value is immutable and
 hashable.
@@ -30,6 +31,7 @@ anything that cannot be represented exactly raises instead of approximating.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -340,12 +342,13 @@ class CycloScalar:
         """zeta_m raised to any integer exponent.  Phi_m = sum c_j x^j has
         c_0 = 1 for m > 1, so zeta^-1 = -sum_{j >= 1} c_j zeta^(j-1)."""
         phi = cyclotomic_polynomial(conductor)
-        e = exponent % conductor
-        if conductor > 1 and e == conductor - 1:
+        deg, e = len(phi) - 1, exponent % conductor
+        if e >= deg and e == conductor - 1:  # zeta^-1, read off Phi_m
             return cls._new(conductor, [-c for c in phi[1:]])
-        poly = [0] * max(len(phi) - 1, e + 1)
+        poly = [0] * max(deg, e + 1)
         poly[e] = 1
-        return cls._new(conductor, _reduce(conductor, poly))
+        # below phi(m) the power is a unit row, with nothing to reduce
+        return cls._new(conductor, poly if e < deg else _reduce(conductor, poly))
 
     @classmethod
     def zeta_pair_sum(cls, conductor: int, exponent: int) -> "CycloScalar":
@@ -484,17 +487,17 @@ class CycloScalar:
     def __str__(self) -> str:
         """Terms "c*zm^i" in power order, joined by their signs; "0" for zero."""
         terms = []
-        den = self.den
-        for i, num in enumerate(self.row):
-            if num:
-                g = gcd(num, den) if den != 1 else 1  # |num|/den in lowest terms
-                c = str(abs(num) // g) if den == g else f"{abs(num) // g}/{den // g}"
-                sym = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-                body = c if i == 0 else sym if c == "1" else f"{c}*{sym}"
-                terms.append(("-" if num < 0 else "+", body))
+        row, den, zm = self.row, self.den, f"z{self.conductor}"
+        for i in itertools.compress(range(len(row)), row):
+            num = row[i]
+            g = gcd(num, den) if den != 1 else 1  # |num|/den in lowest terms
+            c = str(abs(num) // g) if den == g else f"{abs(num) // g}/{den // g}"
+            sym = f"{zm}^{i}" if i > 1 else zm
+            body = c if i == 0 else sym if c == "1" else f"{c}*{sym}"
+            terms.append(f"- {body}" if num < 0 else f"+ {body}")
         if not terms:
             return "0"
-        text = " ".join(f"{sign} {body}" for sign, body in terms)
+        text = " ".join(terms)
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:

@@ -235,6 +235,57 @@ def test_mixed_family_words_do_not_combine():
         Word("dihedral", 4, False, 1)
 
 
+def test_validating_constructor_still_rejects_bad_words():
+    for family, n, flip, exp in (
+        ("dihedral", 4, False, 1),
+        ("cyclic", 0, False, 0),
+        ("dicyclic", -2, True, 1),
+        ("cyclic", 4, True, 1),
+    ):
+        with pytest.raises(ValueError):
+            Word(family, n, flip, exp)
+    with pytest.raises(ValueError):
+        Word("dicyclic", 4, False, 1) * Word("dicyclic", 5, False, 1)
+
+
+def matrix_inverse(a):
+    d = det(a)
+    return ((a[1][1] / d, -a[0][1] / d), (-a[1][0] / d, a[0][0] / d))
+
+
+def matrix_key(a):
+    """A float matrix rounded to a hashable key; word matrices differ by far more."""
+    return tuple(
+        round(part, 6) for row in a for z in row for part in (complex(z).real, complex(z).imag)
+    )
+
+
+def test_products_and_inverses_equal_validated_words():
+    # products and inverses skip __post_init__; each must equal the word that
+    # the validating constructor builds for the same matrix
+    labels = [AdeLabel("A", n) for n in range(1, 13)] + [AdeLabel("D", n) for n in range(2, 11)]
+    for label in labels:
+        elements = build_ade_group(label).elements
+        family, n = elements[0].family, elements[0].n
+        period = 2 * n if family == "dicyclic" else n
+        flips = (False, True) if family == "dicyclic" else (False,)
+        validated = {}
+        for flip in flips:
+            for exp in range(period):
+                word = Word(family, n, flip, exp)
+                validated[matrix_key(word_matrix(word))] = word
+        assert len(validated) == len(elements)
+        for g in elements:
+            results = [(g.inverse(), matrix_key(matrix_inverse(word_matrix(g))))]
+            results += [(g * h, matrix_key(matmul(word_matrix(g), word_matrix(h)))) for h in elements]
+            for word, key in results:
+                expected = validated[key]
+                assert word == expected and hash(word) == hash(expected), (label, g, word)
+                assert 0 <= word.exp < period
+                assert word.rotation() == expected.rotation()
+                assert word.rotation() is word.rotation()  # computed once per word
+
+
 def test_element_keys_are_distinct_within_a_group():
     for label in (AdeLabel("A", 7), AdeLabel("D", 5), AdeLabel("E", 6)):
         group = build_ade_group(label)
@@ -296,6 +347,37 @@ def test_rotation_labels_classify_dense_traces_exactly():
 
 def class_profile(group):
     return sorted((c.size, c.centralizer_order) for c in group.classes)
+
+
+def test_one_dense_trace_per_trace_label(monkeypatch):
+    # classes of a^e and a^-e share a label: one zeta_pair_sum serves both
+    pair_sum = CycloScalar.zeta_pair_sum
+    built = []
+
+    def counted(conductor, exponent):
+        built.append((conductor, exponent))
+        return pair_sum(conductor, exponent)
+
+    monkeypatch.setattr(CycloScalar, "zeta_pair_sum", staticmethod(counted))
+    irrational_classes = distinct_labels = 0
+    for label in word_groups():
+        built.clear()
+        group = build_ade_group.__wrapped__(label)  # bypass the group cache
+        irrational = [c for c in group.classes if c.representative.rational_trace() is None]
+        irrational_classes += len(irrational)
+        labels = {c.representative.trace_label() for c in irrational}
+        distinct_labels += len(labels)
+        assert len(built) == len(labels), label
+        assert {Word("cyclic", m, False, e).rotation() for m, e in built} == labels, label
+    assert irrational_classes > distinct_labels > 0
+
+
+def test_classes_with_equal_labels_share_one_trace():
+    for label in (*word_groups(), *(AdeLabel("E", k) for k in (6, 7, 8))):
+        first: dict = {}
+        for c in build_ade_group(label).classes:
+            shared = first.setdefault(c.representative.trace_label(), c.trace)
+            assert c.trace is shared, (label, c)
 
 
 def test_smallest_binary_dihedral_profile():

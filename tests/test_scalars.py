@@ -152,6 +152,20 @@ def test_zeta_inverse_matches_long_division():
         assert CycloScalar.zeta_pow(m) * inverse == 1
 
 
+def test_zeta_powers_match_long_division():
+    """Every zeta power, unit rows below phi(m) included, against int_poly_divmod."""
+    for m in range(1, 151):
+        phi = cyclotomic_polynomial(m)
+        deg = len(phi) - 1
+        for e in range(-m, 2 * m + 1):
+            k = e % m
+            monomial = [0] * max(k + 1, deg)
+            monomial[k] = 1
+            _, remainder = int_poly_divmod(monomial, phi)
+            power = CycloScalar.zeta_pow(m, e)
+            assert power.row == tuple(remainder) and power.den == 1, (m, e)
+
+
 def test_pair_sums_match_zeta_power_sums():
     """The power rows against two zeta_pow rows, every conductor of group A299 and D152."""
     for m in range(1, 321):
