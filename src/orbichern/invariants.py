@@ -15,6 +15,9 @@ c2 = 12 chi(O) - c1^2 - sum over points of (chi(E_i) - 1/|G_i|), whose
 per-point terms are twelve times the Todd contributions of the
 ``contributions`` module (tested to agree exactly).
 
+Each number is one integer sum over one denominator, the lcm of its terms'
+denominators, with one ``Fraction`` built at the end.
+
 Whether the inequality applies at all depends on the canonical class
 being nef, which no formula here can see; it is a user-asserted flag and
 verdicts report NotApplicable when it is absent.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .ade import AdeLabel, resolution_data
 from .errors import DescriptionError
@@ -56,10 +60,6 @@ class DivisorEntry:
             raise DescriptionError("ramification must be >= 2")
         object.__setattr__(self, "k_dot", Fraction(self.k_dot))
         object.__setattr__(self, "self_int", Fraction(self.self_int))
-
-    @property
-    def weight(self) -> Fraction:
-        return 1 - Fraction(1, self.ramification)
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,24 @@ class InvariantReport:
 
 
 def pair_c1_squared(desc: SncPairDescription) -> Fraction:
-    """(K + sum a_i D_i)^2 with a_i = 1 - 1/r_i, from intersection numbers."""
-    total = desc.k_squared
-    for entry in desc.divisors:
-        a = entry.weight
-        total += 2 * a * entry.k_dot + a * a * entry.self_int
+    """(K + sum a_i D_i)^2 with a_i = (r_i - 1)/r_i, from intersection numbers."""
+    divisors, k_squared = desc.divisors, desc.k_squared
+    den = lcm(
+        k_squared.denominator,
+        *(e.ramification * e.k_dot.denominator for e in divisors),
+        *(e.ramification ** 2 * e.self_int.denominator for e in divisors),
+        *(divisors[c.i].ramification * divisors[c.j].ramification for c in desc.crossings),
+    )
+    total = k_squared.numerator * (den // k_squared.denominator)
+    for entry in divisors:
+        r, k_dot, self_int = entry.ramification, entry.k_dot, entry.self_int
+        total += 2 * (r - 1) * k_dot.numerator * (den // (r * k_dot.denominator))
+        total += (r - 1) ** 2 * self_int.numerator * (den // (r * r * self_int.denominator))
     for crossing in desc.crossings:
-        a_i = desc.divisors[crossing.i].weight
-        a_j = desc.divisors[crossing.j].weight
-        total += 2 * a_i * a_j * crossing.count
-    return total
+        r_i = divisors[crossing.i].ramification
+        r_j = divisors[crossing.j].ramification
+        total += 2 * crossing.count * (r_i - 1) * (r_j - 1) * (den // (r_i * r_j))
+    return Fraction(total, den)
 
 
 def pair_orbifold_euler(desc: SncPairDescription) -> Fraction:
@@ -139,33 +147,44 @@ def pair_orbifold_euler(desc: SncPairDescription) -> Fraction:
     of 1.  chi(D_i deprived of crossings) may well be <= 0; that is not
     an error.
     """
-    total = Fraction(desc.chi_coarse)
-    crossings_on: dict[int, int] = {}
+    divisors = desc.divisors
+    den = lcm(
+        *(e.ramification for e in divisors),
+        *(divisors[c.i].ramification * divisors[c.j].ramification for c in desc.crossings),
+    )
+    crossings_on = [0] * len(divisors)
     for crossing in desc.crossings:
-        crossings_on[crossing.i] = crossings_on.get(crossing.i, 0) + crossing.count
-        crossings_on[crossing.j] = crossings_on.get(crossing.j, 0) + crossing.count
-    for index, entry in enumerate(desc.divisors):
-        chi_open = entry.chi_divisor - crossings_on.get(index, 0)
-        total -= entry.weight * chi_open
+        crossings_on[crossing.i] += crossing.count
+        crossings_on[crossing.j] += crossing.count
+    total = desc.chi_coarse * den
+    for entry, on in zip(divisors, crossings_on):
+        total -= (den - den // entry.ramification) * (entry.chi_divisor - on)
     for crossing in desc.crossings:
-        r_i = desc.divisors[crossing.i].ramification
-        r_j = desc.divisors[crossing.j].ramification
-        total += crossing.count * (Fraction(1, r_i * r_j) - 1)
-    return total
+        r_i = divisors[crossing.i].ramification
+        r_j = divisors[crossing.j].ramification
+        total += crossing.count * (den // (r_i * r_j) - den)
+    return Fraction(total, den)
 
 
 def point_term(label: AdeLabel) -> Fraction:
     """chi(E) - 1/|G| for one ADE point (twelve times its Todd contribution)."""
     data = resolution_data(label)
-    return data.chi_exceptional - Fraction(1, data.group_order)
+    return Fraction(data.chi_exceptional * data.group_order - 1, data.group_order)
 
 
 def codim2_c2(desc: IsolatedPointsDescription) -> Fraction:
     """c2 = 12 chi(O) - c1^2 - sum of per-point terms."""
-    total = 12 * Fraction(desc.chi_structure_sheaf) - desc.c1_squared
-    for label in desc.points:
-        total -= point_term(label)
-    return total
+    return _c2_from_terms(desc, [point_term(label) for label in desc.points])
+
+
+def _c2_from_terms(desc: IsolatedPointsDescription, terms: list) -> Fraction:
+    c1_squared = desc.c1_squared
+    den = lcm(c1_squared.denominator, *(term.denominator for term in terms))
+    total = 12 * desc.chi_structure_sheaf * den
+    total -= c1_squared.numerator * (den // c1_squared.denominator)
+    for term in terms:
+        total -= term.numerator * (den // term.denominator)
+    return Fraction(total, den)
 
 
 def bmy_verdict(
@@ -195,10 +214,9 @@ def snc_report(desc: SncPairDescription) -> InvariantReport:
 
 
 def isolated_points_report(desc: IsolatedPointsDescription) -> InvariantReport:
-    report = bmy_verdict(
-        desc.c1_squared, codim2_c2(desc), desc.canonical_nef_asserted
-    )
     per_point = tuple((label, point_term(label)) for label in desc.points)
+    c2 = _c2_from_terms(desc, [term for _, term in per_point])
+    report = bmy_verdict(desc.c1_squared, c2, desc.canonical_nef_asserted)
     return replace(
         report,
         per_point=per_point,

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -347,6 +348,68 @@ def test_check_never_raises_on_any_json(tmp_path_factory, payload):
         assert_input_error(out.getvalue(), err.getvalue())
     else:
         assert out.getvalue() and err.getvalue() == ""
+
+
+def random_check_payload(rng):
+    """A description of either kind; a quarter carry gerbe_order, some are invalid."""
+    def rational():
+        return str(F(rng.randint(-60, 60), rng.randint(1, 36)))
+
+    if rng.random() < 0.5:
+        count = rng.randint(0, 8)
+        payload = {
+            "kind": "snc_pair",
+            "chi_coarse": rng.randint(-10, 20),
+            "k_squared": rational(),
+            "divisors": [
+                {"ramification": rng.randint(2, 11), "chi_divisor": rng.randint(-4, 4),
+                 "k_dot": rational(), "self_int": rational()}
+                for _ in range(count)
+            ],
+            "crossings": [
+                {"i": i, "j": j, "count": rng.randint(0, 3)}
+                for i in range(count) for j in range(i + 1, count) if rng.random() < 0.3
+            ],
+        }
+        if count and rng.random() < 0.05:
+            rng.choice(payload["divisors"])["ramification"] = 1
+    else:
+        payload = {
+            "kind": "isolated_points",
+            "chi_structure_sheaf": rng.randint(-2, 12),
+            "c1_squared": rational(),
+            "points": [
+                rng.choice((f"A{rng.randint(0, 40)}", f"D{rng.randint(4, 30)}", f"E{rng.randint(6, 8)}"))
+                for _ in range(rng.randint(0, 30))
+            ],
+        }
+    payload["canonical_nef_asserted"] = rng.random() < 0.8
+    if rng.random() < 0.25:
+        payload["gerbe_order"] = rng.randint(0 if rng.random() < 0.1 else 1, 6)
+    return payload
+
+
+# sha256 over (exit code, stdout, stderr) of `check` on 200 seeded files in
+# both formats: one changed byte of a value, verdict or error line fails
+CHECK_DIGEST = "45566495123411d0186ced2a48453a20b781b9fddbb06b1d6e71a51adfd51d03"
+
+
+def test_check_output_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep error lines stable
+    rng = random.Random(90210)
+    digest = hashlib.sha256()
+    codes = []
+    for index in range(200):
+        name = f"{index:03d}.json"
+        (tmp_path / name).write_text(json.dumps(random_check_payload(rng)))
+        for fmt in ("text", "structured"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", name, "--format", fmt])
+            codes.append(code)
+            digest.update(repr((code, out.getvalue(), err.getvalue())).encode())
+    assert {0, 1, 3} <= set(codes)
+    assert digest.hexdigest() == CHECK_DIGEST
 
 
 # ----------------------------------------------------------------------

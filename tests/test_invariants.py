@@ -1,11 +1,14 @@
 """Chern number and BMY verdict tests."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbichern.ade import AdeLabel
+from orbichern.ade import AdeLabel, resolution_data
 from orbichern.contributions import class_sum_contribution
 from orbichern.errors import DescriptionError
 from orbichern.groups import build_ade_group
@@ -151,6 +154,110 @@ def test_point_term_is_twelve_times_brute_force():
                   AdeLabel("E", 7), AdeLabel("E", 8)):
         group = build_ade_group(label)
         assert point_term(label) == 12 * class_sum_contribution(group)
+
+
+# ----------------------------------------------------------------------
+# the integer sums against a Fraction oracle: the loops they replaced
+
+
+def oracle_c1_squared(desc):
+    total = desc.k_squared
+    for entry in desc.divisors:
+        a = 1 - F(1, entry.ramification)
+        total += 2 * a * entry.k_dot + a * a * entry.self_int
+    for crossing in desc.crossings:
+        a_i = 1 - F(1, desc.divisors[crossing.i].ramification)
+        a_j = 1 - F(1, desc.divisors[crossing.j].ramification)
+        total += 2 * a_i * a_j * crossing.count
+    return total
+
+
+def oracle_orbifold_euler(desc):
+    total = F(desc.chi_coarse)
+    crossings_on = {}
+    for crossing in desc.crossings:
+        crossings_on[crossing.i] = crossings_on.get(crossing.i, 0) + crossing.count
+        crossings_on[crossing.j] = crossings_on.get(crossing.j, 0) + crossing.count
+    for index, entry in enumerate(desc.divisors):
+        chi_open = entry.chi_divisor - crossings_on.get(index, 0)
+        total -= (1 - F(1, entry.ramification)) * chi_open
+    for crossing in desc.crossings:
+        r_i = desc.divisors[crossing.i].ramification
+        r_j = desc.divisors[crossing.j].ramification
+        total += crossing.count * (F(1, r_i * r_j) - 1)
+    return total
+
+
+def oracle_point_term(label):
+    data = resolution_data(label)
+    return data.chi_exceptional - F(1, data.group_order)
+
+
+def oracle_c2(desc):
+    total = 12 * F(desc.chi_structure_sheaf) - desc.c1_squared
+    for label in desc.points:
+        total -= oracle_point_term(label)
+    return total
+
+
+# one power of each prime, so that any selection is pairwise coprime
+COPRIME_BASES = (2, 3, 5, 7, 11, 13, 999_907, 999_983)
+RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+LABELS = st.one_of(
+    st.builds(AdeLabel, st.just("A"), st.integers(1, 10**6)),
+    st.builds(AdeLabel, st.just("D"), st.integers(2, 10**6)),
+    st.builds(AdeLabel, st.just("E"), st.sampled_from((6, 7, 8))),
+)
+
+
+@st.composite
+def ramifications(draw):
+    """Small orders with repeats, or pairwise-coprime orders up to 10^6."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(2, 7), max_size=6))
+    bases = draw(st.lists(st.sampled_from(COPRIME_BASES), max_size=6, unique=True))
+    return [p ** draw(st.integers(1, int(math.log(10**6, p)))) for p in bases]
+
+
+@st.composite
+def snc_pairs(draw):
+    divisors = tuple(
+        DivisorEntry(r, draw(st.integers(-6, 6)), draw(RATIONALS), draw(RATIONALS))
+        for r in draw(ramifications())
+    )
+    crossings = []
+    if len(divisors) >= 2:
+        index = st.integers(0, len(divisors) - 1)
+        for i, j, count in draw(st.lists(st.tuples(index, index, st.integers(0, 3)), max_size=8)):
+            if i != j:
+                crossings.append(Crossing(min(i, j), max(i, j), count))
+        if crossings and draw(st.booleans()):
+            crossings.append(crossings[0])  # the same pair given twice
+    return SncPairDescription(
+        draw(st.integers(-50, 50)), draw(RATIONALS), divisors, crossings, True
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    pair=snc_pairs(),
+    points=st.builds(
+        IsolatedPointsDescription,
+        st.integers(-50, 50),
+        RATIONALS,
+        st.lists(LABELS, max_size=12),
+        st.just(True),
+    ),
+)
+def test_integer_sums_match_fraction_oracle(pair, points):
+    assert pair_c1_squared(pair) == oracle_c1_squared(pair)
+    assert pair_orbifold_euler(pair) == oracle_orbifold_euler(pair)
+    assert codim2_c2(points) == oracle_c2(points)
+    report = isolated_points_report(points)
+    assert report.c2 == oracle_c2(points)
+    assert report.per_point == tuple(
+        (label, oracle_point_term(label)) for label in points.points
+    )
 
 
 # ----------------------------------------------------------------------
