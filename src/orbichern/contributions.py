@@ -171,12 +171,10 @@ def _class_rows(group: FiniteSubgroup) -> list[tuple[int, str, Fraction]]:
     for position, c in enumerate(group.classes):
         if c.representative.is_identity():
             continue
-        t = c.trace
-        if isinstance(t, Fraction):
-            if t == 2:
-                raise TraceTwoNonIdentity(
-                    f"nontrivial class of {c.representative} has trace 2"
-                )
+        t = c.representative.rational_trace()
+        if t is not None:
+            if t == 2 or c.trace == 2:  # the stored trace too: a class record may disagree
+                raise TraceTwoNonIdentity(f"nontrivial class of {c.representative} has trace 2")
             desc = (
                 f"class of {c.representative} "
                 f"(size {c.size}, centralizer {c.centralizer_order}, trace {t})"

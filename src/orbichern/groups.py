@@ -35,7 +35,9 @@ itself validates every field.
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
 conjugation by the generators, and centralizer orders come from the
-orbit-stabilizer relation.
+orbit-stabilizer relation.  ``conjugated_by`` reads a word's conjugate
+off the two normal forms in one step, and a quaternion product over
+CycloScalars builds each component as one fused ``scalars.signed_dot``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Iterable, Union
 
 from .ade import AdeLabel, resolution_data
 from .errors import BoundExceeded, TraceTwoNonIdentity
-from .scalars import CycloScalar, canonical_scalar, cyclo_trace, scalar_key, scalar_str
+from .scalars import CycloScalar, canonical_scalar, cyclo_trace, scalar_key, scalar_str, signed_dot
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -100,6 +102,13 @@ class Quaternion:
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         a, b, c, d = self.x, self.y, self.z, self.w
         p, q, r, s = other.x, other.y, other.z, other.w
+        if isinstance(a, CycloScalar):  # each component one fused sum of products
+            return Quaternion(
+                signed_dot((a, b, c, d), (p, q, r, s), (1, -1, -1, -1)),
+                signed_dot((a, b, c, d), (q, p, s, r), (1, 1, 1, -1)),
+                signed_dot((a, b, c, d), (r, s, p, q), (1, -1, 1, 1)),
+                signed_dot((a, b, c, d), (s, r, q, p), (1, 1, -1, 1)),
+            )
         return Quaternion(
             a * p - b * q - c * r - d * s,
             a * q + b * p + c * s - d * r,
@@ -109,6 +118,9 @@ class Quaternion:
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.x, -self.y, -self.z, -self.w)
+
+    def conjugated_by(self, g: "Quaternion", g_inv: "Quaternion") -> "Quaternion":
+        return g * self * g_inv
 
     def norm(self):
         return self.x * self.x + self.y * self.y + self.z * self.z + self.w * self.w
@@ -210,6 +222,16 @@ class Word:
             return self._word(True, self.exp + other.exp)
         # (x a^i)(x a^j) = x^2 a^(j-i) = a^(n+j-i)
         return self._word(False, self.n + other.exp - self.exp)
+
+    def conjugated_by(self, g: "Word", g_inv: "Word") -> "Word":
+        """g * self * g^-1 off the normal forms: a^i sends x*a^k to x*a^(k-2i), x*a^i
+        sends a^k to a^-k and x*a^k to x*a^(2i-k); a word it fixes comes back as is."""
+        self._check(g)
+        if g.flip:
+            return self._word(self.flip, 2 * g.exp - self.exp if self.flip else -self.exp)
+        if self.flip:
+            return self._word(True, self.exp - 2 * g.exp)
+        return self
 
     def inverse(self) -> "Word":
         if not self.flip:
@@ -367,7 +389,7 @@ def conjugacy_classes(
         while queue:
             e = queue.pop()
             for g, g_inv in gen_pairs:
-                conj = g * e * g_inv
+                conj = e.conjugated_by(g, g_inv)
                 if conj not in orbit:
                     orbit.add(conj)
                     queue.append(conj)

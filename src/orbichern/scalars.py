@@ -19,10 +19,11 @@ and a class trace zeta^e + zeta^-e adds two rows of ``_power_rows``,
 which builds zeta^phi .. zeta^(m-1) in one pass of multiplications by
 zeta, for one conductor at a time.  Inversion is one half-extended
 Euclid over the integers with primitive remainders (``_inverse_row``),
-exact by construction.  No polynomial code works on
-Fractions: a Fraction is built only for a result that is a rational
-number, and for the ``coeffs`` view.  Every value is immutable and
-hashable.
+exact by construction.  ``signed_dot`` fuses a sum of products (one
+quaternion component) into one convolution and one remainder.  No
+polynomial code works on Fractions: a Fraction is built only for a
+result that is a rational number, and for the ``coeffs`` view.  Every
+value is immutable and hashable.
 
 There are no floating-point code paths here: every operation is exact, and
 anything that cannot be represented exactly raises instead of approximating.
@@ -502,6 +503,29 @@ class CycloScalar:
 
     def __repr__(self) -> str:
         return f"CycloScalar({self.conductor}, {self.coeffs!r})"
+
+
+def signed_dot(lefts, rights, signs) -> CycloScalar:
+    """The sum of sign*a*b over CycloScalars of one conductor: one integer
+    convolution over a common denominator, one remainder modulo Phi_m."""
+    m = lefts[0].conductor
+    conv = [0] * (2 * len(lefts[0].row) - 1)
+    den = 1
+    for a, b, sign in zip(lefts, rights, signs):
+        if a.conductor != m or b.conductor != m:
+            raise FieldMismatch(f"conductors {a.conductor} and {b.conductor} in one sum over {m}")
+        term_den = a.den * b.den
+        if den % term_den:  # widen the common denominator, rescaling the sum so far
+            scale = term_den // gcd(den, term_den)
+            conv = [c * scale for c in conv]
+            den *= scale
+        scale = sign * (den // term_den)
+        for i, x in enumerate(a.row):
+            if x:
+                x *= scale
+                for j, y in enumerate(b.row, i):
+                    conv[j] += x * y
+    return CycloScalar._new(m, _reduce(m, conv), den)
 
 
 def cyclo_trace(value: CycloScalar) -> Fraction:

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbichern.ade import AdeLabel
 from orbichern.errors import BoundExceeded, InvalidLabel, TraceTwoNonIdentity
@@ -28,7 +30,7 @@ from orbichern.groups import (
     generate_group,
     trace,
 )
-from orbichern.scalars import CycloScalar
+from orbichern.scalars import CycloScalar, euler_phi
 
 F = Fraction
 
@@ -284,6 +286,78 @@ def test_products_and_inverses_equal_validated_words():
                 assert 0 <= word.exp < period
                 assert word.rotation() == expected.rotation()
                 assert word.rotation() is word.rotation()  # computed once per word
+
+
+def test_conjugated_by_equals_the_product_with_the_inverse():
+    # the one-step rule, for every g (not only the generators) and every w
+    labels = [AdeLabel("A", n) for n in range(1, 13)] + [AdeLabel("D", n) for n in range(2, 13)]
+    for label in labels:
+        elements = build_ade_group(label).elements
+        period = 2 * label.parameter if label.kind == "D" else label.parameter
+        for g in elements:
+            g_inv = g.inverse()
+            for w in elements:
+                conj = w.conjugated_by(g, g_inv)
+                expected = g * w * g_inv
+                assert conj == expected and hash(conj) == hash(expected), (label, g, w)
+                assert 0 <= conj.exp < period
+                if not (g.flip or w.flip):
+                    assert conj is w  # a^i fixes a^k: nothing is built
+    for w, g in (
+        (Word("dicyclic", 4, False, 1), Word("cyclic", 4, False, 1)),
+        (Word("dicyclic", 4, True, 1), Word("dicyclic", 5, True, 0)),
+        (Word("cyclic", 6, False, 2), Word("cyclic", 7, False, 1)),
+    ):
+        with pytest.raises(ValueError):
+            w.conjugated_by(g, g.inverse())
+
+
+def operator_product(g: Quaternion, h: Quaternion) -> Quaternion:
+    """The Hamilton product by scalar operators: 16 products and 12 sums."""
+    a, b, c, d = g.x, g.y, g.z, g.w
+    p, q, r, s = h.x, h.y, h.z, h.w
+    return Quaternion(
+        a * p - b * q - c * r - d * s,
+        a * q + b * p + c * s - d * r,
+        a * r - b * s + c * p + d * q,
+        a * s + b * r - c * q + d * p,
+    )
+
+
+def test_fused_quaternion_product_equals_the_operator_formula():
+    e7 = build_ade_group(AdeLabel("E", 7)).elements
+    pairs = [(g, h) for g in e7 for h in e7]
+    rng = random.Random(4077)
+    e8 = build_ade_group(AdeLabel("E", 8)).elements
+    pairs += [(rng.choice(e8), rng.choice(e8)) for _ in range(2000)]
+    assert len(pairs) == 48 * 48 + 2000
+    for g, h in pairs:
+        product, expected = g * h, operator_product(g, h)
+        assert product == expected and hash(product) == hash(expected), (g, h)
+    for group in (e7, e8):  # a quaternion conjugates by the same products
+        g, h = group[5], group[11]
+        assert g.conjugated_by(h, h.inverse()) == h * g * h.inverse()
+
+
+@st.composite
+def cyclo_quaternions(draw):
+    m = draw(st.sampled_from([5, 7, 8, 12]))
+    coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+    def component():
+        if draw(st.integers(0, 3)) == 0:  # a zero component, one time in four
+            return CycloScalar.zero(m)
+        return CycloScalar(m, tuple(draw(st.lists(coefficient, min_size=euler_phi(m), max_size=euler_phi(m)))))
+
+    return [Quaternion(*(component() for _ in range(4))) for _ in range(2)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cyclo_quaternions())
+def test_property_fused_quaternion_product(pair):
+    g, h = pair
+    product, expected = g * h, operator_product(g, h)
+    assert product == expected and hash(product) == hash(expected)
 
 
 def test_element_keys_are_distinct_within_a_group():

@@ -25,6 +25,7 @@ from orbichern.scalars import (
     moebius,
     parse_rational,
     scalar_key,
+    signed_dot,
 )
 
 F = Fraction
@@ -434,3 +435,16 @@ def test_property_storage_keeps_the_fraction_rules(sample):
         )
     y = (3 * x + F(1, 3)) * F(1, 3) - F(1, 9)  # x again, by another route
     assert y == x and hash(y) == hash(x)
+
+
+# ----------------------------------------------------------------------
+# the fused sum of products behind each quaternion component
+
+
+def test_signed_dot_keeps_one_conductor():
+    five, seven = CycloScalar.zeta_pow(5), CycloScalar.zeta_pow(7)
+    assert signed_dot((five, five), (five, 2 * five), (1, -1)) == -(five * five)
+    with pytest.raises(FieldMismatch):
+        signed_dot((five, five), (five, seven), (1, 1))
+    with pytest.raises(FieldMismatch):
+        signed_dot((seven, five), (seven, five), (1, 1))
