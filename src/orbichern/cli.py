@@ -64,45 +64,56 @@ _GROUP_NAMES = {
 # ----------------------------------------------------------------------
 # description files: one schema table
 #
-# A reader takes (value, where), where ``where`` is the value's path in the
-# file, and returns the converted value or raises DescriptionError naming
-# the path.  Range checks live in ``invariants`` (its dataclasses and
-# ``gerbe_scale``); a record, or ``cmd_check``, prefixes their messages.
+# A reader takes a value and returns it converted, or raises DescriptionError
+# with its own part of the message (" must be an integer"); each enclosing reader
+# adds its part as the error passes up ("[index]", ".key", "PATH: kind"), so no
+# path is built on the happy path.  Range checks live in ``invariants``.
 
 
-def _integer(value, where: str) -> int:
+def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptionError(f"{where} must be an integer")
+        raise DescriptionError(" must be an integer")
     return value
 
 
-def _flag(value, where: str) -> bool:
+def _flag(value) -> bool:
     if not isinstance(value, bool):
-        raise DescriptionError(f"{where} must be true or false")
+        raise DescriptionError(" must be true or false")
     return value
 
 
-def _rational(value, where: str) -> Fraction:
+def _rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     try:
         return parse_rational(value)
     except ValueError as exc:
-        raise DescriptionError(f"{where}: {exc}") from None
+        raise DescriptionError(f": {exc}") from None
 
 
-def _label(value, where: str) -> AdeLabel:
+@functools.lru_cache  # one parse per distinct label text; ``_label`` passes only str
+def _cached_label(text: str) -> AdeLabel:
+    return AdeLabel.from_string(text)
+
+
+def _label(value) -> AdeLabel:
     try:
-        return AdeLabel.from_string(value)
+        return _cached_label(value) if isinstance(value, str) else AdeLabel.from_string(value)
     except InvalidLabel as exc:
-        raise DescriptionError(f"{where}: {exc}") from None
+        raise DescriptionError(f": {exc}") from None
 
 
 def _list_of(read):
-    def read_list(value, where: str) -> tuple:
+    def read_list(value) -> tuple:
         if not isinstance(value, list):
-            raise DescriptionError(f"{where} must be a list")
-        return tuple(read(item, f"{where}[{index}]") for index, item in enumerate(value))
+            raise DescriptionError(" must be a list")
+        items = []
+        try:
+            for item in value:
+                items.append(read(item))
+        except DescriptionError as exc:
+            raise DescriptionError(f"[{len(items)}]{exc}") from None
+        return tuple(items)
 
     return read_list
 
@@ -110,20 +121,24 @@ def _list_of(read):
 def _record(cls, **fields):
     """Reader of a JSON object whose keys are exactly ``cls``'s field names."""
 
-    def read_record(value, where: str):
+    def read_record(value):
         if not isinstance(value, dict):
-            raise DescriptionError(f"{where} must be an object")
-        for key in value:
-            if key not in fields:
-                raise DescriptionError(f"{where}: unknown field {key!r}")
-        for key in fields:
-            if key not in value:
-                raise DescriptionError(f"{where}: missing field {key!r}")
-        values = {key: read(value[key], f"{where}.{key}") for key, read in fields.items()}
+            raise DescriptionError(" must be an object")
+        if value.keys() != fields.keys():
+            for key in value:
+                if key not in fields:
+                    raise DescriptionError(f": unknown field {key!r}")
+            for key in fields:
+                if key not in value:
+                    raise DescriptionError(f": missing field {key!r}")
+        values = {}
         try:
+            for key, read in fields.items():
+                values[key] = read(value[key])
             return cls(**values)
-        except DescriptionError as exc:
-            raise DescriptionError(f"{where}: {exc}") from None
+        except DescriptionError as exc:  # from a field's reader, or a range check of cls
+            where = f".{key}" if len(values) < len(fields) else ": "
+            raise DescriptionError(f"{where}{exc}") from None
 
     return read_record
 
@@ -178,10 +193,10 @@ def load_description(path: str):
         raise DescriptionError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise DescriptionError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except (DescriptionError, ValueError, RecursionError) as exc:
-        # a duplicate key, an integer literal past Python's digit limit,
-        # or nesting past the stack
+    except (DescriptionError, RecursionError) as exc:  # a duplicate key, or nesting past the stack
         raise DescriptionError(f"{path}: {exc}") from None
+    except ValueError:  # CPython words its digit-limit error differently by version
+        raise DescriptionError(f"{path}: integer literal has too many digits") from None
     if not isinstance(obj, dict):
         raise DescriptionError(f"{path}: top level must be an object")
     kind = obj.pop("kind", None)
@@ -189,8 +204,13 @@ def load_description(path: str):
         raise DescriptionError(
             f"{path}: kind must be \"snc_pair\" or \"isolated_points\", got {kind!r}"
         )
-    gerbe_order = _integer(obj.pop("gerbe_order", 1), f"{path}: gerbe_order")
-    return _KINDS[kind](obj, f"{path}: {kind}"), gerbe_order
+    where = "gerbe_order"
+    try:
+        gerbe_order = _integer(obj.pop("gerbe_order", 1))
+        where = kind
+        return _KINDS[kind](obj), gerbe_order
+    except DescriptionError as exc:
+        raise DescriptionError(f"{path}: {where}{exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -214,17 +234,19 @@ def _render_report_text(report: InvariantReport) -> str:
 
 
 def _render_report_structured(report: InvariantReport) -> str:
-    payload = {
-        "c1_squared": str(report.c1_squared),
-        "c2": str(report.c2),
-        "margin": str(report.margin),
-        "verdict": report.verdict.value,
-        "per_point": [
-            [str(label), str(term)] for label, term in report.per_point
-        ],
-        "notes": report.notes,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # json.dumps(payload, indent=2) + "\n" from C-encoded leaves (an indent is pure Python)
+    leaf = json.encoder.encode_basestring_ascii
+    rows = ",\n".join(
+        f"    [\n      {leaf(str(label))},\n      {leaf(str(term))}\n    ]"
+        for label, term in report.per_point
+    )
+    per_point = f"[\n{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "c1_squared": {leaf(str(report.c1_squared))},\n  "c2": {leaf(str(report.c2))},\n'
+        f'  "margin": {leaf(str(report.margin))},\n  "verdict": {leaf(report.verdict.value)},\n'
+        f'  "per_point": {per_point},\n'
+        f'  "notes": {leaf(report.notes)}\n}}\n'
+    )
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +383,10 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 1, the input-error code."""
 
     def error(self, message: str):
+        head, _, rest = message.partition("argument command: invalid choice: ")
+        if rest and not head:  # argparse words this differently by version
+            got = rest.rpartition(" (choose from ")[0]
+            message = f"argument command: must be check, group, identity or table, got {got}"
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -372,6 +398,17 @@ def _order(text: str) -> int:
     if int(text) < 2:
         raise argparse.ArgumentTypeError("must be >= 2")
     return int(text)
+
+
+def _one_of(*names: str) -> dict:
+    """``add_argument`` keywords: ``choices=names``, with one error text on every Python."""
+
+    def choose(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"must be {' or '.join(names)}, got {text!r}")
+        return text
+
+    return {"type": choose, "metavar": "{" + ",".join(names) + "}"}
 
 
 @functools.cache
@@ -388,19 +425,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="check a surface description file")
     p_check.add_argument("path")
-    p_check.add_argument("--format", choices=("text", "structured"), default="text")
+    p_check.add_argument("--format", default="text", **_one_of("text", "structured"))
 
     p_group = sub.add_parser("group", help="print one ADE group's data")
     p_group.add_argument("label")
 
     p_identity = sub.add_parser("identity", help="verify a rotation-sum identity")
     p_identity.add_argument("--n", type=_order, required=True)
-    p_identity.add_argument("--which", choices=("type_a", "half_angle"), required=True)
+    p_identity.add_argument("--which", required=True, **_one_of("type_a", "half_angle"))
 
     p_table = sub.add_parser("table", help="contribution table for all families")
     p_table.add_argument("--max-n", type=_order, required=True, dest="max_n")
     p_table.add_argument("--oracle", action="store_true")
-    p_table.add_argument("--format", choices=("text", "structured"), default="text")
+    p_table.add_argument("--format", default="text", **_one_of("text", "structured"))
 
     return parser
 

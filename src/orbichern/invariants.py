@@ -16,7 +16,8 @@ per-point terms are twelve times the Todd contributions of the
 ``contributions`` module (tested to agree exactly).
 
 Each number is one integer sum over one denominator, the lcm of its terms'
-denominators, with one ``Fraction`` built at the end.
+denominators, with one ``Fraction`` built at the end.  ``point_term`` is
+cached per label, so a process scores each distinct point type once.
 
 Whether the inequality applies at all depends on the canonical class
 being nef, which no formula here can see; it is a user-asserted flag and
@@ -28,12 +29,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .ade import AdeLabel, resolution_data
 from .errors import DescriptionError
 
 _F0 = Fraction(0)
+
+
+def _fraction(value) -> Fraction:
+    """``Fraction(value)``, without re-wrapping a value that already is one."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class Verdict(str, enum.Enum):
@@ -58,8 +65,8 @@ class DivisorEntry:
     def __post_init__(self) -> None:
         if not isinstance(self.ramification, int) or self.ramification < 2:
             raise DescriptionError("ramification must be >= 2")
-        object.__setattr__(self, "k_dot", Fraction(self.k_dot))
-        object.__setattr__(self, "self_int", Fraction(self.self_int))
+        object.__setattr__(self, "k_dot", _fraction(self.k_dot))
+        object.__setattr__(self, "self_int", _fraction(self.self_int))
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class SncPairDescription:
     canonical_nef_asserted: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k_squared", Fraction(self.k_squared))
+        object.__setattr__(self, "k_squared", _fraction(self.k_squared))
         object.__setattr__(self, "divisors", tuple(self.divisors))
         object.__setattr__(self, "crossings", tuple(self.crossings))
         for crossing in self.crossings:
@@ -104,7 +111,7 @@ class IsolatedPointsDescription:
     canonical_nef_asserted: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c1_squared", Fraction(self.c1_squared))
+        object.__setattr__(self, "c1_squared", _fraction(self.c1_squared))
         object.__setattr__(self, "points", tuple(self.points))
 
 
@@ -166,6 +173,7 @@ def pair_orbifold_euler(desc: SncPairDescription) -> Fraction:
     return Fraction(total, den)
 
 
+@lru_cache
 def point_term(label: AdeLabel) -> Fraction:
     """chi(E) - 1/|G| for one ADE point (twelve times its Todd contribution)."""
     data = resolution_data(label)
@@ -188,7 +196,7 @@ def _c2_from_terms(desc: IsolatedPointsDescription, terms: list) -> Fraction:
 
 
 def bmy_verdict(
-    c1_squared: Fraction, c2: Fraction, nef_asserted: bool
+    c1_squared: Fraction, c2: Fraction, nef_asserted: bool, per_point: tuple = (), notes: str = ""
 ) -> InvariantReport:
     """Margin 3c2 - c1^2 and its verdict (NotApplicable unless nef is asserted)."""
     margin = 3 * c2 - c1_squared
@@ -200,26 +208,21 @@ def bmy_verdict(
         verdict = Verdict.HOLDS_WITH_EQUALITY
     else:
         verdict = Verdict.FAILS
-    return InvariantReport(c1_squared, c2, margin, verdict, (), "")
+    return InvariantReport(c1_squared, c2, margin, verdict, per_point, notes)
 
 
 def snc_report(desc: SncPairDescription) -> InvariantReport:
-    report = bmy_verdict(
-        pair_c1_squared(desc), pair_orbifold_euler(desc), desc.canonical_nef_asserted
-    )
-    return replace(
-        report,
+    return bmy_verdict(
+        pair_c1_squared(desc), pair_orbifold_euler(desc), desc.canonical_nef_asserted,
         notes="c2 is the orbifold Euler characteristic (Gauss-Bonnet identification)",
     )
 
 
 def isolated_points_report(desc: IsolatedPointsDescription) -> InvariantReport:
-    per_point = tuple((label, point_term(label)) for label in desc.points)
-    c2 = _c2_from_terms(desc, [term for _, term in per_point])
-    report = bmy_verdict(desc.c1_squared, c2, desc.canonical_nef_asserted)
-    return replace(
-        report,
-        per_point=per_point,
+    terms = [point_term(label) for label in desc.points]
+    return bmy_verdict(
+        desc.c1_squared, _c2_from_terms(desc, terms), desc.canonical_nef_asserted,
+        per_point=tuple(zip(desc.points, terms)),
         notes="c2 from 12*chi(O) - c1^2 - sum of point terms",
     )
 

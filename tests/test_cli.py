@@ -5,15 +5,19 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbichern.cli as cli
+from orbichern import invariants
+from orbichern.ade import AdeLabel
 from orbichern.cli import main
 from orbichern.errors import (
     BoundExceeded,
@@ -23,6 +27,7 @@ from orbichern.errors import (
     TraceTwoNonIdentity,
     ZeroInversion,
 )
+from orbichern.invariants import InvariantReport, Verdict
 
 F = Fraction
 
@@ -213,7 +218,8 @@ def test_check_rejects_oversized_integer(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    # orbichern's own words: CPython's digit-limit text differs between versions
+    assert captured.err == f"error: {path}: integer literal has too many digits\n"
 
 
 def test_check_rejects_deeply_nested_json(tmp_path, capsys):
@@ -257,6 +263,121 @@ def test_check_error_names_the_field_path(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}: snc_pair.crossings[2].count must be an integer\n"
     )
+
+
+DROP = object()  # as the value of an ERROR_PATHS case: delete the field instead
+
+# (payload, where in it, the value put there, the error line after "error: PATH: "):
+# every shape of path, from a top-level field to a range error inside a list item
+ERROR_PATHS = [
+    (kummer_payload, ("chi_structure_sheaf",), "2", "isolated_points.chi_structure_sheaf must be an integer"),
+    (kummer_payload, ("canonical_nef_asserted",), 1,
+     "isolated_points.canonical_nef_asserted must be true or false"),
+    (kummer_payload, ("points",), DROP, "isolated_points: missing field 'points'"),
+    (kummer_payload, ("colour",), "blue", "isolated_points: unknown field 'colour'"),
+    (triangle_payload, ("divisors", 1, "k_dot"), DROP, "snc_pair.divisors[1]: missing field 'k_dot'"),
+    (triangle_payload, ("divisors", 2, "colour"), 0, "snc_pair.divisors[2]: unknown field 'colour'"),
+    (triangle_payload, ("divisors", 1, "k_dot"), "1/0",
+     "snc_pair.divisors[1].k_dot: zero denominator: '1/0'"),
+    (triangle_payload, ("divisors", 2, "self_int"), 1.5,
+     "snc_pair.divisors[2].self_int: not a rational literal: 1.5"),
+    (triangle_payload, ("divisors", 0), 7, "snc_pair.divisors[0] must be an object"),
+    (triangle_payload, ("divisors", 2, "ramification"), 1, "snc_pair.divisors[2]: ramification must be >= 2"),
+    (triangle_payload, ("crossings", 1), {"i": 2, "j": 2, "count": 1},
+     "snc_pair.crossings[1]: crossing indices must satisfy 0 <= i < j"),
+    (triangle_payload, ("crossings", 0, "count"), -1, "snc_pair.crossings[0]: crossing count must be >= 0"),
+    (triangle_payload, ("crossings", 2, "j"), 3, "snc_pair: crossing (1, 3) names a missing divisor"),
+    (kummer_payload, ("points", 3), "D3", "isolated_points.points[3]: type D subscript must be >= 4, got 3"),
+    (kummer_payload, ("points", 2), 7, "isolated_points.points[2]: not an ADE label: 7"),
+    (kummer_payload, ("points", 5), ["A1"], "isolated_points.points[5]: not an ADE label: ['A1']"),
+    (kummer_payload, ("points",), "A1", "isolated_points.points must be a list"),
+    (kummer_payload, ("gerbe_order",), "2", "gerbe_order must be an integer"),
+    (kummer_payload, ("gerbe_order",), 0, "gerbe_order must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("make, where, value, message", ERROR_PATHS, ids=[case[-1] for case in ERROR_PATHS])
+def test_check_error_paths_are_exact(tmp_path, capsys, make, where, value, message):
+    payload = make()
+    *parents, last = where
+    container = payload
+    for key in parents:
+        container = container[key]
+    if value is DROP:
+        del container[last]
+    else:
+        container[last] = value
+    path = write_json(tmp_path, "bad.json", payload)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_label_and_point_term_caches_change_no_output(tmp_path, capsys):
+    """Cached label parses and point terms give what fresh ones give, and a
+    rejected label is rejected again on the next file."""
+    points = [["A1", "D4", "E6", "A1"], ["A1", "D3"], ["A1", 7], ["A1", ["A1"]], ["D4", "A3", "D3"], ["E6"]]
+    paths = []
+    for index, labels in enumerate(points):
+        payload = kummer_payload()
+        payload["points"] = labels
+        paths.append(write_json(tmp_path, f"{index}.json", payload))
+
+    def run(clear):
+        results = []
+        for path in paths:
+            if clear:
+                cli._cached_label.cache_clear()
+                invariants.point_term.cache_clear()
+            results.append((main(["check", path]), *capsys.readouterr()))
+        return results
+
+    fresh, cached = run(clear=True), run(clear=False)
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 1, 1, 1, 0]
+
+
+FRACTIONS = st.fractions(max_denominator=10**6) | st.fractions()
+LABELS = (
+    st.builds(AdeLabel, st.just("A"), st.integers(1, 10**4))
+    | st.builds(AdeLabel, st.just("D"), st.integers(2, 10**4))
+    | st.builds(AdeLabel, st.just("E"), st.sampled_from((6, 7, 8)))
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    c1_squared=FRACTIONS,
+    c2=FRACTIONS,
+    margin=FRACTIONS,
+    verdict=st.sampled_from(Verdict),
+    per_point=st.lists(st.tuples(LABELS, FRACTIONS), max_size=40),
+    notes=st.text(max_size=12),
+)
+def test_structured_render_is_json_dumps_indent_2(c1_squared, c2, margin, verdict, per_point, notes):
+    report = InvariantReport(c1_squared, c2, margin, verdict, tuple(per_point), notes)
+    payload = {
+        "c1_squared": str(c1_squared),
+        "c2": str(c2),
+        "margin": str(margin),
+        "verdict": verdict.value,
+        "per_point": [[str(label), str(term)] for label, term in per_point],
+        "notes": notes,
+    }
+    assert cli._render_report_structured(report) == json.dumps(payload, indent=2) + "\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+README_EXAMPLES = re.findall(r"^```json\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+@pytest.mark.parametrize("example", README_EXAMPLES, ids=[json.loads(e)["kind"] for e in README_EXAMPLES])
+def test_readme_examples_check(tmp_path, capsys, example):
+    path = tmp_path / "example.json"
+    path.write_text(example)
+    assert main(["check", str(path)]) in (0, 3)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("kind", [[], {}, None, 7, "snc"])
@@ -713,7 +834,9 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 0, 1, 0]
     assert reused[2][1] == "" and reused[2][2].startswith("usage: orbichern")
-    assert "invalid choice: 'xml'" in reused[2][2]
+    assert reused[2][2].endswith(
+        "orbichern table: error: argument --format: must be text or structured, got 'xml'\n"
+    )
 
 
 def test_identity_failure_exits_2(capsys, monkeypatch):
@@ -783,23 +906,48 @@ def test_orders_take_ascii_digits_only(capsys, argv, text):
 # usage errors
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["identity", "--n", "abc", "--which", "type_a"],
-        ["identity", "--n", "5"],
-        ["table", "--max-n", "3", "--format", "xml"],
-        ["group"],
-        [],
-    ],
+IDENTITY_USAGE = "usage: orbichern identity [-h] --n N --which {type_a,half_angle}\n"
+TABLE_USAGE = (
+    "usage: orbichern table [-h] --max-n MAX_N [--oracle]\n"
+    "                       [--format {text,structured}]\n"
 )
-def test_usage_errors_exit_1(capsys, argv):
+
+
+# argv -> the whole stderr, byte for byte: it must not change with the Python version
+USAGE_ERRORS = {
+    ("identity", "--n", "abc", "--which", "type_a"):
+        IDENTITY_USAGE + "orbichern identity: error: argument --n: invalid int value: 'abc'\n",
+    ("identity", "--n", "5"):
+        IDENTITY_USAGE + "orbichern identity: error: the following arguments are required: --which\n",
+    ("table", "--max-n", "3", "--format", "xml"):
+        TABLE_USAGE + "orbichern table: error: argument --format: must be text or structured, got 'xml'\n",
+    ("group",):
+        "usage: orbichern group [-h] label\n"
+        "orbichern group: error: the following arguments are required: label\n",
+    ():
+        "usage: orbichern [-h] {check,group,identity,table} ...\n"
+        "orbichern: error: the following arguments are required: command\n",
+    ("bogus",):
+        "usage: orbichern [-h] {check,group,identity,table} ...\n"
+        "orbichern: error: argument command: must be check, group, identity or table, got 'bogus'\n",
+    ("check", "f.json", "--format", "xml"):
+        "usage: orbichern check [-h] [--format {text,structured}] path\n"
+        "orbichern check: error: argument --format: must be text or structured, got 'xml'\n",
+    ("identity", "--n", "5", "--which", "nope"):
+        IDENTITY_USAGE
+        + "orbichern identity: error: argument --which: must be type_a or half_angle, got 'nope'\n",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in USAGE_ERRORS])
+def test_usage_errors_exit_1(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal
     with pytest.raises(SystemExit) as stop:
         main(argv)
     assert stop.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: " in captured.err
+    assert captured.err == USAGE_ERRORS[tuple(argv)]
 
 
 # ----------------------------------------------------------------------
