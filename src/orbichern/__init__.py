@@ -42,7 +42,6 @@ from .groups import (
     build_ade_group,
     conjugacy_classes,
     generate_group,
-    trace,
 )
 from .invariants import (
     Crossing,
@@ -109,7 +108,6 @@ __all__ = [
     "parse_rational",
     "resolution_data",
     "snc_report",
-    "trace",
     "verify_type_a_identity",
     "verify_type_d_half_angle_identity",
 ]

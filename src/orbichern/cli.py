@@ -276,9 +276,9 @@ def cmd_group(label_text: str) -> int:
     family = _GROUP_NAMES.get(str(label)) or _GROUP_NAMES[label.kind]
     out = [f"label {label}: {family}, order {group.order}"]
     out.append("conjugacy classes (size, centralizer, trace):")
-    texts: dict = {}  # trace label -> trace text, printed once per distinct trace
+    texts: dict = {}  # rotation label -> trace text, printed once per distinct trace
     for c in group.classes:
-        key = c.representative.trace_label()
+        key = c.representative.rotation()
         if key not in texts:
             texts[key] = c.trace_str()
         out.append(

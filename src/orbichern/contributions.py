@@ -13,21 +13,16 @@ here and are kept separate on purpose:
 * ``closed_form_contribution``: the catalog formula (chi - 1/|G|)/12.
 
 Terms with irrational traces are summed over Galois orbits, where they
-collapse to rationals by one rule: N equally weighted terms 1/(2 - t)
-whose traces t cover one Galois orbit in Q(zeta_m) with uniform
-multiplicity sum to N * Tr(f) / phi(m), f = 1/(2 - t).  For rotation
-words, t = zeta_d^j + zeta_d^-j and Tr(f) is the sum over primitive
-residues j mod d of 1/(2 - zeta_d^j - zeta_d^-j), written S(d) below.
-S(d) is evaluated as the field trace of a single cached inverse, so one
-exact inversion per conductor serves every group and every identity
-check.  Words are split and bucketed by their label ``rotation() ==
-(d, j)`` and ``rational_trace()`` from ``groups``, so no field element
-is built per element.  For the quaternion groups, t lies in Q(sqrt 2)
-inside Q(zeta_8) or Q(sqrt 5) inside Q(zeta_5), and f is inverted once
-per orbit.  Buckets are keyed by the orbit, which hashes on its
-conductor and points only (no Fraction hash per lookup) and compares by
-value, so the equal orbits reached from two conjugate traces share one
-bucket.
+collapse to rationals by one rule.  Every element, word or quaternion,
+carries the label ``rotation() == (d, j)`` from ``groups``: its trace is
+zeta_d^j + zeta_d^-j.  Elements with an irrational trace are bucketed by
+d, and a bucket of N equally weighted terms whose j's cover the residues
+j <= d/2 prime to d with uniform multiplicity sums to N * S(d) / phi(d).
+Here S(d) is the sum over primitive residues j mod d of
+1/(2 - zeta_d^j - zeta_d^-j), evaluated as the field trace of the one
+cached inverse ``conjugate_pair_inverse(d)``.  That one exact inversion
+per order serves every group and every identity check; no Galois image
+of a trace is computed here.
 """
 
 from __future__ import annotations
@@ -75,81 +70,30 @@ def closed_form_contribution(label: AdeLabel) -> Fraction:
 # Galois orbits of irrational traces
 
 
-@dataclass(frozen=True)
-class _GaloisOrbit:
-    """The Galois orbit of an irrational trace t in Q(zeta_m), m = conductor.
+def _orbit_sum(d: int, points: list) -> Fraction:
+    """Sum of the terms 1/(2 - zeta_d^j - zeta_d^-j) over a bucket of labels (d, j).
 
-    ``points`` labels the distinct conjugates of t; ``term_trace`` is
-    Tr(1/(2 - t)) from Q(zeta_m) down to Q, the same for every t in the
-    orbit.  Equality is by value; the hash leaves out ``term_trace``, a
-    function of the other two, so a bucket lookup hashes no Fraction.
-    """
-
-    conductor: int
-    points: frozenset
-    term_trace: Fraction
-
-    def __hash__(self) -> int:
-        return hash((self.conductor, self.points))
-
-
-def _primitive_residues(d: int) -> list[int]:
-    return [j for j in range(1, d) if gcd(j, d) == 1]
-
-
-@functools.lru_cache(maxsize=None)
-def _rotation_orbit(d: int) -> _GaloisOrbit:
-    """Traces zeta_d^j + zeta_d^-j, labelled by min(j, d - j)."""
-    points = frozenset(min(j, d - j) for j in _primitive_residues(d))
-    return _GaloisOrbit(d, points, primitive_orbit_sum(d))
-
-
-@functools.lru_cache(maxsize=None)
-def _conjugate_orbit(t: CycloScalar) -> _GaloisOrbit:
-    """Conjugates of t in Q(zeta_m), labelled by themselves."""
-    m = t.conductor
-    points = frozenset(t.galois(j) for j in _primitive_residues(m))
-    return _GaloisOrbit(m, points, cyclo_trace((2 - t).invert()))
-
-
-def _galois_orbit(element) -> tuple[_GaloisOrbit, object]:
-    """The orbit of an element's irrational trace, and the trace's point in it.
-
-    A word's point is j of its label ``rotation() == (d, j)``, so no field
-    element is built for it.
-    """
-    if isinstance(element, Word):
-        d, j = element.rotation()
-        return _rotation_orbit(d), j
-    t = element.trace()
-    return _conjugate_orbit(t), t
-
-
-def _orbit_sum(orbit: _GaloisOrbit, points: list) -> Fraction:
-    """Sum of the terms 1/(2 - t) for a bucket of traces in one orbit.
-
-    The bucket is Galois-stable when its traces cover the orbit with
-    uniform multiplicity; then its N terms sum to N * Tr(f) / phi(m).
-    Any other bucket raises NonRationalTotal.
+    The bucket is Galois-stable when its j's cover the residues j <= d/2
+    prime to d with uniform multiplicity; then its N terms sum to
+    N * S(d) / phi(d).  Any other bucket raises NonRationalTotal.
     """
     counts = Counter(points)
-    if counts.keys() != orbit.points or len(set(counts.values())) != 1:
-        raise NonRationalTotal(
-            f"traces did not cover a Galois orbit in Q(zeta_{orbit.conductor}) uniformly"
-        )
-    return len(points) * orbit.term_trace / euler_phi(orbit.conductor)
+    orbit = {j for j in range(1, d // 2 + 1) if gcd(j, d) == 1}
+    if counts.keys() != orbit or len(set(counts.values())) != 1:
+        raise NonRationalTotal(f"traces did not cover a Galois orbit in Q(zeta_{d}) uniformly")
+    return len(points) * primitive_orbit_sum(d) / euler_phi(d)
 
 
 # ----------------------------------------------------------------------
 # brute force over conjugacy classes
 
 
-def _orbit_description(orbit: _GaloisOrbit, classes: list, centralizer: int) -> str:
+def _orbit_description(d: int, classes: list, centralizer: int) -> str:
     if isinstance(classes[0].representative, Word):
         sizes = {c.size for c in classes}
         size_note = f"size {sizes.pop()}" if len(sizes) == 1 else "mixed sizes"
         return (
-            f"{len(classes)} classes of order-{orbit.conductor} rotations "
+            f"{len(classes)} classes of order-{d} rotations "
             f"({size_note}, centralizer {centralizer})"
         )
     reps = " and ".join(str(c.representative) for c in classes)
@@ -164,7 +108,7 @@ def _class_rows(group: FiniteSubgroup) -> list[tuple[int, str, Fraction]]:
     Returns (position, description, value) triples; the position is the
     index in ``group.classes``, which is in class-table order, of the
     orbit's first class.  Classes with a rational trace are orbits of
-    their own; the others are bucketed by orbit and centralizer order.
+    their own; the others are bucketed by order d and centralizer order.
     """
     rows: list[tuple[int, str, Fraction]] = []
     buckets: dict[tuple, list] = {}
@@ -181,12 +125,12 @@ def _class_rows(group: FiniteSubgroup) -> list[tuple[int, str, Fraction]]:
             )
             rows.append((position, desc, Fraction(1, c.centralizer_order) / (2 - t)))
         else:
-            orbit, point = _galois_orbit(c.representative)
-            buckets.setdefault((orbit, c.centralizer_order), []).append((position, c, point))
+            d, j = c.representative.rotation()
+            buckets.setdefault((d, c.centralizer_order), []).append((position, c, j))
 
-    for (orbit, centralizer), members in buckets.items():
-        value = _orbit_sum(orbit, [point for _, _, point in members]) / centralizer
-        desc = _orbit_description(orbit, [c for _, c, _ in members], centralizer)
+    for (d, centralizer), members in buckets.items():
+        value = _orbit_sum(d, [j for _, _, j in members]) / centralizer
+        desc = _orbit_description(d, [c for _, c, _ in members], centralizer)
         rows.append((members[0][0], desc, value))
 
     rows.sort(key=lambda row: row[0])
@@ -203,26 +147,25 @@ def element_sum_contribution(group: FiniteSubgroup) -> Fraction:
 
     Never consults class sizes or centralizers; agreement with
     ``class_sum_contribution`` validates the conjugacy bookkeeping.
-    Elements are split by ``rational_trace()`` and bucketed by their
-    Galois orbit point, so a word's trace is never built as a field
-    element here.
+    Elements are split by ``rational_trace()`` and the others bucketed by
+    the order d of their label ``rotation() == (d, j)``.
     """
     rational: Counter = Counter()
-    buckets: dict[_GaloisOrbit, list] = {}
+    buckets: dict[int, list] = {}
     for g in group.elements:
         if g.is_identity():
             continue
         t = g.rational_trace()
         if t is None:
-            orbit, point = _galois_orbit(g)
-            buckets.setdefault(orbit, []).append(point)
+            d, j = g.rotation()
+            buckets.setdefault(d, []).append(j)
         elif t == 2:
             raise TraceTwoNonIdentity(f"non-identity element {g} has trace 2")
         else:
             rational[t] += 1
     total = sum((count / (2 - t) for t, count in rational.items()), _F0)
-    for orbit, points in buckets.items():
-        total += _orbit_sum(orbit, points)
+    for d, points in buckets.items():
+        total += _orbit_sum(d, points)
     return total / group.order
 
 

@@ -18,17 +18,19 @@ Two exact element representations coexist:
     zeta_2n^-1) and x as [[0, 1], [-1, 0]].  Traces land in Q(zeta_2n)
     and print on its power basis.
 
-Every element answers ``trace_label()``: a hashable label that two
-elements share exactly when their traces are equal.  A quaternion's label
-is its trace.  A word's label is ``rotation()``, the pair (d, j) with
-trace zeta_d^j + zeta_d^-j, so no field element is built for it.  The
-per-element loops (trace constancy on each conjugacy class, the trace-2
-check, and the element sum in ``contributions``) read labels and
-``rational_trace()`` only, and a word computes its label once.  A dense
-trace is built once per trace label, not per class, for the class
-table's text and order; classes with equal labels (a^e and a^-e) share
-it.  A word's dense trace in Q(zeta_2n) is ``CycloScalar.zeta_pair_sum``:
-two zeta-power rows built once per conductor.  Products and inverses of
+Every element answers ``rotation()``: the pair (d, j), j <= d/2, of its
+eigenvalues zeta_d^(+-j), so its trace is zeta_d^j + zeta_d^-j and d is
+its order.  Two elements share the label exactly when their traces are
+equal.  A word reads its label off its exponent, so no field element is
+built for it, and computes it once.  A quaternion finds its label by
+matching its trace against the pair sums of one cyclotomic field, once
+per distinct trace.  The per-element loops (trace constancy on each
+conjugacy class, the trace-2 check, and the element sum in
+``contributions``) read labels and ``rational_trace()`` only.  A dense
+trace is built once per label, not per class, for the class table's
+text and order; classes with equal labels (a^e and a^-e) share it.  A
+word's dense trace in Q(zeta_2n) is ``CycloScalar.zeta_pair_sum``: two
+zeta-power rows built once per conductor.  Products and inverses of
 words copy their presentation and skip re-validation; ``Word(...)``
 itself validates every field.
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .ade import AdeLabel, resolution_data
@@ -88,6 +90,28 @@ def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
     if a + b * root != value:
         raise ArithmeticError(f"{value} is not in Q(sqrt{d})")
     return d, a, b
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_rotation(t) -> tuple[int, int]:
+    """(d, j), j <= d/2, with zeta_d^j + zeta_d^-j == t.
+
+    A rational t is searched in Q(zeta_12), which holds all five rational
+    rotation traces.  An irrational t in Q(zeta_m) is searched in
+    Q(zeta_M), M = lcm(2, m): it generates Q(zeta_d)^+, whose conductor
+    is d, or d/2 when d is 2 mod 4, so d divides M.  The match zeta_M^e + zeta_M^-e reduces
+    to d = M/g, j = e/g with g = gcd(e, M).
+    """
+    if isinstance(t, Fraction):
+        m = 12
+    else:
+        m = lcm(2, t.conductor)
+        t = t.embed(m)
+    for e in range(m // 2 + 1):
+        if CycloScalar.zeta_pair_sum(m, e) == t:
+            g = gcd(e, m)
+            return m // g, e // g
+    raise ArithmeticError(f"{t} is not the trace of an element of finite order in SU(2)")
 
 
 @dataclass(frozen=True)
@@ -134,7 +158,9 @@ class Quaternion:
     def trace(self):
         return canonical_scalar(self.x + self.x)
 
-    trace_label = trace
+    def rotation(self) -> tuple[int, int]:
+        """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j <= d/2."""
+        return _trace_rotation(self.trace())
 
     def rational_trace(self) -> Fraction | None:
         t = self.trace()
@@ -257,8 +283,6 @@ class Word:
             object.__setattr__(self, "_rotation", rotation)
         return rotation
 
-    trace_label = rotation
-
     def rational_trace(self) -> Fraction | None:
         return _RATIONAL_TRACES.get(self.rotation()[0])
 
@@ -289,11 +313,6 @@ class Word:
 
 
 GroupElement = Union[Quaternion, Word]
-
-
-def trace(element: GroupElement):
-    """Exact SU(2) matrix trace, collapsed to the smallest containing field."""
-    return element.trace()
 
 
 def element_key(element: GroupElement) -> tuple:
@@ -359,27 +378,23 @@ class FiniteSubgroup:
 
 
 def conjugacy_classes(
-    elements, generators: Iterable[GroupElement] = ()
+    elements: Iterable[GroupElement], generators: Iterable[GroupElement]
 ) -> tuple:
     """Orbit partition of a group's elements under conjugation by generators.
 
-    Accepts a FiniteSubgroup (using its own generators) or any iterable of
-    elements plus generators that generate the group.  Classes come back
-    sorted by (size, trace, representative) and each class's centralizer
-    order is derived from orbit-stabilizer; both the class equation and
-    trace constancy along each orbit (by trace label) are verified.  The
-    trace and its sort key are built once per trace label, and classes
-    with equal labels share that one trace object.
+    The generators must generate the group.  Classes come back sorted by
+    (size, trace, representative) and each class's centralizer order is
+    derived from orbit-stabilizer; both the class equation and trace
+    constancy along each orbit (by ``rotation()``) are verified.  The
+    trace and its sort key are built once per label, and classes with
+    equal labels share that one trace object.
     """
-    if isinstance(elements, FiniteSubgroup):
-        generators = elements.generators
-        elements = elements.elements
     members = tuple(elements)
     order = len(members)
     gens = list(generators)
     gen_pairs = [(g, g.inverse()) for g in gens]
     seen: set = set()
-    traces: dict = {}  # trace label -> (trace, its sort key)
+    traces: dict = {}  # rotation label -> (trace, its sort key)
     keyed = []
     for start in members:
         if start in seen:
@@ -398,9 +413,9 @@ def conjugacy_classes(
         if order % size != 0:
             raise ArithmeticError("orbit size does not divide the group order")
         rep = min(orbit, key=element_key)
-        label = rep.trace_label()
+        label = rep.rotation()
         for e in orbit:
-            if e is not rep and e.trace_label() != label:
+            if e is not rep and e.rotation() != label:
                 raise ArithmeticError("trace is not constant on a conjugacy class")
         if label not in traces:
             t = rep.trace()

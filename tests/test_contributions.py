@@ -21,8 +21,6 @@ import pytest
 
 from orbichern.ade import AdeLabel
 from orbichern.contributions import (
-    _conjugate_orbit,
-    _GaloisOrbit,
     assemble_type_d_contribution,
     build_contribution_report,
     class_sum_contribution,
@@ -300,19 +298,6 @@ def test_unpaired_irrational_trace_is_rejected():
     lopsided = FiniteSubgroup(e8.label, e8.order, e8.elements, keep, e8.generators)
     with pytest.raises(NonRationalTotal):
         class_sum_contribution(lopsided)
-
-
-def test_conjugate_trace_orbits_are_equal_and_share_a_bucket():
-    # the golden-ratio traces of E8 lie in two Galois orbits; each orbit is
-    # reached from both of its traces and must land in one bucket
-    e8 = build_ade_group(AdeLabel("E", 8))
-    golden = [c.trace for c in e8.classes if not isinstance(c.trace, Fraction)]
-    orbits = [_conjugate_orbit(t) for t in golden]
-    assert len(set(orbits)) == 2
-    for orbit in orbits:
-        copy = _GaloisOrbit(orbit.conductor, frozenset(orbit.points), orbit.term_trace)
-        assert copy is not orbit and copy == orbit and hash(copy) == hash(orbit)
-    assert _GaloisOrbit(5, orbits[0].points, orbits[0].term_trace + 1) != orbits[0]
 
 
 def test_incomplete_rotation_orbit_is_rejected():

@@ -7,6 +7,7 @@ computation is cross-checked against numpy-free float arithmetic.
 """
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from orbichern.groups import (
     conjugacy_classes,
     element_key,
     generate_group,
-    trace,
 )
 from orbichern.scalars import CycloScalar, euler_phi
 
@@ -174,7 +174,7 @@ def test_quaternion_embedding_is_a_homomorphism():
             g, h = rng.choice(elements), rng.choice(elements)
             assert mat_close(as_matrix(g * h), matmul(as_matrix(g), as_matrix(h)))
             assert abs(det(as_matrix(g)) - 1) < 1e-9
-            assert abs(complex(cyclo_float(trace(g))) -
+            assert abs(complex(cyclo_float(g.trace())) -
                        (as_matrix(g)[0][0] + as_matrix(g)[1][1])) < 1e-9
 
 
@@ -182,7 +182,7 @@ def test_word_traces_match_matrix_traces():
     for n in range(2, 9):
         for g in build_ade_group(AdeLabel("D", n)).elements:
             m = as_matrix(g)
-            assert abs(cyclo_float(trace(g)) - (m[0][0] + m[1][1])) < 1e-9
+            assert abs(cyclo_float(g.trace()) - (m[0][0] + m[1][1])) < 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -192,13 +192,13 @@ def test_word_traces_match_matrix_traces():
 def test_trace_values():
     i = Quaternion(F(0), F(1), F(0), F(0))
     omega = Quaternion(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
-    assert trace(i.identity()) == 2
-    assert trace(i) == 0
-    assert trace(omega) == 1
+    assert i.identity().trace() == 2
+    assert i.trace() == 0
+    assert omega.trace() == 1
     flip = Word("dicyclic", 5, True, 3)
-    assert trace(flip) == 0
+    assert flip.trace() == 0
     minus_one = Word("dicyclic", 5, False, 5)  # a^n = -1
-    assert trace(minus_one) == -2
+    assert minus_one.trace() == -2
 
 
 def test_word_normalization_and_inverses():
@@ -415,6 +415,42 @@ def test_rotation_labels_classify_dense_traces_exactly():
         assert all(len(v) == 1 for v in traces_of_label.values()), label
 
 
+def element_order(g) -> int:
+    power, order = g, 1
+    while not power.is_identity():
+        power, order = power * g, order + 1
+    return order
+
+
+def test_quaternion_rotation_labels():
+    # every element of E6, E7 and E8: d is the order, 2cos(2*pi*j/d) the
+    # trace, and labels are equal exactly when traces are
+    irrational = set()
+    for k in (6, 7, 8):
+        labels_of_trace: dict = {}
+        traces_of_label: dict = {}
+        for g in build_ade_group(AdeLabel("E", k)).elements:
+            d, j = g.rotation()
+            assert 0 <= j <= d / 2 and d == element_order(g), (k, g)
+            assert abs(2 * math.cos(2 * math.pi * j / d) - cyclo_float(g.trace()).real) < 1e-9
+            labels_of_trace.setdefault(g.trace(), set()).add((d, j))
+            traces_of_label.setdefault((d, j), set()).add(g.trace())
+            if k == 8 and g.rational_trace() is None:
+                irrational.add((d, j))
+        assert all(len(v) == 1 for v in labels_of_trace.values()), k
+        assert all(len(v) == 1 for v in traces_of_label.values()), k
+    assert irrational == {(5, 1), (5, 2), (10, 1), (10, 3)}
+
+
+def test_trace_of_no_rotation_is_rejected():
+    with pytest.raises(ArithmeticError):
+        Quaternion(F(1, 4), F(0), F(0), F(0)).rotation()  # trace 1/2
+    sqrt5 = 1 + 2 * CycloScalar.zeta_pair_sum(5, 1)
+    zero = sqrt5 * 0
+    with pytest.raises(ArithmeticError):
+        Quaternion(sqrt5 * F(1, 2), zero, zero, zero).rotation()  # trace sqrt5 > 2
+
+
 # ----------------------------------------------------------------------
 # conjugacy classes
 
@@ -439,7 +475,7 @@ def test_one_dense_trace_per_trace_label(monkeypatch):
         group = build_ade_group.__wrapped__(label)  # bypass the group cache
         irrational = [c for c in group.classes if c.representative.rational_trace() is None]
         irrational_classes += len(irrational)
-        labels = {c.representative.trace_label() for c in irrational}
+        labels = {c.representative.rotation() for c in irrational}
         distinct_labels += len(labels)
         assert len(built) == len(labels), label
         assert {Word("cyclic", m, False, e).rotation() for m, e in built} == labels, label
@@ -450,7 +486,7 @@ def test_classes_with_equal_labels_share_one_trace():
     for label in (*word_groups(), *(AdeLabel("E", k) for k in (6, 7, 8))):
         first: dict = {}
         for c in build_ade_group(label).classes:
-            shared = first.setdefault(c.representative.trace_label(), c.trace)
+            shared = first.setdefault(c.representative.rotation(), c.trace)
             assert c.trace is shared, (label, c)
 
 
@@ -505,14 +541,12 @@ def test_identity_class_is_unique_and_rigid():
         assert identity_classes[0].size == 1
         assert identity_classes[0].representative.is_identity()
         for g in group.elements:
-            if trace(g) == 2:
+            if g.trace() == 2:
                 assert g.is_identity()
 
 
-def test_conjugacy_classes_accepts_subgroup_or_raw_elements():
+def test_conjugacy_classes_rebuild_from_elements_and_generators():
     group = build_ade_group(AdeLabel("D", 4))
-    direct = conjugacy_classes(group)
-    assert direct == group.classes
     rebuilt = conjugacy_classes(group.elements, group.generators)
     assert rebuilt == group.classes
 
