@@ -19,10 +19,11 @@ zeta_d^j + zeta_d^-j.  Elements with an irrational trace are bucketed by
 d, and a bucket of N equally weighted terms whose j's cover the residues
 j <= d/2 prime to d with uniform multiplicity sums to N * S(d) / phi(d).
 Here S(d) is the sum over primitive residues j mod d of
-1/(2 - zeta_d^j - zeta_d^-j), evaluated as the field trace of the one
-cached inverse ``conjugate_pair_inverse(d)``.  That one exact inversion
-per order serves every group and every identity check; no Galois image
-of a trace is computed here.
+1/(2 - zeta_d^j - zeta_d^-j), evaluated as the field trace of
+``conjugate_pair_inverse(d)``, cached per order.  That inverse is read
+off Phi_d at 1 (``CycloScalar.pair_inverse``), not found by a Euclid,
+and checked exactly by u (1 - zeta)^2 = -zeta; it serves every group and
+every identity check, and no Galois image of a trace is computed here.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ _F0 = Fraction(0)
 
 @functools.lru_cache(maxsize=None)
 def conjugate_pair_inverse(d: int) -> CycloScalar:
-    """1/(2 - zeta_d - zeta_d^(-1)) as an element of Q(zeta_d), d >= 2."""
+    """1/(2 - zeta_d - zeta_d^(-1)) as an element of Q(zeta_d), d >= 2,
+    read off Phi_d at 1 and checked by u*(1 - zeta_d)^2 = -zeta_d."""
     if d < 2:
         raise ValueError("need d >= 2 so that the denominator is nonzero")
-    z = 2 - CycloScalar.zeta_pow(d, 1) - CycloScalar.zeta_pow(d, -1)
-    return z.invert()
+    return CycloScalar.pair_inverse(d)
 
 
 @functools.lru_cache(maxsize=None)

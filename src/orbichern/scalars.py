@@ -13,17 +13,21 @@ Phi_m is built as the integer power series prod over d | m of
 (1 - x^d)^mu(m/d), cut at degree phi(m).  Every product, zeta power,
 Galois image and embedding places its integer numerators at their
 exponents and is reduced by one remainder modulo Phi_m (``_reduce``), a
-long division over the nonzero coefficients of Phi_m only.  Three rows
+long division over the nonzero coefficients of Phi_m only.  Four rows
 skip it: zeta^e for e < phi(m) is a unit row, zeta^-1 is read off Phi_m,
-and a class trace zeta^e + zeta^-e adds two rows of ``_power_rows``,
-which builds zeta^phi .. zeta^(m-1) in one pass of multiplications by
-zeta, for one conductor at a time.  Inversion is one half-extended
-Euclid over the integers with primitive remainders (``_inverse_row``),
-exact by construction.  ``signed_dot`` fuses a sum of products (one
-quaternion component) into one convolution and one remainder.  No
-polynomial code works on Fractions: a Fraction is built only for a
-result that is a rational number, and for the ``coeffs`` view.  Every
-value is immutable and hashable.
+a class trace zeta^e + zeta^-e adds two rows of ``_power_rows``, which
+builds zeta^phi .. zeta^(m-1) in one pass of multiplications by zeta,
+for one conductor at a time, and the orbit-term inverse
+1/(2 - zeta - zeta^-1) (``pair_inverse``) is read off Phi_m at 1 and
+its expansion about 1, with one top place reduced by a pass over Phi_m
+and an exact check u (1 - zeta)^2 = -zeta.  Every other inversion is one
+half-extended Euclid over the integers with primitive remainders
+(``_inverse_row``), exact by construction.  ``signed_dot`` fuses a sum
+of products (one quaternion component) into one convolution and one
+remainder.  ``cyclo_trace`` takes a trace by Ramanujan sums, one slice
+sum per divisor of m.  No polynomial code works on Fractions: a Fraction
+is built only for a result that is a rational number, and for the
+``coeffs`` view.  Every value is immutable and hashable.
 
 There are no floating-point code paths here: every operation is exact, and
 anything that cannot be represented exactly raises instead of approximating.
@@ -37,7 +41,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FieldMismatch, ZeroInversion
+from .errors import FieldMismatch, IdentityFailure, ZeroInversion
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -197,7 +201,7 @@ def _power_rows(m: int) -> tuple[list[int], ...]:
 
 
 # ----------------------------------------------------------------------
-# the one inversion: half-extended Euclid over the integers
+# the general inversion: half-extended Euclid over the integers
 
 
 def _trim(poly: list[int]) -> list[int]:
@@ -362,6 +366,44 @@ class CycloScalar:
             else:
                 row = [a + b for a, b in zip(row, _power_rows(conductor)[e - deg])]
         return cls._new(conductor, row)
+
+    @classmethod
+    def pair_inverse(cls, conductor: int) -> "CycloScalar":
+        """1/(2 - zeta_m - zeta_m^-1) for m >= 2, read off Phi_m at 1.
+
+        Phi_m = (x - 1)^2 Q + a + b(x - 1) with a = Phi_m(1), b = Phi_m'(1):
+        two running-sum synthetic divisions by x - 1.  At zeta this gives
+        (1 - zeta)^2 Q(zeta) = -(a - b + b zeta), and with
+        2 - zeta - zeta^-1 = -(1 - zeta)^2/zeta the inverse is
+        u = zeta (Q(zeta)(a + b - b zeta) - b^2)/a^2: one linear combination
+        of Q and its shift, whose one place at x^phi is reduced by Phi_m.
+        u is checked by u (1 - zeta)^2 = -zeta before it is returned.
+        """
+        if conductor < 2:
+            raise ZeroInversion("2 - zeta_1 - zeta_1^-1 is zero")
+        phi = cyclotomic_polynomial(conductor)
+        once = list(itertools.accumulate(reversed(phi)))  # Phi_m/(x - 1), top first, then a
+        a = once.pop()
+        twice = list(itertools.accumulate(once))  # Q, top first, then b
+        b = twice.pop()
+        q = twice[::-1] + [0]
+        s = a + b
+        num = [s * c - b * p for c, p in zip(q, [0] + q)]  # Q (a + b - b x), degree phi - 1
+        num[0] -= b * b
+        top = num.pop()  # times x, its top place x^phi = -sum_{j<phi} c_j x^j
+        value = cls._new(conductor, [c - top * p for c, p in zip([0] + num, phi)], a * a)
+        # the exact check: (1 - x)^2 u + x leaves no remainder mod Phi_m
+        row, den = list(value.row), value.den
+        check = [c - 2 * p + pp for c, p, pp in zip(row + [0, 0], [0] + row + [0], [0, 0] + row)]
+        check[1] += den
+        top = check.pop()  # x^(phi + 1) = x * x^phi
+        check[1:] = [c - top * p for c, p in zip(check[1:], phi)]
+        top = check.pop()
+        if any(c - top * p for c, p in zip(check, phi)):
+            raise IdentityFailure(
+                f"1/(2 - zeta - zeta^-1) in Q(zeta_{conductor}) fails u*(1 - zeta)^2 = -zeta"
+            )
+        return value
 
     def _coerce(self, other: object) -> "CycloScalar":
         if isinstance(other, CycloScalar):
@@ -529,19 +571,20 @@ def signed_dot(lefts, rights, signs) -> CycloScalar:
 
 
 def cyclo_trace(value: CycloScalar) -> Fraction:
-    """Trace down to Q: sum of all Galois images, computed coefficientwise.
+    """Trace down to Q: sum of all Galois images, by Ramanujan sums.
 
-    Uses Tr(zeta_m^i) = mu(e) * phi(m)/phi(e) with e = m/gcd(i, m), so no
-    automorphism images are materialized: the numerators are summed per e,
-    as integers over the one denominator.
+    Tr(zeta_m^i) is Ramanujan's sum c_m(i), the sum of g * mu(m/g) over
+    the divisors g of gcd(i, m), so the trace is the sum over g | m of
+    g * mu(m/g) times the numerators at the multiples of g: one slice sum
+    per divisor, as integers over the one denominator, and no
+    automorphism image is materialized.
     """
-    m, deg = value.conductor, len(value.row)
-    sums: dict[int, int] = {}
-    for i, c in enumerate(value.row):
-        if c:
-            e = m // gcd(i, m)
-            sums[e] = sums.get(e, 0) + c
-    total = sum(c * moebius(e) * (deg // euler_phi(e)) for e, c in sums.items())
+    m, row = value.conductor, value.row
+    total = 0
+    for g in divisors(m):
+        mu = moebius(m // g)
+        if mu:
+            total += g * mu * sum(row[::g])
     return Fraction(total, value.den)
 
 

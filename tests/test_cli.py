@@ -799,6 +799,19 @@ def test_identity_half_angle(capsys):
     assert "PASS" in out
 
 
+def test_identity_stdout_is_pinned_up_to_300(capsys):
+    """Every n in 2..300, both kinds: the exact text, with each side from Fraction."""
+    for n in range(2, 301):
+        for which, header, value in (
+            ("type_a", f"rotation-sum identity, type A, n = {n}", F(n * n - 1, 12 * n)),
+            ("half_angle", f"half-angle identity, n = {n}", F(n * n - 1, 6)),
+        ):
+            assert main(["identity", "--n", str(n), "--which", which]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == f"{header}\nlhs = {value}\nrhs = {value}\nPASS\n", (n, which)
+            assert captured.err == ""
+
+
 def test_identity_small_n_is_an_input_error(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["identity", "--n", "1", "--which", "type_a"])

@@ -32,7 +32,7 @@ from orbichern.contributions import (
     verify_type_a_identity,
     verify_type_d_half_angle_identity,
 )
-from orbichern.errors import IdentityFailure, NonRationalTotal
+from orbichern.errors import IdentityFailure, NonRationalTotal, ZeroInversion
 from orbichern.groups import ConjugacyClass, FiniteSubgroup, Word, build_ade_group
 from orbichern.scalars import CycloScalar, euler_phi
 
@@ -118,6 +118,33 @@ def test_conjugate_pair_inverse_is_an_inverse():
     for d in range(2, 31):
         z = CycloScalar.zeta_pow(d)
         assert conjugate_pair_inverse(d) * (2 - z - z ** -1) == 1
+
+
+def test_conjugate_pair_inverse_matches_euclid_inversion():
+    """The inverse read off Phi_d at 1 is the row the general Euclid gives."""
+    for d in [*range(2, 401), 997, 1155, 1998, 1999, 2310, 3974, 3990]:
+        z = CycloScalar.zeta_pow(d)
+        expected = (2 - z - z ** -1).invert()
+        u = conjugate_pair_inverse(d)
+        assert (u.row, u.den) == (expected.row, expected.den), d
+    for d in (1, 0, -3):
+        with pytest.raises(ValueError):
+            conjugate_pair_inverse(d)
+    with pytest.raises(ZeroInversion):
+        CycloScalar.pair_inverse(1)
+
+
+def test_pair_inverse_check_rejects_a_wrong_row(monkeypatch):
+    """u*(1 - zeta)^2 = -zeta is checked on the value about to be returned."""
+    build = CycloScalar._new.__func__
+
+    def off_by_one(cls, conductor, row, den=1):
+        return build(cls, conductor, [row[0] + 1, *row[1:]], den)
+
+    monkeypatch.setattr(CycloScalar, "_new", classmethod(off_by_one))
+    for d in (2, 7, 12, 30):
+        with pytest.raises(IdentityFailure):
+            CycloScalar.pair_inverse(d)
 
 
 def test_primitive_orbit_sum_small_values():

@@ -281,6 +281,38 @@ def test_trace_matches_explicit_galois_orbit_sum():
         assert explicit == cyclo_trace(z)
 
 
+def galois_orbit_sum(z):
+    """The trace as the sum of every Galois image, one automorphism at a time."""
+    m = z.conductor
+    total = CycloScalar.zero(m)
+    for j in range(1, m + 1):
+        if math.gcd(j, m) == 1:
+            total = total + z.galois(j)
+    return total
+
+
+TRACE_CONDUCTORS = [*range(1, 65), 72, 100, 128, 243, 360]
+
+
+def test_trace_by_ramanujan_sums_on_every_conductor():
+    """Prime powers, squarefree and non-squarefree conductors alike."""
+    rng = random.Random(1918)
+    for m in TRACE_CONDUCTORS:
+        deg = euler_phi(m)
+        z = CycloScalar(m, tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)))
+        assert cyclo_trace(z) == galois_orbit_sum(z), m
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_property_trace_is_the_galois_orbit_sum(data):
+    m = data.draw(st.sampled_from(TRACE_CONDUCTORS))
+    deg = euler_phi(m)
+    coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+    z = CycloScalar(m, tuple(data.draw(st.lists(coefficient, min_size=deg, max_size=deg))))
+    assert cyclo_trace(z) == galois_orbit_sum(z)
+
+
 def test_field_axioms_fuzz():
     rng = random.Random(2024)
     for trial in range(60):
