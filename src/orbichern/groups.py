@@ -29,15 +29,19 @@ conjugacy class, the trace-2 check, and the element sum in
 ``contributions``) read labels and ``rational_trace()`` only.  A dense
 trace is built once per label, not per class, for the class table's
 text and order; classes with equal labels (a^e and a^-e) share it.  A
-word's dense trace in Q(zeta_2n) is ``CycloScalar.zeta_pair_sum``: two
-zeta-power rows built once per conductor.  Products and inverses of
-words copy their presentation and skip re-validation; ``Word(...)``
-itself validates every field.
+word's dense trace in Q(zeta_2n) is ``CycloScalar.zeta_pair_sum``: a
+copy or a sum of zeta-power rows built once per conductor.  Its sort
+key is its integer row, (1, m, row), which orders exactly as
+``scalar_key``'s (1, m, c0, 1, c1, 1, ...).  The elements of an A or D
+group, and products and inverses of words, copy their presentation and
+skip re-validation; ``Word(...)`` itself validates every field.
 
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
 conjugation by the generators, and centralizer orders come from the
-orbit-stabilizer relation.  ``conjugated_by`` reads a word's conjugate
+orbit-stabilizer relation.  The partition walks the elements in
+``element_key`` order, so each orbit is first met at its least member,
+which is its representative.  ``conjugated_by`` reads a word's conjugate
 off the two normal forms in one step, and a quaternion product over
 CycloScalars builds each component as one fused ``scalars.signed_dot``.
 """
@@ -45,6 +49,7 @@ CycloScalars builds each component as one fused ``scalars.signed_dot``.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -299,7 +304,15 @@ class Word:
     def identity(self) -> "Word":
         return Word(self.family, self.n, False, 0)
 
-    value_key = staticmethod(scalar_key)
+    @staticmethod
+    def value_key(value) -> tuple:
+        """Sort key of a trace: an integer row, as every pair sum is, keys as
+        (1, m, row), which orders exactly as ``scalar_key``'s (1, m, c0, 1, c1,
+        1, ...); any other value falls back to ``scalar_key``."""
+        if isinstance(value, CycloScalar) and value.den == 1 and not value.is_rational():
+            return (1, value.conductor, value.row)
+        return scalar_key(value)
+
     value_str = staticmethod(scalar_str)
 
     def __str__(self) -> str:
@@ -383,50 +396,60 @@ def conjugacy_classes(
     """Orbit partition of a group's elements under conjugation by generators.
 
     The generators must generate the group.  Classes come back sorted by
-    (size, trace, representative) and each class's centralizer order is
-    derived from orbit-stabilizer; both the class equation and trace
-    constancy along each orbit (by ``rotation()``) are verified.  The
-    trace and its sort key are built once per label, and classes with
-    equal labels share that one trace object.
+    (size, trace, representative), the representative being the
+    ``element_key``-least member of its class, and each class's
+    centralizer order is derived from orbit-stabilizer; both the class
+    equation and trace constancy along each orbit (by ``rotation()``) are
+    verified.  The trace and its sort key are built once per label, and
+    classes with equal labels share that one trace object.
     """
-    members = tuple(elements)
+    return _classes_of_sorted(sorted(elements, key=element_key), generators)
+
+
+def _classes_of_sorted(members, generators) -> tuple:
+    """``conjugacy_classes`` of members already sorted by ``element_key``.
+
+    Walking the members in that order meets each orbit first at its least
+    member, which becomes the representative, and classes are appended in
+    representative order, so a stable sort on (size, trace key) finishes
+    the class order.
+    """
     order = len(members)
-    gens = list(generators)
-    gen_pairs = [(g, g.inverse()) for g in gens]
+    gen_pairs = [(g, g.inverse()) for g in generators]
     seen: set = set()
     traces: dict = {}  # rotation label -> (trace, its sort key)
     keyed = []
-    for start in members:
-        if start in seen:
+    covered = 0
+    for rep in members:
+        if rep in seen:
             continue
-        orbit = {start}
-        queue = [start]
+        orbit = {rep}  # one set per orbit: overlapping orbits break the class equation
+        queue = [rep]
         while queue:
             e = queue.pop()
             for g, g_inv in gen_pairs:
                 conj = e.conjugated_by(g, g_inv)
-                if conj not in orbit:
+                if conj is not e and conj not in orbit:  # a word g fixes comes back as is
                     orbit.add(conj)
                     queue.append(conj)
         seen |= orbit
         size = len(orbit)
+        covered += size
         if order % size != 0:
             raise ArithmeticError("orbit size does not divide the group order")
-        rep = min(orbit, key=element_key)
         label = rep.rotation()
         for e in orbit:
             if e is not rep and e.rotation() != label:
                 raise ArithmeticError("trace is not constant on a conjugacy class")
-        if label not in traces:
+        entry = traces.get(label)
+        if entry is None:
             t = rep.trace()
-            traces[label] = t, rep.value_key(t)
-        t, t_key = traces[label]
-        keyed.append(
-            ((size, t_key, element_key(rep)), ConjugacyClass(rep, size, order // size, t))
-        )
-    if sum(c.size for _, c in keyed) != order:
+            entry = traces[label] = t, rep.value_key(t)
+        t, t_key = entry
+        keyed.append(((size, t_key), ConjugacyClass(rep, size, order // size, t)))
+    if covered != order:
         raise ArithmeticError("class sizes do not sum to the group order")
-    keyed.sort(key=lambda pair: pair[0])
+    keyed.sort(key=operator.itemgetter(0))  # stable: ties stay in representative order
     return tuple(c for _, c in keyed)
 
 
@@ -437,7 +460,7 @@ def _finite_subgroup(
 ) -> FiniteSubgroup:
     members = tuple(sorted(elements, key=element_key))
     gens = tuple(generators)
-    classes = conjugacy_classes(members, gens)
+    classes = _classes_of_sorted(members, gens)
     identity_count = 0
     for g in members:
         if g.rational_trace() == 2:
@@ -485,19 +508,20 @@ def _binary_icosahedral_generators() -> tuple:
 def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     """Construct the finite subgroup of SU(2) named by an ADE label.
 
-    Type A and D groups are enumerated directly from their normal forms
-    (the closure of the same generators agrees; tests verify).  The E
+    Type A and D groups are enumerated directly from their normal forms,
+    each element copied from the validated generator's presentation (the
+    closure of the same generators agrees; tests verify).  The E
     groups are closed from explicit quaternion generators, and the
     resulting order is checked against the catalog.
     """
     n = label.parameter
     if label.kind == "A":
-        elements = [Word("cyclic", n, False, k) for k in range(n)]
         gens = (Word("cyclic", n, False, 1 if n > 1 else 0),)
+        elements = [gens[0]._word(False, k) for k in range(n)]
         group = _finite_subgroup(elements, gens, label)
     elif label.kind == "D":
-        elements = [Word("dicyclic", n, flip, k) for flip in (False, True) for k in range(2 * n)]
         gens = (Word("dicyclic", n, False, 1), Word("dicyclic", n, True, 0))
+        elements = [gens[0]._word(flip, k) for flip in (False, True) for k in range(2 * n)]
         group = _finite_subgroup(elements, gens, label)
     else:
         gens = {

@@ -15,19 +15,27 @@ Galois image and embedding places its integer numerators at their
 exponents and is reduced by one remainder modulo Phi_m (``_reduce``), a
 long division over the nonzero coefficients of Phi_m only.  Four rows
 skip it: zeta^e for e < phi(m) is a unit row, zeta^-1 is read off Phi_m,
-a class trace zeta^e + zeta^-e adds two rows of ``_power_rows``, which
-builds zeta^phi .. zeta^(m-1) in one pass of multiplications by zeta,
-for one conductor at a time, and the orbit-term inverse
-1/(2 - zeta - zeta^-1) (``pair_inverse``) is read off Phi_m at 1 and
-its expansion about 1, with one top place reduced by a pass over Phi_m
-and an exact check u (1 - zeta)^2 = -zeta.  Every other inversion is one
-half-extended Euclid over the integers with primitive remainders
-(``_inverse_row``), exact by construction.  ``signed_dot`` fuses a sum
-of products (one quaternion component) into one convolution and one
-remainder.  ``cyclo_trace`` takes a trace by Ramanujan sums, one slice
-sum per divisor of m.  No polynomial code works on Fractions: a Fraction
-is built only for a result that is a rational number, and for the
-``coeffs`` view.  Every value is immutable and hashable.
+a class trace zeta^e + zeta^-e is built from ``_power_rows``, and the
+orbit-term inverse is read off Phi_m at 1.
+
+``_power_rows`` builds zeta^phi .. zeta^(m-1) in one pass of
+multiplications by zeta, for one conductor at a time; a step whose
+coefficient leaving the top is 0 is a bare shift, which is most steps
+of a sparse row.  A trace row is made in C-level passes: two unit
+places, one ``list()`` copy of a power row plus 1 at a unit place, or
+one ``map(operator.add)`` of two power rows.  The orbit-term inverse
+1/(2 - zeta - zeta^-1) (``pair_inverse``) comes from Phi_m's expansion
+about 1, with one top place reduced by a pass over Phi_m and an exact
+check u (1 - zeta)^2 = -zeta.  A negative power of a monomial c zeta^e
+is c^-k zeta^-ek read off ``zeta_pow``, checked by zeta^-s zeta^s = 1.
+Every other inversion is one half-extended Euclid over the integers
+with primitive remainders (``_inverse_row``), exact by construction.
+``signed_dot`` fuses a sum of products (one quaternion component) into
+one convolution and one remainder.  ``cyclo_trace`` takes a trace by
+Ramanujan sums, one slice sum per divisor of m.  No polynomial code
+works on Fractions: a Fraction is built only for a result that is a
+rational number, and for the ``coeffs`` view.  Every value is immutable
+and hashable.
 
 There are no floating-point code paths here: every operation is exact, and
 anything that cannot be represented exactly raises instead of approximating.
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -184,7 +193,8 @@ def _power_rows(m: int) -> tuple[list[int], ...]:
     """Rows of zeta_m^e for e = phi(m) .. m - 1, kept for one conductor at a time.
 
     zeta^(e+1) = zeta * zeta^e: shift the row up one place and reduce the
-    coefficient leaving the top by the nonzero lower coefficients of Phi_m.
+    coefficient leaving the top, when it is not zero, by the nonzero lower
+    coefficients of Phi_m.
     """
     deg, terms = _division_terms(m)
     row = [0] * (deg - 1) + [1]  # zeta^(deg - 1)
@@ -192,10 +202,11 @@ def _power_rows(m: int) -> tuple[list[int], ...]:
     for _ in range(deg, m):
         top = row[-1]
         row = [0] + row[:-1]
-        for value, places in terms:
-            t = top * value
-            for j in places:
-                row[j] -= t
+        if top:  # a zero leaving the top needs no reduction: most steps of a sparse row
+            for value, places in terms:
+                t = top * value
+                for j in places:
+                    row[j] -= t
         rows.append(row)
     return tuple(rows)
 
@@ -357,14 +368,21 @@ class CycloScalar:
 
     @classmethod
     def zeta_pair_sum(cls, conductor: int, exponent: int) -> "CycloScalar":
-        """zeta_m^e + zeta_m^-e, as the sum of two rows of ``_power_rows``."""
-        deg = len(cyclotomic_polynomial(conductor)) - 1
-        row = [0] * deg
-        for e in (exponent % conductor, -exponent % conductor):
-            if e < deg:
-                row[e] += 1
-            else:
-                row = [a + b for a, b in zip(row, _power_rows(conductor)[e - deg])]
+        """zeta_m^e + zeta_m^-e in C-level passes over ``_power_rows``: two unit
+        places, one copy of a power row plus 1 at a unit place, or one
+        ``map(add)`` of two power rows."""
+        deg = euler_phi(conductor)
+        low, high = sorted((exponent % conductor, -exponent % conductor))
+        if high < deg:
+            row = [0] * deg
+            row[low] += 1
+            row[high] += 1
+        elif low < deg:
+            row = list(_power_rows(conductor)[high - deg])
+            row[low] += 1
+        else:
+            rows = _power_rows(conductor)
+            row = list(map(operator.add, rows[low - deg], rows[high - deg]))
         return cls._new(conductor, row)
 
     @classmethod
@@ -457,8 +475,11 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CycloScalar":
+        if exponent == 1:
+            return self
         if exponent < 0:
-            return self.invert() ** (-exponent)
+            power = self._monomial_power(exponent)  # c zeta^e: no Euclid
+            return power if power is not None else self.invert() ** (-exponent)
         result = CycloScalar.one(self.conductor)
         base = self
         while exponent:
@@ -468,6 +489,43 @@ class CycloScalar:
             if exponent:
                 base = base * base
         return result
+
+    def _monomial_power(self, exponent: int) -> "CycloScalar | None":
+        """(c zeta^e)^-k = c^-k zeta^-ek for k > 0, read off ``zeta_pow``; None
+        when self is not a monomial c zeta^e.
+
+        A row with one nonzero place e is c zeta^e.  Any other row is tried as
+        c zeta^e with e = j + phi(m), j its lowest nonzero place, since the
+        first reduction of x^e leaves -x^(e - phi) as its lowest term
+        (Phi_m(0) = 1).  One row times a power of x, reduced mod Phi_m, is the
+        exact check u z = 1 on the base u = (c zeta^e)^-1: zeta^-e x^e = 1 for
+        one term, and row x^(m - e) = c otherwise, which also decides whether
+        self is c zeta^e at all.
+        """
+        m, row = self.conductor, self.row
+        terms = len(row) - row.count(0)
+        if not terms:
+            return None
+        e = next(itertools.compress(range(len(row)), row))
+        if terms == 1:
+            c, base = row[e], CycloScalar.zeta_pow(m, -e)
+            check = _reduce(m, [0] * e + list(base.row))
+            if check[0] != 1 or any(check[1:]):
+                raise IdentityFailure(f"zeta^-{e} * zeta^{e} in Q(zeta_{m}) is not 1")
+        else:
+            e, base = e + len(row), None
+            if e >= m:
+                return None
+            check = _reduce(m, [0] * (m - e) + list(row))
+            c = check[0]
+            if not c or any(check[1:]):
+                return None
+        if base is None or exponent != -1:
+            base = CycloScalar.zeta_pow(m, e * exponent)
+        scale = Fraction(c, self.den) ** exponent
+        if scale == 1:
+            return base
+        return CycloScalar._new(m, list(map(scale.numerator.__mul__, base.row)), scale.denominator)
 
     def invert(self) -> "CycloScalar":
         s, lam = _inverse_row(self.row, cyclotomic_polynomial(self.conductor))

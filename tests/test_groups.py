@@ -7,6 +7,7 @@ computation is cross-checked against numpy-free float arithmetic.
 """
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichern.ade import AdeLabel
+from orbichern.cli import main
 from orbichern.errors import BoundExceeded, InvalidLabel, TraceTwoNonIdentity
 from orbichern.groups import (
     ConjugacyClass,
@@ -30,7 +32,7 @@ from orbichern.groups import (
     element_key,
     generate_group,
 )
-from orbichern.scalars import CycloScalar, euler_phi
+from orbichern.scalars import CycloScalar, euler_phi, scalar_key
 
 F = Fraction
 
@@ -579,6 +581,67 @@ def test_classes_are_sorted_deterministically():
     shuffled = list(group.elements)
     rng.shuffle(shuffled)
     assert conjugacy_classes(shuffled, group.generators) == group.classes
+
+
+def catalog_labels():
+    """The labels `group` is swept over: A0..A299, D4..D152, E6..E8."""
+    return [f"A{k}" for k in range(300)] + [f"D{k}" for k in range(4, 153)] + ["E6", "E7", "E8"]
+
+
+# sha256 over the concatenated `group` stdout of every catalog label, in order
+CATALOG_GROUP_DIGEST = "8ec95c802dc8c3362300c6642d8a539c937378d5da8e1fb58eab241857b96d55"
+
+
+def test_group_stdout_digest_over_the_catalog(capsys):
+    digest = hashlib.sha256()
+    for text in catalog_labels():
+        assert main(["group", text]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CATALOG_GROUP_DIGEST
+
+
+def test_row_keys_order_word_traces_as_scalar_key():
+    for text in catalog_labels():
+        if text[0] == "E" or text == "A0":
+            continue
+        traces = [c.trace for c in build_ade_group(AdeLabel.from_string(text)).classes]
+        by_row = sorted(range(len(traces)), key=lambda i: Word.value_key(traces[i]))
+        by_scalar = sorted(range(len(traces)), key=lambda i: scalar_key(traces[i]))
+        assert by_row == by_scalar, text
+
+
+def test_row_key_shape_and_fallback():
+    pair = CycloScalar.zeta_pair_sum(14, 3)
+    assert Word.value_key(pair) == (1, 14, pair.row)
+    assert Word.value_key(F(-1)) == scalar_key(F(-1))
+    assert Word.value_key(CycloScalar.from_rational(F(1, 2), 14)) == scalar_key(F(1, 2))
+    half = pair * F(1, 2)  # den 2: not an integer row
+    assert Word.value_key(half) == scalar_key(half)
+
+
+def small_word_labels():
+    return [AdeLabel.from_string(f"A{k}") for k in range(1, 41)] + [
+        AdeLabel.from_string(f"D{k}") for k in range(4, 41)
+    ]
+
+
+def test_shuffled_word_groups_rebuild_the_same_classes():
+    rng = random.Random(1414)
+    for label in small_word_labels():
+        group = build_ade_group(label)
+        shuffled = list(group.elements)
+        rng.shuffle(shuffled)
+        assert conjugacy_classes(shuffled, group.generators) == group.classes, label
+
+
+def test_representatives_are_least_members_of_their_classes():
+    for label in (*small_word_labels(), *(AdeLabel("E", k) for k in (6, 7, 8))):
+        group = build_ade_group(label)
+        for c in group.classes:
+            rep = c.representative
+            members = {g * rep * g.inverse() for g in group.elements}
+            assert len(members) == c.size, (label, c)
+            assert min(members, key=element_key) == rep, (label, c)
 
 
 def test_build_rejects_bad_labels():

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbichern.errors import FieldMismatch, ZeroInversion
+from orbichern import scalars
+from orbichern.errors import FieldMismatch, IdentityFailure, ZeroInversion
 from orbichern.contributions import conjugate_pair_inverse
 from orbichern.groups import Quaternion
 from orbichern.scalars import (
     CycloScalar,
+    _power_rows,
     cyclo_trace,
     cyclotomic_polynomial,
     divisors,
@@ -168,11 +170,34 @@ def test_zeta_powers_match_long_division():
 
 
 def test_pair_sums_match_zeta_power_sums():
-    """The power rows against two zeta_pow rows, every conductor of group A299 and D152."""
+    """The power rows against two zeta_pow rows, every conductor of group A299 and D152,
+    on every path: two unit places, a copied power row, or two power rows added."""
     for m in range(1, 321):
-        for e in range(m):
+        for e in range(m + 1):
             pair = CycloScalar.zeta_pair_sum(m, e)
-            assert pair == CycloScalar.zeta_pow(m, e) + CycloScalar.zeta_pow(m, -e)
+            assert pair == CycloScalar.zeta_pow(m, e) + CycloScalar.zeta_pow(m, -e), (m, e)
+            assert pair.den == 1
+
+
+def test_power_rows_are_the_zeta_power_rows():
+    """Every row of the power table, zero tops skipped, against zeta_pow's remainder."""
+    for m in range(1, 301):
+        deg = euler_phi(m)
+        rows = _power_rows(m)
+        assert len(rows) == m - deg
+        for e in range(deg, m):
+            assert tuple(rows[e - deg]) == CycloScalar.zeta_pow(m, e).row, (m, e)
+
+
+@pytest.mark.parametrize("m", [210, 270, 300])
+def test_pair_sums_where_both_exponents_pass_phi(m):
+    deg = euler_phi(m)
+    both = [e for e in range(m + 1) if min(e % m, -e % m) >= deg]
+    assert both  # the map(add) of two power rows is taken here
+    for e in both:
+        expected = CycloScalar.zeta_pow(m, e) + CycloScalar.zeta_pow(m, -e)
+        assert CycloScalar.zeta_pair_sum(m, e) == expected
+        assert CycloScalar.zeta_pair_sum(m, e).row == expected.row
 
 
 @pytest.mark.parametrize("m", [210, 243, 273, 298, 3974, 3998, 4000])
@@ -223,6 +248,59 @@ def test_large_conductor_pair_inverse_matches_closed_form(d):
     _, remainder = int_poly_divmod(row, cyclotomic_polynomial(d))
     expected = tuple(F(-c, 2 * d) for c in remainder)
     assert conjugate_pair_inverse(d).coeffs == expected
+
+
+@pytest.mark.parametrize("m", [5, 12, 240, 1000, 4000])
+def test_negative_powers_of_zeta_powers(m):
+    rng = random.Random(m)
+    exponents = {0, 1, m // 2, m - 1, euler_phi(m) - 1, euler_phi(m)} | {
+        rng.randrange(m) for _ in range(12 if m > 300 else m)
+    }
+    for e in sorted(exponents):
+        z = CycloScalar.zeta_pow(m, e)
+        assert z ** -1 == CycloScalar.zeta_pow(m, -e) == z.invert(), (m, e)
+        w = 3 * z
+        assert w ** -2 == CycloScalar.zeta_pow(m, -2 * e) * F(1, 9) == (w * w).invert(), (m, e)
+
+
+def test_negative_powers_of_monomials_skip_the_euclid(monkeypatch):
+    def no_euclid(row, phi):
+        raise AssertionError("the integer Euclid ran")
+
+    monkeypatch.setattr(scalars, "_inverse_row", no_euclid)
+    for m in (5, 12, 240, 4000):
+        for e in range(0, euler_phi(m), max(1, euler_phi(m) // 7)):
+            c = F(-2, 3) * CycloScalar.zeta_pow(m, e)
+            assert c ** -3 == CycloScalar.zeta_pow(m, -3 * e) * F(-27, 8)
+            assert (c ** -1) * c == 1
+    assert CycloScalar.zeta_pow(4000, 1999) ** -1 == CycloScalar.zeta_pow(4000, 2001)
+
+
+def test_negative_power_check_rejects_a_wrong_row(monkeypatch):
+    z = CycloScalar.zeta_pow(12, 3)
+    zeta_pow = CycloScalar.zeta_pow
+    monkeypatch.setattr(
+        CycloScalar, "zeta_pow", classmethod(lambda cls, m, e=1: zeta_pow(m, e + 1))
+    )
+    with pytest.raises(IdentityFailure):
+        z ** -1
+
+
+def test_negative_powers_of_other_values_keep_invert():
+    rng = random.Random(77)
+    for m in (7, 12, 15, 60):
+        deg = euler_phi(m)
+        for _ in range(10):
+            x = CycloScalar(m, tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(deg)))
+            if x.is_zero():
+                continue
+            assert x ** -1 == x.invert()
+            assert x ** -2 == (x * x).invert()
+
+
+def test_first_power_is_the_value_itself():
+    for x in (CycloScalar.zeta_pow(12, 5), 2 - CycloScalar.zeta_pow(7, 3), CycloScalar.zero(9)):
+        assert x ** 1 is x
 
 
 def test_to_rational():
