@@ -178,6 +178,9 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # one decoder, reused per file
+
+
 def load_description(path: str):
     """Parse a surface-description file; returns (description, gerbe_order).
 
@@ -186,7 +189,10 @@ def load_description(path: str):
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.loads(handle.read(), object_pairs_hook=_unique_keys)
+            text = handle.read()
+        if text.startswith("\ufeff"):  # the check json.loads makes before decoding
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except OSError as exc:
         raise DescriptionError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

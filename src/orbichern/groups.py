@@ -44,6 +44,12 @@ orbit-stabilizer relation.  The partition walks the elements in
 which is its representative.  ``conjugated_by`` reads a word's conjugate
 off the two normal forms in one step, and a quaternion product over
 CycloScalars builds each component as one fused ``scalars.signed_dot``.
+
+``build_ade_group`` holds the group it built last, and holds a group for
+good only when its label is asked for again after another label was
+built.  A CLI command and each ``table`` row ask for a label once, so
+such a process holds one group at a time instead of every group it ever
+built; loops that revisit labels keep their cache hits.
 """
 
 from __future__ import annotations
@@ -504,7 +510,37 @@ def _binary_icosahedral_generators() -> tuple:
     return (omega, psi)
 
 
-@functools.lru_cache(maxsize=None)
+def _kept_when_asked_again(build):
+    """``build`` cached as ``build_ade_group`` describes; labels asked for
+    once are remembered as labels only.  ``cache_clear()`` forgets all."""
+    asked: set = set()
+    kept: dict = {}
+    last = [None, None]  # the label built last and its group
+
+    @functools.wraps(build)
+    def cached(label: AdeLabel) -> FiniteSubgroup:
+        if label == last[0]:
+            return last[1]
+        group = kept.get(label)
+        if group is None:
+            group = build(label)
+            if label in asked:
+                kept[label] = group
+            else:
+                asked.add(label)
+            last[:] = label, group
+        return group
+
+    def cache_clear() -> None:
+        asked.clear()
+        kept.clear()
+        last[:] = None, None
+
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_kept_when_asked_again
 def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     """Construct the finite subgroup of SU(2) named by an ADE label.
 
@@ -513,6 +549,15 @@ def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     closure of the same generators agrees; tests verify).  The E
     groups are closed from explicit quaternion generators, and the
     resulting order is checked against the catalog.
+
+    The result is cached for callers that come back to a label: the group
+    built last is held, and a label asked for again after another label
+    was built is held for good from that second build on.  A CLI command,
+    a ``table`` row or a benchmark round asks for each label once, so it
+    holds one group at a time rather than every group it built, whose
+    dense class traces grow as n squared.  Loops that revisit
+    labels, as the tests do, keep their cache hits for one extra build
+    per label.  ``build_ade_group.__wrapped__`` is the uncached build.
     """
     n = label.parameter
     if label.kind == "A":

@@ -211,6 +211,16 @@ def test_check_rejects_non_utf8_file(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
 
 
+def test_check_rejects_a_byte_order_mark(tmp_path, capsys):
+    # json.loads refuses a leading BOM; the one reused decoder must refuse it too
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(kummer_payload()).encode())
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+
+
 def test_check_rejects_oversized_integer(tmp_path, capsys):
     path = tmp_path / "huge.json"
     text = json.dumps({**kummer_payload(), "chi_structure_sheaf": 0})

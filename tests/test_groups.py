@@ -7,15 +7,19 @@ computation is cross-checked against numpy-free float arithmetic.
 """
 
 import cmath
+import gc
 import hashlib
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbichern.cli as cli
+import orbichern.groups as groups
 from orbichern.ade import AdeLabel
 from orbichern.cli import main
 from orbichern.errors import BoundExceeded, InvalidLabel, TraceTwoNonIdentity
@@ -647,3 +651,74 @@ def test_representatives_are_least_members_of_their_classes():
 def test_build_rejects_bad_labels():
     with pytest.raises(InvalidLabel):
         build_ade_group(AdeLabel("E", 9))
+
+
+# ----------------------------------------------------------------------
+# group retention: a group is held only when its label is asked for again
+#
+# A330..A336 are asked for by no other test, so these tests see the policy
+# from a label's first ask without clearing the cache other tests use.
+
+
+def count_builds(monkeypatch) -> list:
+    """The labels ``build_ade_group`` builds (not returns from its cache) from now on."""
+    built = []
+    finite_subgroup = groups._finite_subgroup
+
+    def counted(elements, generators, label=None):
+        built.append(label)
+        return finite_subgroup(elements, generators, label)
+
+    monkeypatch.setattr(groups, "_finite_subgroup", counted)
+    return built
+
+
+def test_consecutive_asks_build_once(monkeypatch, capsys):
+    built = count_builds(monkeypatch)
+    label = AdeLabel.from_string("A333")
+    group = build_ade_group(label)
+    assert build_ade_group(label) is group
+    assert main(["group", "A333"]) == 0  # a build followed by its report
+    capsys.readouterr()
+    assert built == [label]
+
+
+def test_single_asks_hold_only_the_last_group(capsys):
+    first = weakref.ref(build_ade_group(AdeLabel.from_string("A330")))
+    for text in ("A330", "A336", "A335"):
+        assert main(["group", text]) == 0
+    capsys.readouterr()
+    last = weakref.ref(build_ade_group(AdeLabel.from_string("A335")))
+    gc.collect()
+    assert first() is None
+    assert last() is not None
+
+
+def test_a_label_asked_again_after_another_build_is_kept(monkeypatch):
+    built = count_builds(monkeypatch)
+    a, b = AdeLabel.from_string("A331"), AdeLabel.from_string("A332")
+    build_ade_group(a)
+    build_ade_group(b)
+    again = build_ade_group(a)  # built a second time, then held for good
+    build_ade_group(b)
+    build_ade_group(AdeLabel.from_string("E6"))
+    assert build_ade_group(a) is again
+    assert built.count(a) == built.count(b) == 2
+
+
+def test_table_holds_one_group_at_a_time(monkeypatch, capsys):
+    build_ade_group.cache_clear()  # every row's label asked for the first time
+    built = count_builds(monkeypatch)
+    refs = []
+    report = cli.build_contribution_report
+
+    def watched(group):
+        refs.append(weakref.ref(group))
+        return report(group)
+
+    monkeypatch.setattr(cli, "build_contribution_report", watched)
+    assert main(["table", "--max-n", "12"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(built) == len(refs) == 2 * 11 + 3  # one build per row
+    assert [ref() is None for ref in refs] == [True] * (len(refs) - 1) + [False]
