@@ -40,7 +40,7 @@ class AdeLabel:
             if self.parameter not in _E_DATA:
                 raise InvalidLabel(f"type E subscript must be 6, 7 or 8, got {self.parameter}")
         else:
-            raise InvalidLabel(f"unknown family {self.kind!r}")
+            raise InvalidLabel(f"unknown family {self.kind!a}")
 
     @property
     def subscript(self) -> int:
@@ -55,7 +55,7 @@ class AdeLabel:
     def from_string(cls, text: str) -> "AdeLabel":
         match = _LABEL_RE.fullmatch(text) if isinstance(text, str) else None
         if not match:
-            raise InvalidLabel(f"not an ADE label: {text!r}")
+            raise InvalidLabel(f"not an ADE label: {text!a}")
         kind, digits = match.groups()
         try:
             sub = int(digits)

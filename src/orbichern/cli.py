@@ -127,10 +127,10 @@ def _record(cls, **fields):
         if value.keys() != fields.keys():
             for key in value:
                 if key not in fields:
-                    raise DescriptionError(f": unknown field {key!r}")
+                    raise DescriptionError(f": unknown field {key!a}")
             for key in fields:
                 if key not in value:
-                    raise DescriptionError(f": missing field {key!r}")
+                    raise DescriptionError(f": missing field {key!a}")
         values = {}
         try:
             for key, read in fields.items():
@@ -173,7 +173,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise DescriptionError(f"duplicate field {key!r}")
+            raise DescriptionError(f"duplicate field {key!a}")
         obj[key] = value
     return obj
 
@@ -208,7 +208,7 @@ def load_description(path: str):
     kind = obj.pop("kind", None)
     if not isinstance(kind, str) or kind not in _KINDS:
         raise DescriptionError(
-            f"{path}: kind must be \"snc_pair\" or \"isolated_points\", got {kind!r}"
+            f"{path}: kind must be \"snc_pair\" or \"isolated_points\", got {kind!a}"
         )
     where = "gerbe_order"
     try:
@@ -391,7 +391,8 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         head, _, rest = message.partition("argument command: invalid choice: ")
         if rest and not head:  # argparse words this differently by version
-            got = rest.rpartition(" (choose from ")[0]
+            # and quotes with repr: escaping it as ascii() does makes the bytes version-free
+            got = rest.rpartition(" (choose from ")[0].encode("ascii", "backslashreplace").decode()
             message = f"argument command: must be check, group, identity or table, got {got}"
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -400,7 +401,7 @@ class _Parser(argparse.ArgumentParser):
 def _order(text: str) -> int:
     """argparse type of ``--n`` and ``--max-n``: ASCII digits, at least 2."""
     if not re.fullmatch(r"[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!a}")
     if int(text) < 2:
         raise argparse.ArgumentTypeError("must be >= 2")
     return int(text)
@@ -411,7 +412,7 @@ def _one_of(*names: str) -> dict:
 
     def choose(text: str) -> str:
         if text not in names:
-            raise argparse.ArgumentTypeError(f"must be {' or '.join(names)}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {' or '.join(names)}, got {text!a}")
         return text
 
     return {"type": choose, "metavar": "{" + ",".join(names) + "}"}

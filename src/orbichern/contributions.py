@@ -12,14 +12,15 @@ here and are kept separate on purpose:
   multiplicity, weight 1/|G| (validates the conjugacy bookkeeping).
 * ``closed_form_contribution``: the catalog formula (chi - 1/|G|)/12.
 
-Terms with irrational traces are summed over Galois orbits, where they
-collapse to rationals by one rule.  Every element, word or quaternion,
-carries the label ``rotation() == (d, j)`` from ``groups``: its trace is
-zeta_d^j + zeta_d^-j.  Elements with an irrational trace are bucketed by
-d, and a bucket of N equally weighted terms whose j's cover the residues
-j <= d/2 prime to d with uniform multiplicity sums to N * S(d) / phi(d).
-Here S(d) is the sum over primitive residues j mod d of
-1/(2 - zeta_d^j - zeta_d^-j), evaluated as the field trace of
+Every term is summed over a Galois orbit, where the terms collapse to a
+rational by one rule.  Every element, word or quaternion, carries the
+label ``rotation() == (d, j)`` from ``groups``: its trace is
+zeta_d^j + zeta_d^-j.  Elements are bucketed by d, and a bucket of N
+equally weighted terms whose j's cover the residues j <= d/2 prime to d
+with uniform multiplicity sums to N * S(d) / phi(d) (``_orbit_sum``).  A
+rational trace, phi(d) <= 2, is an orbit that holds one label, so it
+takes the same rule.  Here S(d) is the sum over primitive residues j mod
+d of 1/(2 - zeta_d^j - zeta_d^-j), evaluated as the field trace of
 ``conjugate_pair_inverse(d)``, cached per order.  That inverse is read
 off Phi_d at 1 (``CycloScalar.pair_inverse``), not found by a Euclid,
 and checked exactly by u (1 - zeta)^2 = -zeta; it serves every group and
@@ -68,7 +69,7 @@ def closed_form_contribution(label: AdeLabel) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# Galois orbits of irrational traces
+# Galois orbits of traces
 
 
 def _orbit_sum(d: int, points: list) -> Fraction:
@@ -76,8 +77,12 @@ def _orbit_sum(d: int, points: list) -> Fraction:
 
     The bucket is Galois-stable when its j's cover the residues j <= d/2
     prime to d with uniform multiplicity; then its N terms sum to
-    N * S(d) / phi(d).  Any other bucket raises NonRationalTotal.
+    N * S(d) / phi(d).  A rational trace (phi(d) <= 2) is an orbit of one
+    label.  Any other bucket raises NonRationalTotal, and a bucket of
+    order 1, trace 2, raises TraceTwoNonIdentity.
     """
+    if d == 1:
+        raise TraceTwoNonIdentity(f"{len(points)} non-identity elements have trace 2")
     counts = Counter(points)
     orbit = {j for j in range(1, d // 2 + 1) if gcd(j, d) == 1}
     if counts.keys() != orbit or len(set(counts.values())) != 1:
@@ -90,7 +95,13 @@ def _orbit_sum(d: int, points: list) -> Fraction:
 
 
 def _orbit_description(d: int, classes: list, centralizer: int) -> str:
-    if isinstance(classes[0].representative, Word):
+    first = classes[0]
+    if euler_phi(d) <= 2:  # a rational trace: one class, an orbit of its own
+        return (
+            f"class of {first.representative} "
+            f"(size {first.size}, centralizer {centralizer}, trace {first.trace_str()})"
+        )
+    if isinstance(first.representative, Word):
         sizes = {c.size for c in classes}
         size_note = f"size {sizes.pop()}" if len(sizes) == 1 else "mixed sizes"
         return (
@@ -103,44 +114,37 @@ def _orbit_description(d: int, classes: list, centralizer: int) -> str:
     return f"classes of {reps} (sizes {sizes}, traces {traces})"
 
 
-def _class_rows(group: FiniteSubgroup) -> list[tuple[int, str, Fraction]]:
-    """One rational row per Galois orbit of nontrivial classes.
+def _class_rows(group: FiniteSubgroup) -> list[tuple[str, Fraction]]:
+    """One (description, value) row per Galois orbit of nontrivial classes.
 
-    Returns (position, description, value) triples; the position is the
-    index in ``group.classes``, which is in class-table order, of the
-    orbit's first class.  Classes with a rational trace are orbits of
-    their own; the others are bucketed by order d and centralizer order.
+    Every class is bucketed by its label ``rotation() == (d, j)`` and each
+    bucket summed by ``_orbit_sum``.  A class with a rational trace
+    (phi(d) <= 2) is a bucket of its own; the others share one per order
+    d and centralizer order.  A bucket is made at its first class, and
+    ``group.classes`` is in class-table order, so the rows are too.
     """
-    rows: list[tuple[int, str, Fraction]] = []
     buckets: dict[tuple, list] = {}
     for position, c in enumerate(group.classes):
-        if c.representative.is_identity():
+        rep = c.representative
+        if rep.is_identity():
             continue
-        t = c.representative.rational_trace()
-        if t is not None:
-            if t == 2 or c.trace == 2:  # the stored trace too: a class record may disagree
-                raise TraceTwoNonIdentity(f"nontrivial class of {c.representative} has trace 2")
-            desc = (
-                f"class of {c.representative} "
-                f"(size {c.size}, centralizer {c.centralizer_order}, trace {t})"
-            )
-            rows.append((position, desc, Fraction(1, c.centralizer_order) / (2 - t)))
-        else:
-            d, j = c.representative.rotation()
-            buckets.setdefault((d, c.centralizer_order), []).append((position, c, j))
-
-    for (d, centralizer), members in buckets.items():
-        value = _orbit_sum(d, [j for _, _, j in members]) / centralizer
-        desc = _orbit_description(d, [c for _, c, _ in members], centralizer)
-        rows.append((members[0][0], desc, value))
-
-    rows.sort(key=lambda row: row[0])
-    return rows
+        d, j = rep.rotation()
+        alone = euler_phi(d) <= 2
+        if alone and c.trace == 2:  # the stored trace too: a class record may disagree
+            raise TraceTwoNonIdentity(f"nontrivial class of {rep} has trace 2")
+        buckets.setdefault((d, c.centralizer_order, position if alone else None), []).append((c, j))
+    return [
+        (
+            _orbit_description(d, [c for c, _ in members], centralizer),
+            _orbit_sum(d, [j for _, j in members]) / centralizer,
+        )
+        for (d, centralizer, _), members in buckets.items()
+    ]
 
 
 def class_sum_contribution(group: FiniteSubgroup) -> Fraction:
     """Sum of 1/(|C(g)| (2 - tr g)) over nontrivial conjugacy classes."""
-    return sum((value for _, _, value in _class_rows(group)), _F0)
+    return sum((value for _, value in _class_rows(group)), _F0)
 
 
 def element_sum_contribution(group: FiniteSubgroup) -> Fraction:
@@ -148,26 +152,15 @@ def element_sum_contribution(group: FiniteSubgroup) -> Fraction:
 
     Never consults class sizes or centralizers; agreement with
     ``class_sum_contribution`` validates the conjugacy bookkeeping.
-    Elements are split by ``rational_trace()`` and the others bucketed by
-    the order d of their label ``rotation() == (d, j)``.
+    Elements are bucketed by the order d of their label
+    ``rotation() == (d, j)`` and each bucket summed by ``_orbit_sum``.
     """
-    rational: Counter = Counter()
     buckets: dict[int, list] = {}
     for g in group.elements:
-        if g.is_identity():
-            continue
-        t = g.rational_trace()
-        if t is None:
+        if not g.is_identity():
             d, j = g.rotation()
             buckets.setdefault(d, []).append(j)
-        elif t == 2:
-            raise TraceTwoNonIdentity(f"non-identity element {g} has trace 2")
-        else:
-            rational[t] += 1
-    total = sum((count / (2 - t) for t, count in rational.items()), _F0)
-    for d, points in buckets.items():
-        total += _orbit_sum(d, points)
-    return total / group.order
+    return sum((_orbit_sum(d, points) for d, points in buckets.items()), _F0) / group.order
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +185,7 @@ def build_contribution_report(group: FiniteSubgroup) -> ContributionReport:
     if group.label is None:
         raise ValueError("report needs a labeled group")
     rows = _class_rows(group)
-    class_sum = sum((value for _, _, value in rows), _F0)
+    class_sum = sum((value for _, value in rows), _F0)
     closed = closed_form_contribution(group.label)
     if class_sum != closed:
         raise IdentityFailure(
@@ -203,7 +196,7 @@ def build_contribution_report(group: FiniteSubgroup) -> ContributionReport:
         group.order,
         class_sum,
         closed,
-        tuple((desc, value) for _, desc, value in rows),
+        tuple(rows),
     )
 
 

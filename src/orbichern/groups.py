@@ -21,20 +21,22 @@ Two exact element representations coexist:
 Every element answers ``rotation()``: the pair (d, j), j <= d/2, of its
 eigenvalues zeta_d^(+-j), so its trace is zeta_d^j + zeta_d^-j and d is
 its order.  Two elements share the label exactly when their traces are
-equal.  A word reads its label off its exponent, so no field element is
-built for it, and computes it once.  A quaternion finds its label by
-matching its trace against the pair sums of one cyclotomic field, once
-per distinct trace.  The per-element loops (trace constancy on each
-conjugacy class, the trace-2 check, and the element sum in
-``contributions``) read labels and ``rational_trace()`` only.  A dense
-trace is built once per label, not per class, for the class table's
-text and order; classes with equal labels (a^e and a^-e) share it.  A
-word's dense trace in Q(zeta_2n) is ``CycloScalar.zeta_pair_sum``: a
-copy or a sum of zeta-power rows built once per conductor.  Its sort
-key is its integer row, (1, m, row), which orders exactly as
-``scalar_key``'s (1, m, c0, 1, c1, 1, ...).  The elements of an A or D
-group, and products and inverses of words, copy their presentation and
-skip re-validation; ``Word(...)`` itself validates every field.
+equal, and the trace is rational exactly when phi(d) <= 2.  A word reads
+its label off its exponent, so no field element is built for it, and
+computes it once.  A quaternion finds its label by matching its trace
+against the pair sums of one cyclotomic field, once per distinct trace.
+Each element is asked for its label twice: for trace constancy on its
+conjugacy class, and for the element sum in ``contributions``.  The
+trace-2 check reads one label per class: the one class with d = 1 must
+be {identity}.  A dense trace is built once per label, not per class,
+for the class table's text and order; classes with equal labels (a^e
+and a^-e) share it.  A word's dense trace in Q(zeta_2n) is
+``CycloScalar.zeta_pair_sum``: a copy or a sum of zeta-power rows built
+once per conductor.  Its sort key is its integer row, (1, m, row), which
+orders exactly as ``scalar_key``'s (1, m, c0, 1, c1, 1, ...).  The
+elements of an A or D group, and products and inverses of words, copy
+their presentation and skip re-validation; ``Word(...)`` itself
+validates every field.
 
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
@@ -173,10 +175,6 @@ class Quaternion:
         """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j <= d/2."""
         return _trace_rotation(self.trace())
 
-    def rational_trace(self) -> Fraction | None:
-        t = self.trace()
-        return t if isinstance(t, Fraction) else None
-
     def is_identity(self) -> bool:
         return self.x == 1 and self.y == 0 and self.z == 0 and self.w == 0
 
@@ -223,7 +221,7 @@ class Word:
 
     def __post_init__(self) -> None:
         if self.family not in ("cyclic", "dicyclic"):
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {self.family!a}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.family == "cyclic" and self.flip:
@@ -294,12 +292,9 @@ class Word:
             object.__setattr__(self, "_rotation", rotation)
         return rotation
 
-    def rational_trace(self) -> Fraction | None:
-        return _RATIONAL_TRACES.get(self.rotation()[0])
-
     def trace(self):
         """The trace in Q(zeta_period), a Fraction when it is rational."""
-        rational = self.rational_trace()
+        rational = _RATIONAL_TRACES.get(self.rotation()[0])
         if rational is not None:
             return rational
         return CycloScalar.zeta_pair_sum(self._period(), self.exp)
@@ -406,8 +401,9 @@ def conjugacy_classes(
     ``element_key``-least member of its class, and each class's
     centralizer order is derived from orbit-stabilizer; both the class
     equation and trace constancy along each orbit (by ``rotation()``) are
-    verified.  The trace and its sort key are built once per label, and
-    classes with equal labels share that one trace object.
+    verified, and the one orbit of trace 2 must be the identity's.  The
+    trace and its sort key are built once per label, and classes with
+    equal labels share that one trace object.
     """
     return _classes_of_sorted(sorted(elements, key=element_key), generators)
 
@@ -418,14 +414,16 @@ def _classes_of_sorted(members, generators) -> tuple:
     Walking the members in that order meets each orbit first at its least
     member, which becomes the representative, and classes are appended in
     representative order, so a stable sort on (size, trace key) finishes
-    the class order.
+    the class order.  An orbit whose label has d = 1 (trace 2) must be
+    {identity}, or TraceTwoNonIdentity is raised, and there must be
+    exactly one.
     """
     order = len(members)
     gen_pairs = [(g, g.inverse()) for g in generators]
     seen: set = set()
     traces: dict = {}  # rotation label -> (trace, its sort key)
     keyed = []
-    covered = 0
+    covered = identities = 0
     for rep in members:
         if rep in seen:
             continue
@@ -447,6 +445,10 @@ def _classes_of_sorted(members, generators) -> tuple:
         for e in orbit:
             if e is not rep and e.rotation() != label:
                 raise ArithmeticError("trace is not constant on a conjugacy class")
+        if label[0] == 1:  # trace 2: only the identity, a class of its own
+            if not rep.is_identity():
+                raise TraceTwoNonIdentity(f"non-identity element {rep} has trace 2")
+            identities += 1
         entry = traces.get(label)
         if entry is None:
             t = rep.trace()
@@ -455,6 +457,8 @@ def _classes_of_sorted(members, generators) -> tuple:
         keyed.append(((size, t_key), ConjugacyClass(rep, size, order // size, t)))
     if covered != order:
         raise ArithmeticError("class sizes do not sum to the group order")
+    if identities != 1:
+        raise ArithmeticError("group does not contain exactly one identity")
     keyed.sort(key=operator.itemgetter(0))  # stable: ties stay in representative order
     return tuple(c for _, c in keyed)
 
@@ -466,16 +470,7 @@ def _finite_subgroup(
 ) -> FiniteSubgroup:
     members = tuple(sorted(elements, key=element_key))
     gens = tuple(generators)
-    classes = _classes_of_sorted(members, gens)
-    identity_count = 0
-    for g in members:
-        if g.rational_trace() == 2:
-            if not g.is_identity():
-                raise TraceTwoNonIdentity(f"non-identity element {g} has trace 2")
-            identity_count += 1
-    if identity_count != 1:
-        raise ArithmeticError("group does not contain exactly one identity")
-    return FiniteSubgroup(label, len(members), members, classes, gens)
+    return FiniteSubgroup(label, len(members), members, _classes_of_sorted(members, gens), gens)
 
 
 def _binary_tetrahedral_generators() -> tuple:

@@ -11,31 +11,32 @@ Q(sqrt 2) in Q(zeta_8) and Q(sqrt 5) in Q(zeta_5).
 
 Phi_m is built as the integer power series prod over d | m of
 (1 - x^d)^mu(m/d), cut at degree phi(m).  Every product, zeta power,
-Galois image and embedding places its integer numerators at their
-exponents and is reduced by one remainder modulo Phi_m (``_reduce``), a
-long division over the nonzero coefficients of Phi_m only.  Four rows
-skip it: zeta^e for e < phi(m) is a unit row, zeta^-1 is read off Phi_m,
-a class trace zeta^e + zeta^-e is built from ``_power_rows``, and the
-orbit-term inverse is read off Phi_m at 1.
+power-table step, Galois image, embedding and orbit-term inverse places
+its integer numerators at their exponents and is reduced by one
+remainder modulo Phi_m (``_reduce``), a long division over the nonzero
+coefficients of Phi_m only.  Only the unit rows below phi(m), zeta^e for
+e < phi(m), skip it: they have nothing to reduce.
 
 ``_power_rows`` builds zeta^phi .. zeta^(m-1) in one pass of
-multiplications by zeta, for one conductor at a time; a step whose
-coefficient leaving the top is 0 is a bare shift, which is most steps
-of a sparse row.  A trace row is made in C-level passes: two unit
-places, one ``list()`` copy of a power row plus 1 at a unit place, or
-one ``map(operator.add)`` of two power rows.  The orbit-term inverse
+multiplications by zeta, for one conductor at a time: each step shifts
+the row up one place and hands its place at x^phi to ``_reduce``, which
+skips it when it is 0, as it is for most steps of a sparse row.  A trace
+row zeta^e + zeta^-e is made in C-level passes: two unit places, one
+``list()`` copy of a power row plus 1 at a unit place, or one
+``map(operator.add)`` of two power rows.  The orbit-term inverse
 1/(2 - zeta - zeta^-1) (``pair_inverse``) comes from Phi_m's expansion
-about 1, with one top place reduced by a pass over Phi_m and an exact
-check u (1 - zeta)^2 = -zeta.  A negative power of a monomial c zeta^e
-is c^-k zeta^-ek read off ``zeta_pow``, checked by zeta^-s zeta^s = 1.
-Every other inversion is one half-extended Euclid over the integers
-with primitive remainders (``_inverse_row``), exact by construction.
-``signed_dot`` fuses a sum of products (one quaternion component) into
-one convolution and one remainder.  ``cyclo_trace`` takes a trace by
-Ramanujan sums, one slice sum per divisor of m.  No polynomial code
-works on Fractions: a Fraction is built only for a result that is a
-rational number, and for the ``coeffs`` view.  Every value is immutable
-and hashable.
+about 1, with its one place at x^phi and its exact check
+u (1 - zeta)^2 = -zeta both reduced by ``_reduce``.  A negative power
+of a monomial c zeta^e is c^-k zeta^-ek read off ``zeta_pow``, checked
+by zeta^-s zeta^s = 1.  Every other inversion is one half-extended
+Euclid over the integers with primitive remainders (``_inverse_row``),
+exact by construction; its pseudo-division is the one polynomial
+remainder besides ``_reduce``.  ``signed_dot`` fuses a sum of products
+(one quaternion component) into one convolution and one remainder.
+``cyclo_trace`` takes a trace by Ramanujan sums, one slice sum per
+divisor of m.  No polynomial code works on Fractions: a Fraction is
+built only for a result that is a rational number, and for the
+``coeffs`` view.  Every value is immutable and hashable.
 
 There are no floating-point code paths here: every operation is exact, and
 anything that cannot be represented exactly raises instead of approximating.
@@ -59,11 +60,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse the wire form "p/q" or "p": ASCII digits, a sign on the
     numerator only, nothing before or after."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {text!a}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
+            raise ValueError(f"zero denominator: {text!a}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -192,21 +193,14 @@ def _reduce(m: int, poly: list) -> list:
 def _power_rows(m: int) -> tuple[list[int], ...]:
     """Rows of zeta_m^e for e = phi(m) .. m - 1, kept for one conductor at a time.
 
-    zeta^(e+1) = zeta * zeta^e: shift the row up one place and reduce the
-    coefficient leaving the top, when it is not zero, by the nonzero lower
-    coefficients of Phi_m.
+    zeta^(e+1) = zeta * zeta^e: shift the row up one place and reduce its
+    one place at x^phi by ``_reduce``, which skips it when it is zero.
     """
-    deg, terms = _division_terms(m)
+    deg = euler_phi(m)
     row = [0] * (deg - 1) + [1]  # zeta^(deg - 1)
     rows = []
     for _ in range(deg, m):
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:  # a zero leaving the top needs no reduction: most steps of a sparse row
-            for value, places in terms:
-                t = top * value
-                for j in places:
-                    row[j] -= t
+        row = _reduce(m, [0] + row)
         rows.append(row)
     return tuple(rows)
 
@@ -355,12 +349,8 @@ class CycloScalar:
 
     @classmethod
     def zeta_pow(cls, conductor: int, exponent: int = 1) -> "CycloScalar":
-        """zeta_m raised to any integer exponent.  Phi_m = sum c_j x^j has
-        c_0 = 1 for m > 1, so zeta^-1 = -sum_{j >= 1} c_j zeta^(j-1)."""
-        phi = cyclotomic_polynomial(conductor)
-        deg, e = len(phi) - 1, exponent % conductor
-        if e >= deg and e == conductor - 1:  # zeta^-1, read off Phi_m
-            return cls._new(conductor, [-c for c in phi[1:]])
+        """zeta_m raised to any integer exponent: x^(e mod m) modulo Phi_m."""
+        deg, e = euler_phi(conductor), exponent % conductor
         poly = [0] * max(deg, e + 1)
         poly[e] = 1
         # below phi(m) the power is a unit row, with nothing to reduce
@@ -394,8 +384,9 @@ class CycloScalar:
         (1 - zeta)^2 Q(zeta) = -(a - b + b zeta), and with
         2 - zeta - zeta^-1 = -(1 - zeta)^2/zeta the inverse is
         u = zeta (Q(zeta)(a + b - b zeta) - b^2)/a^2: one linear combination
-        of Q and its shift, whose one place at x^phi is reduced by Phi_m.
-        u is checked by u (1 - zeta)^2 = -zeta before it is returned.
+        of Q and its shift, whose one place at x^phi is left to ``_reduce``.
+        u is checked by u (1 - zeta)^2 = -zeta, reduced by ``_reduce``,
+        before it is returned.
         """
         if conductor < 2:
             raise ZeroInversion("2 - zeta_1 - zeta_1^-1 is zero")
@@ -408,16 +399,12 @@ class CycloScalar:
         s = a + b
         num = [s * c - b * p for c, p in zip(q, [0] + q)]  # Q (a + b - b x), degree phi - 1
         num[0] -= b * b
-        top = num.pop()  # times x, its top place x^phi = -sum_{j<phi} c_j x^j
-        value = cls._new(conductor, [c - top * p for c, p in zip([0] + num, phi)], a * a)
+        value = cls._new(conductor, _reduce(conductor, [0] + num), a * a)  # times x
         # the exact check: (1 - x)^2 u + x leaves no remainder mod Phi_m
         row, den = list(value.row), value.den
         check = [c - 2 * p + pp for c, p, pp in zip(row + [0, 0], [0] + row + [0], [0, 0] + row)]
         check[1] += den
-        top = check.pop()  # x^(phi + 1) = x * x^phi
-        check[1:] = [c - top * p for c, p in zip(check[1:], phi)]
-        top = check.pop()
-        if any(c - top * p for c, p in zip(check, phi)):
+        if any(_reduce(conductor, check)):
             raise IdentityFailure(
                 f"1/(2 - zeta - zeta^-1) in Q(zeta_{conductor}) fails u*(1 - zeta)^2 = -zeta"
             )
@@ -678,7 +665,7 @@ def scalar_key(value) -> tuple:
                 g = gcd(c, den)
                 pairs[2 * i : 2 * i + 2] = c // g, den // g
         return (1, value.conductor, *pairs)
-    raise TypeError(f"not a scalar: {value!r}")
+    raise TypeError(f"not a scalar: {value!a}")
 
 
 def scalar_str(value) -> str:

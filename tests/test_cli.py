@@ -922,7 +922,34 @@ def test_orders_take_ascii_digits_only(capsys, argv, text):
     assert stop.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"invalid int value: {text!r}" in captured.err
+    assert f"invalid int value: {text!a}" in captured.err
+
+
+# U+00E9 is printable on every version, so repr leaves it raw; U+32011 was
+# first assigned in Unicode 15, so repr escapes it on Python 3.10-3.11 and
+# leaves it raw on 3.12-3.13.  ascii() escapes both on every version.
+NON_ASCII = "\xe9\U00032011"
+QUOTED = "'\\xe9\\U00032011'"
+
+
+def test_non_ascii_values_are_quoted_alike_on_every_python(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "key.json", {"kind": "isolated_points", NON_ASCII: 1})
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"error: {path}: isolated_points: unknown field {QUOTED}\n"
+    monkeypatch.setenv("COLUMNS", "80")
+    lines = {
+        (NON_ASCII,): "orbichern: error: argument command: "
+        f"must be check, group, identity or table, got {QUOTED}\n",
+        ("identity", "--which", "type_a", "--n", NON_ASCII): "orbichern identity: error: "
+        f"argument --n: invalid int value: {QUOTED}\n",
+    }
+    for argv, line in lines.items():
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        assert stop.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines(keepends=True)[-1] == line
 
 
 # ----------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_pair_inverse_check_rejects_a_wrong_row(monkeypatch):
         return build(cls, conductor, [row[0] + 1, *row[1:]], den)
 
     monkeypatch.setattr(CycloScalar, "_new", classmethod(off_by_one))
-    for d in (2, 7, 12, 30):
+    for d in (2, 7, 12, 30, 210, 3990):
         with pytest.raises(IdentityFailure):
             CycloScalar.pair_inverse(d)
 

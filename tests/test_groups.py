@@ -410,11 +410,11 @@ def test_rotation_labels_classify_dense_traces_exactly():
             dense = dense_of[key]
             labels_of_trace.setdefault(dense, set()).add(g.rotation())
             traces_of_label.setdefault(g.rotation(), set()).add(dense)
-            rational = g.rational_trace()
-            if rational is None:
+            if euler_phi(g.rotation()[0]) > 2:  # an irrational trace
                 assert not dense.is_rational(), (label, g)
             else:
-                assert dense.to_rational() == rational, (label, g)
+                assert isinstance(g.trace(), Fraction), (label, g)
+                assert dense.to_rational() == g.trace(), (label, g)
             assert g.trace() == dense, (label, g)
         # equal labels exactly when equal dense traces
         assert all(len(v) == 1 for v in labels_of_trace.values()), label
@@ -441,7 +441,7 @@ def test_quaternion_rotation_labels():
             assert abs(2 * math.cos(2 * math.pi * j / d) - cyclo_float(g.trace()).real) < 1e-9
             labels_of_trace.setdefault(g.trace(), set()).add((d, j))
             traces_of_label.setdefault((d, j), set()).add(g.trace())
-            if k == 8 and g.rational_trace() is None:
+            if k == 8 and not isinstance(g.trace(), Fraction):
                 irrational.add((d, j))
         assert all(len(v) == 1 for v in labels_of_trace.values()), k
         assert all(len(v) == 1 for v in traces_of_label.values()), k
@@ -479,7 +479,7 @@ def test_one_dense_trace_per_trace_label(monkeypatch):
     for label in word_groups():
         built.clear()
         group = build_ade_group.__wrapped__(label)  # bypass the group cache
-        irrational = [c for c in group.classes if c.representative.rational_trace() is None]
+        irrational = [c for c in group.classes if euler_phi(c.representative.rotation()[0]) > 2]
         irrational_classes += len(irrational)
         labels = {c.representative.rotation() for c in irrational}
         distinct_labels += len(labels)
@@ -570,10 +570,27 @@ def test_trace_two_imposter_is_rejected():
         ),
         generators=(fake,),
     )
-    from orbichern.contributions import class_sum_contribution
+    from orbichern.contributions import class_sum_contribution, element_sum_contribution
 
     with pytest.raises(TraceTwoNonIdentity):
         class_sum_contribution(bogus)
+    # and an element of trace 2 that is not 1, in the element sum
+    one = Quaternion(F(1), F(0), F(0), F(0))
+    fake = Quaternion(F(1), F(1), F(0), F(0))
+    with pytest.raises(TraceTwoNonIdentity):
+        element_sum_contribution(FiniteSubgroup(None, 2, (one, fake), (), (one,)))
+
+
+def test_orbit_walk_checks_the_trace_two_class():
+    # the orbit walk reads one label per class: the class of trace 2 must be
+    # {identity}, and there must be exactly one
+    one = Quaternion(F(1), F(0), F(0), F(0))
+    fake = Quaternion(F(1), F(1), F(0), F(0))  # trace 2, not the identity
+    with pytest.raises(TraceTwoNonIdentity):
+        conjugacy_classes([one, fake], [one])
+    minus_one = Quaternion(F(-1), F(0), F(0), F(0))
+    with pytest.raises(ArithmeticError, match="exactly one identity"):
+        conjugacy_classes([minus_one], [minus_one])
 
 
 def test_classes_are_sorted_deterministically():

@@ -147,7 +147,7 @@ def test_zeta_power_reduction_and_periodicity():
 
 
 def test_zeta_inverse_matches_long_division():
-    """zeta^-1 read off Phi_m against x^(m-1) reduced by int_poly_divmod."""
+    """zeta^-1, x^(m-1) reduced by ``_reduce``, against int_poly_divmod."""
     for m in [*range(2, 401), 3974, 3990, 3998, 4000]:
         _, remainder = int_poly_divmod([0] * (m - 1) + [1], cyclotomic_polynomial(m))
         inverse = CycloScalar.zeta_pow(m, -1)
@@ -180,13 +180,16 @@ def test_pair_sums_match_zeta_power_sums():
 
 
 def test_power_rows_are_the_zeta_power_rows():
-    """Every row of the power table, zero tops skipped, against zeta_pow's remainder."""
+    """Every row of the power table, zero tops skipped, against x^e reduced by
+    int_poly_divmod, which shares no code with ``_reduce``."""
     for m in range(1, 301):
-        deg = euler_phi(m)
+        phi = cyclotomic_polynomial(m)
+        deg = len(phi) - 1
         rows = _power_rows(m)
         assert len(rows) == m - deg
         for e in range(deg, m):
-            assert tuple(rows[e - deg]) == CycloScalar.zeta_pow(m, e).row, (m, e)
+            _, remainder = int_poly_divmod([0] * e + [1], phi)
+            assert rows[e - deg] == remainder, (m, e)
 
 
 @pytest.mark.parametrize("m", [210, 270, 300])
