@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidLabel
 
@@ -88,6 +89,11 @@ class AdeResolutionData:
     node_count: int
     group_order: int
     chi_exceptional: int
+
+    @property
+    def point_term(self) -> Fraction:
+        """chi(E) - 1/|G|, twelve times the Todd contribution of the point."""
+        return Fraction(self.chi_exceptional * self.group_order - 1, self.group_order)
 
 
 def resolution_data(label: AdeLabel) -> AdeResolutionData:

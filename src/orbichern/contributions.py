@@ -64,8 +64,7 @@ def primitive_orbit_sum(d: int) -> Fraction:
 
 def closed_form_contribution(label: AdeLabel) -> Fraction:
     """(chi(E) - 1/|G|)/12 from the resolution catalog."""
-    data = resolution_data(label)
-    return (data.chi_exceptional - Fraction(1, data.group_order)) / 12
+    return resolution_data(label).point_term / 12
 
 
 # ----------------------------------------------------------------------

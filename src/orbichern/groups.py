@@ -1,15 +1,17 @@
 """Finite subgroups of SU(2): unit quaternions and presented words.
 
-Two exact element representations coexist:
+Every component and every trace is a ``scalars.CycloScalar``; Q is
+Q(zeta_1).  Two exact element representations coexist:
 
 ``Quaternion``
-    x + y*i + z*j + w*k with components all Fraction (binary tetrahedral)
-    or all CycloScalar in one real quadratic field: Q(sqrt 2) inside
-    Q(zeta_8) (binary octahedral) or Q(sqrt 5) inside Q(zeta_5) (binary
-    icosahedral).  A unit quaternion embeds in SU(2) as
-    [[x+y*i, z+w*i], [-z+w*i, x-y*i]], so its matrix trace is 2x and its
-    determinant is the quaternion norm.  Components and traces print and
-    sort as a + b*sqrt(d).
+    x + y*i + z*j + w*k with components in one field: Q = Q(zeta_1)
+    (binary tetrahedral), Q(sqrt 2) inside Q(zeta_8) (binary octahedral)
+    or Q(sqrt 5) inside Q(zeta_5) (binary icosahedral).  A unit
+    quaternion embeds in SU(2) as [[x+y*i, z+w*i], [-z+w*i, x-y*i]], so
+    its matrix trace is 2x and its determinant is the quaternion norm.
+    Each component of a product is one fused ``scalars.signed_dot``.
+    Components and traces print and sort as a + b*sqrt(d), a rational
+    one as the rational itself.
 
 ``Word``
     Normal form a^e or x*a^e in the cyclic group <a | a^n> or the binary
@@ -31,12 +33,13 @@ trace-2 check reads one label per class: the one class with d = 1 must
 be {identity}.  A dense trace is built once per label, not per class,
 for the class table's text and order; classes with equal labels (a^e
 and a^-e) share it.  A word's dense trace in Q(zeta_2n) is
-``CycloScalar.zeta_pair_sum``: a copy or a sum of zeta-power rows built
-once per conductor.  Its sort key is its integer row, (1, m, row), which
-orders exactly as ``scalar_key``'s (1, m, c0, 1, c1, 1, ...).  The
-elements of an A or D group, and products and inverses of words, copy
-their presentation and skip re-validation; ``Word(...)`` itself
-validates every field.
+``CycloScalar.zeta_pair_sum``, rational or not, and 0 for a flip x*a^k:
+a copy or a sum of zeta-power rows built once per conductor.  A trace
+sorts as ``scalar_key`` orders it: a rational value as (0, num, den),
+an irrational word trace as its integer row, (1, m, row), which orders
+exactly as (1, m, c0, 1, c1, 1, ...).  The elements of an A or D group,
+and products and inverses of words, copy their presentation and skip
+re-validation; ``Word(...)`` itself validates every field.
 
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
@@ -44,8 +47,7 @@ conjugation by the generators, and centralizer orders come from the
 orbit-stabilizer relation.  The partition walks the elements in
 ``element_key`` order, so each orbit is first met at its least member,
 which is its representative.  ``conjugated_by`` reads a word's conjugate
-off the two normal forms in one step, and a quaternion product over
-CycloScalars builds each component as one fused ``scalars.signed_dot``.
+off the two normal forms in one step; a quaternion multiplies twice.
 
 ``build_ade_group`` holds the group it built last, and holds a group for
 good only when its label is asked for again after another label was
@@ -65,13 +67,7 @@ from typing import Iterable, Union
 
 from .ade import AdeLabel, resolution_data
 from .errors import BoundExceeded, TraceTwoNonIdentity
-from .scalars import CycloScalar, canonical_scalar, cyclo_trace, scalar_key, scalar_str, signed_dot
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-# zeta_d^j + zeta_d^-j for the five rotation orders d where it is rational
-_RATIONAL_TRACES = {1: Fraction(2), 2: Fraction(-2), 3: Fraction(-1), 4: _F0, 6: _F1}
+from .scalars import CycloScalar, cyclo_trace, signed_dot
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,7 +102,7 @@ def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
 
 
 @functools.lru_cache(maxsize=None)
-def _trace_rotation(t) -> tuple[int, int]:
+def _trace_rotation(t: CycloScalar) -> tuple[int, int]:
     """(d, j), j <= d/2, with zeta_d^j + zeta_d^-j == t.
 
     A rational t is searched in Q(zeta_12), which holds all five rational
@@ -115,7 +111,7 @@ def _trace_rotation(t) -> tuple[int, int]:
     is d, or d/2 when d is 2 mod 4, so d divides M.  The match zeta_M^e + zeta_M^-e reduces
     to d = M/g, j = e/g with g = gcd(e, M).
     """
-    if isinstance(t, Fraction):
+    if t.is_rational():
         m = 12
     else:
         m = lcm(2, t.conductor)
@@ -129,28 +125,23 @@ def _trace_rotation(t) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Exact quaternion x + y*i + z*j + w*k over Q or Q(sqrt(d))."""
+    """Exact quaternion x + y*i + z*j + w*k, its components CycloScalars of
+    one conductor: 1 (Q), 8 (Q(sqrt 2)) or 5 (Q(sqrt 5))."""
 
-    x: object
-    y: object
-    z: object
-    w: object
+    x: CycloScalar
+    y: CycloScalar
+    z: CycloScalar
+    w: CycloScalar
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
+        """Each component one fused sum of products."""
         a, b, c, d = self.x, self.y, self.z, self.w
         p, q, r, s = other.x, other.y, other.z, other.w
-        if isinstance(a, CycloScalar):  # each component one fused sum of products
-            return Quaternion(
-                signed_dot((a, b, c, d), (p, q, r, s), (1, -1, -1, -1)),
-                signed_dot((a, b, c, d), (q, p, s, r), (1, 1, 1, -1)),
-                signed_dot((a, b, c, d), (r, s, p, q), (1, -1, 1, 1)),
-                signed_dot((a, b, c, d), (s, r, q, p), (1, 1, -1, 1)),
-            )
         return Quaternion(
-            a * p - b * q - c * r - d * s,
-            a * q + b * p + c * s - d * r,
-            a * r - b * s + c * p + d * q,
-            a * s + b * r - c * q + d * p,
+            signed_dot((a, b, c, d), (p, q, r, s), (1, -1, -1, -1)),
+            signed_dot((a, b, c, d), (q, p, s, r), (1, 1, 1, -1)),
+            signed_dot((a, b, c, d), (r, s, p, q), (1, -1, 1, 1)),
+            signed_dot((a, b, c, d), (s, r, q, p), (1, 1, -1, 1)),
         )
 
     def conjugate(self) -> "Quaternion":
@@ -168,8 +159,8 @@ class Quaternion:
             raise ArithmeticError(f"{self} is not a unit quaternion")
         return self.conjugate()
 
-    def trace(self):
-        return canonical_scalar(self.x + self.x)
+    def trace(self) -> CycloScalar:
+        return self.x + self.x
 
     def rotation(self) -> tuple[int, int]:
         """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j <= d/2."""
@@ -183,19 +174,18 @@ class Quaternion:
         return Quaternion(zero + 1, zero, zero, zero)
 
     @staticmethod
-    def value_key(value) -> tuple:
-        """Sort key of a component or trace: rationals, then (d, a, b)."""
-        value = canonical_scalar(value)
-        if isinstance(value, Fraction):
-            return scalar_key(value)
+    def value_key(value: CycloScalar) -> tuple:
+        """Sort key of a component or trace: rationals as (0, num, den), then
+        (1, d, a, b) for a + b*sqrt(d)."""
+        if value.is_rational():
+            return (0, value.row[0], value.den)
         d, a, b = _quadratic_parts(value)
         return (1, d, a.numerator, a.denominator, b.numerator, b.denominator)
 
     @staticmethod
-    def value_str(value) -> str:
+    def value_str(value: CycloScalar) -> str:
         """A component or trace as "a + b*sqrtd", "b*sqrtd" or "a"."""
-        value = canonical_scalar(value)
-        if isinstance(value, Fraction):
+        if value.is_rational():
             return str(value)
         d, a, b = _quadratic_parts(value)
         term = f"sqrt{d}" if abs(b) == 1 else f"{abs(b)}*sqrt{d}"
@@ -292,11 +282,10 @@ class Word:
             object.__setattr__(self, "_rotation", rotation)
         return rotation
 
-    def trace(self):
-        """The trace in Q(zeta_period), a Fraction when it is rational."""
-        rational = _RATIONAL_TRACES.get(self.rotation()[0])
-        if rational is not None:
-            return rational
+    def trace(self) -> CycloScalar:
+        """zeta^exp + zeta^-exp in Q(zeta_period); 0 for a flip x*a^k."""
+        if self.flip:
+            return CycloScalar.zero(self._period())
         return CycloScalar.zeta_pair_sum(self._period(), self.exp)
 
     def is_identity(self) -> bool:
@@ -306,15 +295,15 @@ class Word:
         return Word(self.family, self.n, False, 0)
 
     @staticmethod
-    def value_key(value) -> tuple:
-        """Sort key of a trace: an integer row, as every pair sum is, keys as
-        (1, m, row), which orders exactly as ``scalar_key``'s (1, m, c0, 1, c1,
-        1, ...); any other value falls back to ``scalar_key``."""
-        if isinstance(value, CycloScalar) and value.den == 1 and not value.is_rational():
-            return (1, value.conductor, value.row)
-        return scalar_key(value)
+    def value_key(value: CycloScalar) -> tuple:
+        """Sort key of a trace, as ``scalar_key`` orders it: a rational as
+        (0, num, den), and an irrational pair sum, an integer row, as
+        (1, m, row), which orders as (1, m, c0, 1, c1, 1, ...)."""
+        if value.is_rational():
+            return (0, value.row[0], value.den)
+        return (1, value.conductor, value.row)
 
-    value_str = staticmethod(scalar_str)
+    value_str = staticmethod(str)
 
     def __str__(self) -> str:
         if self.is_identity():
@@ -376,7 +365,7 @@ class ConjugacyClass:
     representative: GroupElement
     size: int
     centralizer_order: int
-    trace: object
+    trace: CycloScalar
 
     def trace_str(self) -> str:
         return self.representative.value_str(self.trace)
@@ -474,9 +463,10 @@ def _finite_subgroup(
 
 
 def _binary_tetrahedral_generators() -> tuple:
-    half = Fraction(1, 2)
-    i = Quaternion(_F0, _F1, _F0, _F0)
-    omega = Quaternion(half, half, half, half)
+    lift = functools.partial(CycloScalar.from_rational, conductor=1)  # Q is Q(zeta_1)
+
+    i = Quaternion(lift(0), lift(1), lift(0), lift(0))
+    omega = Quaternion(*(lift(Fraction(1, 2)) for _ in range(4)))
     return (i, omega)
 
 

@@ -176,8 +176,7 @@ def pair_orbifold_euler(desc: SncPairDescription) -> Fraction:
 @lru_cache
 def point_term(label: AdeLabel) -> Fraction:
     """chi(E) - 1/|G| for one ADE point (twelve times its Todd contribution)."""
-    data = resolution_data(label)
-    return Fraction(data.chi_exceptional * data.group_order - 1, data.group_order)
+    return resolution_data(label).point_term
 
 
 def codim2_c2(desc: IsolatedPointsDescription) -> Fraction:

@@ -1,21 +1,28 @@
-"""Exact scalar arithmetic: rationals and cyclotomic fields.
+"""Exact scalar arithmetic: one cyclotomic field type, and rationals at its edges.
 
-Rationals are ``fractions.Fraction``: arbitrary precision, always in
-lowest terms, positive denominator.  ``CycloScalar`` represents an element
-of Q(zeta_m) as a dense polynomial residue modulo the m-th cyclotomic
-polynomial on the power basis 1, zeta, ..., zeta^(phi(m)-1), stored as
-one row of integer numerators over one positive denominator in lowest
-terms (FLINT's fmpq_poly layout).  It is the one irrational field type:
-the real quadratic fields the exceptional groups need sit inside it,
-Q(sqrt 2) in Q(zeta_8) and Q(sqrt 5) in Q(zeta_5).
+``CycloScalar`` represents an element of Q(zeta_m) as a dense polynomial
+residue modulo the m-th cyclotomic polynomial on the power basis 1, zeta,
+..., zeta^(phi(m)-1), stored as one row of integer numerators over one
+positive denominator in lowest terms (FLINT's fmpq_poly layout).  It is
+the one field type: Q itself is Q(zeta_1), a row of one place, and the
+real quadratic fields the exceptional groups need sit inside it,
+Q(sqrt 2) in Q(zeta_8) and Q(sqrt 5) in Q(zeta_5).  ``fractions.Fraction``
+appears only at the edges: the wire form (``parse_rational``), constructor
+inputs, and results that are rational numbers (traces down to Q, the
+``coeffs`` view).
 
 Phi_m is built as the integer power series prod over d | m of
-(1 - x^d)^mu(m/d), cut at degree phi(m).  Every product, zeta power,
-power-table step, Galois image, embedding and orbit-term inverse places
-its integer numerators at their exponents and is reduced by one
-remainder modulo Phi_m (``_reduce``), a long division over the nonzero
-coefficients of Phi_m only.  Only the unit rows below phi(m), zeta^e for
-e < phi(m), skip it: they have nothing to reduce.
+(1 - x^d)^mu(m/d), cut at degree phi(m); the dimension phi(m) alone comes
+from ``euler_phi``.  Every product, zeta power, power-table step, Galois
+image, embedding and orbit-term inverse places its integer numerators at
+their exponents and is reduced by one remainder modulo Phi_m
+(``_reduce``), a long division over the nonzero coefficients of Phi_m
+only.  Only the unit rows below phi(m), zeta^e for e < phi(m), skip it:
+they have nothing to reduce.  Every product is one ``signed_dot``, a sum
+of signed products (a quaternion component, or one product ``a * b``)
+fused into one convolution and one remainder.  A Galois image and an
+embedding are the same step (``_placed``): place coefficient i at
+i*k mod M, then reduce.
 
 ``_power_rows`` builds zeta^phi .. zeta^(m-1) in one pass of
 multiplications by zeta, for one conductor at a time: each step shifts
@@ -31,12 +38,11 @@ of a monomial c zeta^e is c^-k zeta^-ek read off ``zeta_pow``, checked
 by zeta^-s zeta^s = 1.  Every other inversion is one half-extended
 Euclid over the integers with primitive remainders (``_inverse_row``),
 exact by construction; its pseudo-division is the one polynomial
-remainder besides ``_reduce``.  ``signed_dot`` fuses a sum of products
-(one quaternion component) into one convolution and one remainder.
-``cyclo_trace`` takes a trace by Ramanujan sums, one slice sum per
-divisor of m.  No polynomial code works on Fractions: a Fraction is
-built only for a result that is a rational number, and for the
-``coeffs`` view.  Every value is immutable and hashable.
+remainder besides ``_reduce``.  ``cyclo_trace`` takes a trace by
+Ramanujan sums, one slice sum per divisor of m.  No polynomial code
+works on Fractions.  ``scalar_key`` is the reference order of values:
+a rational, in any field, before every irrational value.  Every value
+is immutable and hashable.
 
 There are no floating-point code paths here: every operation is exact, and
 anything that cannot be represented exactly raises instead of approximating.
@@ -298,7 +304,7 @@ class CycloScalar:
     __slots__ = ("conductor", "row", "den")
 
     def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        deg = len(cyclotomic_polynomial(conductor)) - 1
+        deg = euler_phi(conductor)
         if len(coeffs) != deg:
             raise ValueError(
                 f"conductor {conductor} needs {deg} coefficients, got {len(coeffs)}"
@@ -336,8 +342,9 @@ class CycloScalar:
     @classmethod
     def from_rational(cls, value: Fraction | int, conductor: int) -> "CycloScalar":
         value = Fraction(value)
-        deg = len(cyclotomic_polynomial(conductor)) - 1
-        return cls._new(conductor, [value.numerator] + [0] * (deg - 1), value.denominator)
+        row = [0] * euler_phi(conductor)
+        row[0] = value.numerator
+        return cls._new(conductor, row, value.denominator)
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloScalar":
@@ -449,15 +456,7 @@ class CycloScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.row, other.row
-        right = [(j, y) for j, y in enumerate(b) if y]
-        conv = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in right:
-                    conv[i + j] += x * y
-        m = self.conductor
-        return CycloScalar._new(m, _reduce(m, conv), self.den * other.den)
+        return signed_dot((self,), (other,), (1,))
 
     __rmul__ = __mul__
 
@@ -519,29 +518,30 @@ class CycloScalar:
         row = [self.den * c for c in s] + [0] * (len(self.row) - len(s))
         return CycloScalar._new(self.conductor, row, lam)
 
+    def _placed(self, conductor: int, k: int) -> "CycloScalar":
+        """zeta_m^i -> zeta_M^(i*k mod M) on every place i, reduced mod Phi_M.
+
+        The places stay distinct for a Galois image (M = m, k a unit mod m)
+        and for an embedding (k = M/m, so i*k < phi(m)*k <= M).
+        """
+        poly = [0] * conductor
+        for i, c in enumerate(self.row):
+            poly[i * k % conductor] = c
+        return CycloScalar._new(conductor, _reduce(conductor, poly), self.den)
+
     def galois(self, j: int) -> "CycloScalar":
         """Image under the automorphism zeta -> zeta^j, gcd(j, m) = 1."""
         m = self.conductor
-        j %= m
         if gcd(j, m) != 1:
             raise ValueError(f"{j} is not invertible modulo {m}")
-        poly = [0] * m
-        for i, c in enumerate(self.row):
-            poly[(i * j) % m] = c  # distinct places: j is a unit mod m
-        return CycloScalar._new(m, _reduce(m, poly), self.den)
+        return self._placed(m, j)
 
     def embed(self, conductor: int) -> "CycloScalar":
         """Image in Q(zeta_M) for a multiple M of the conductor (zeta_m = zeta_M^(M/m))."""
         m = self.conductor
         if conductor % m != 0:
             raise FieldMismatch(f"{m} does not divide {conductor}")
-        if conductor == m:
-            return self
-        step = conductor // m
-        poly = [0] * conductor
-        for i, c in enumerate(self.row):
-            poly[i * step] = c
-        return CycloScalar._new(conductor, _reduce(conductor, poly), self.den)
+        return self if conductor == m else self._placed(conductor, conductor // m)
 
     def is_rational(self) -> bool:
         return not any(self.row[1:])
@@ -634,39 +634,28 @@ def cyclo_trace(value: CycloScalar) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# helpers shared by the group/contribution layers
-
-def canonical_scalar(value):
-    """Collapse a scalar to the smallest field that contains it.
-
-    A CycloScalar with a rational value becomes a plain Fraction; anything
-    already rational or genuinely irrational is returned unchanged.
-    """
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, CycloScalar):
-        q = value.to_rational()
-        return q if q is not None else value
-    return value
+# the reference order of scalars
 
 
 def scalar_key(value) -> tuple:
-    """Deterministic, totally ordered sort key across all scalar kinds."""
-    value = canonical_scalar(value)
-    if isinstance(value, Fraction):
-        return (0, value.numerator, value.denominator)
-    if isinstance(value, CycloScalar):
-        den, row = value.den, value.row
-        pairs = [1] * (2 * len(row))  # each coefficient c/den in lowest terms
-        if den == 1:
-            pairs[::2] = row
-        else:
-            for i, c in enumerate(row):
-                g = gcd(c, den)
-                pairs[2 * i : 2 * i + 2] = c // g, den // g
-        return (1, value.conductor, *pairs)
-    raise TypeError(f"not a scalar: {value!a}")
+    """Deterministic, totally ordered sort key of a rational or a CycloScalar.
 
-
-def scalar_str(value) -> str:
-    return str(canonical_scalar(value))
+    A rational value, in any field and as a Fraction or int, keys as
+    (0, numerator, denominator); any other value as (1, m, c0, d0, c1, d1,
+    ...), its coefficients in lowest terms.
+    """
+    if isinstance(value, (int, Fraction)):
+        value = CycloScalar.from_rational(value, 1)
+    elif not isinstance(value, CycloScalar):
+        raise TypeError(f"not a scalar: {value!a}")
+    den, row = value.den, value.row
+    if value.is_rational():
+        return (0, row[0], den)
+    pairs = [1] * (2 * len(row))  # each coefficient c/den in lowest terms
+    if den == 1:
+        pairs[::2] = row
+    else:
+        for i, c in enumerate(row):
+            g = gcd(c, den)
+            pairs[2 * i : 2 * i + 2] = c // g, den // g
+    return (1, value.conductor, *pairs)

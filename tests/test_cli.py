@@ -3,7 +3,9 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import random
 import re
 import subprocess
@@ -126,6 +128,72 @@ def test_check_gerbe_scaling(tmp_path, capsys):
     assert F(out["margin"]) == F(409, 24)
     assert out["per_point"] == [["E6", "167/72"]]
     assert out["verdict"] == "Holds"
+
+
+# ----------------------------------------------------------------------
+# check against the literature
+
+
+def nodal_surface_payload(d, nodes):
+    """A degree-d surface in P^3 with ``nodes`` A1 points: chi(O) = 1 + C(d-1, 3)
+    and c1^2 = d (d - 4)^2, the numbers of a smooth surface of degree d."""
+    return {
+        "kind": "isolated_points",
+        "chi_structure_sheaf": 1 + math.comb(d - 1, 3),
+        "c1_squared": str(d * (d - 4) ** 2),
+        "points": ["A1"] * nodes,
+        "canonical_nef_asserted": True,
+    }
+
+
+@pytest.mark.parametrize("d, bound, verdict", [(4, 16, "HoldsWithEquality"), (5, 35, "Holds"), (6, 66, "Holds")])
+def test_check_reaches_miyaoka_node_bound(tmp_path, capsys, d, bound, verdict):
+    # Miyaoka (1984): a nodal surface of degree d in P^3 has at most
+    # 4/9 d (d - 1)^2 nodes; 3c2 >= c1^2 holds up to that count, fails past it
+    assert bound == 4 * d * (d - 1) ** 2 // 9
+    path = write_json(tmp_path, "bound.json", nodal_surface_payload(d, bound))
+    assert main(["check", path]) == 0
+    assert f"verdict = {verdict}\n" in capsys.readouterr().out
+    path = write_json(tmp_path, "past.json", nodal_surface_payload(d, bound + 1))
+    assert main(["check", path]) == 3
+    assert "verdict = Fails\n" in capsys.readouterr().out
+
+
+def petersen_payload(n):
+    """The quintic del Pezzo surface with its ten lines, each of ramification n.
+
+    The lines are the pairs from {0, ..., 4}, and two lines meet exactly when
+    their pairs are disjoint: the 15 edges of the Petersen graph.
+    """
+    lines = list(itertools.combinations(range(5), 2))
+    crossings = [
+        {"i": i, "j": j, "count": 1}
+        for i, j in itertools.combinations(range(len(lines)), 2)
+        if not set(lines[i]) & set(lines[j])
+    ]
+    assert len(crossings) == 15
+    line = {"ramification": n, "chi_divisor": 2, "k_dot": -1, "self_int": -1}
+    return {
+        "kind": "snc_pair",
+        "chi_coarse": 7,
+        "k_squared": 5,
+        "divisors": [dict(line) for _ in lines],
+        "crossings": crossings,
+        "canonical_nef_asserted": True,
+    }
+
+
+@pytest.mark.parametrize("n, margin", [(3, F(4, 9)), (4, F(1, 16)), (5, F(0)), (6, F(1, 36)), (7, F(4, 49))])
+def test_check_hirzebruch_petersen_family(tmp_path, capsys, n, margin):
+    # Hirzebruch (1983): the margin is (1 - 5/n)^2, zero exactly at n = 5,
+    # where the orbifold is a ball quotient
+    path = write_json(tmp_path, "dp5.json", petersen_payload(n))
+    assert main(["check", path, "--format", "structured"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert F(out["margin"]) == margin == (1 - F(5, n)) ** 2
+    assert out["verdict"] == ("HoldsWithEquality" if n == 5 else "Holds")
+    if n == 5:
+        assert (F(out["c1_squared"]), F(out["c2"])) == (F(9, 5), F(3, 5))
 
 
 def test_check_rejects_bad_ramification(tmp_path, capsys):

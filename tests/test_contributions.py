@@ -319,7 +319,7 @@ def test_report_rejects_corrupted_class_data():
 def test_unpaired_irrational_trace_is_rejected():
     # one golden-trace class without its Galois partner cannot collapse
     e8 = build_ade_group(AdeLabel("E", 8))
-    golden = [c for c in e8.classes if not isinstance(c.trace, Fraction)]  # irrational
+    golden = [c for c in e8.classes if not c.trace.is_rational()]
     assert len(golden) == 4
     keep = (e8.classes[0], golden[0])
     lopsided = FiniteSubgroup(e8.label, e8.order, e8.elements, keep, e8.generators)

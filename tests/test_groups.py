@@ -63,6 +63,11 @@ def cyclo_float(value) -> complex:
     return complex(scalar_float(value))
 
 
+def rational_quaternion(x, y, z, w) -> Quaternion:
+    """x + y*i + z*j + w*k with rational components, each in Q(zeta_1)."""
+    return Quaternion(*(CycloScalar.from_rational(c, 1) for c in (x, y, z, w)))
+
+
 def matmul(a, b):
     return (
         (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
@@ -101,15 +106,15 @@ def det(a):
 
 
 def test_closure_of_minus_one():
-    minus_one = Quaternion(F(-1), F(0), F(0), F(0))
+    minus_one = rational_quaternion(-1, 0, 0, 0)
     group = generate_group([minus_one])
     assert len(group) == 2
     assert any(g.is_identity() for g in group)
 
 
 def test_closure_of_quaternion_units():
-    i = Quaternion(F(0), F(1), F(0), F(0))
-    j = Quaternion(F(0), F(0), F(1), F(0))
+    i = rational_quaternion(0, 1, 0, 0)
+    j = rational_quaternion(0, 0, 1, 0)
     assert len(generate_group([i, j])) == 8
 
 
@@ -196,8 +201,8 @@ def test_word_traces_match_matrix_traces():
 
 
 def test_trace_values():
-    i = Quaternion(F(0), F(1), F(0), F(0))
-    omega = Quaternion(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+    i = rational_quaternion(0, 1, 0, 0)
+    omega = rational_quaternion(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
     assert i.identity().trace() == 2
     assert i.trace() == 0
     assert omega.trace() == 1
@@ -231,7 +236,7 @@ def test_quaternion_inverse_in_irrational_groups():
 
 def test_non_unit_quaternion_has_no_group_inverse():
     with pytest.raises(ArithmeticError):
-        Quaternion(F(1), F(1), F(0), F(0)).inverse()
+        rational_quaternion(1, 1, 0, 0).inverse()
 
 
 def test_mixed_family_words_do_not_combine():
@@ -331,16 +336,17 @@ def operator_product(g: Quaternion, h: Quaternion) -> Quaternion:
 
 
 def test_fused_quaternion_product_equals_the_operator_formula():
+    e6 = build_ade_group(AdeLabel("E", 6)).elements
     e7 = build_ade_group(AdeLabel("E", 7)).elements
-    pairs = [(g, h) for g in e7 for h in e7]
+    pairs = [(g, h) for group in (e6, e7) for g in group for h in group]
     rng = random.Random(4077)
     e8 = build_ade_group(AdeLabel("E", 8)).elements
     pairs += [(rng.choice(e8), rng.choice(e8)) for _ in range(2000)]
-    assert len(pairs) == 48 * 48 + 2000
+    assert len(pairs) == 24 * 24 + 48 * 48 + 2000
     for g, h in pairs:
         product, expected = g * h, operator_product(g, h)
         assert product == expected and hash(product) == hash(expected), (g, h)
-    for group in (e7, e8):  # a quaternion conjugates by the same products
+    for group in (e6, e7, e8):  # a quaternion conjugates by the same products
         g, h = group[5], group[11]
         assert g.conjugated_by(h, h.inverse()) == h * g * h.inverse()
 
@@ -364,6 +370,17 @@ def test_property_fused_quaternion_product(pair):
     g, h = pair
     product, expected = g * h, operator_product(g, h)
     assert product == expected and hash(product) == hash(expected)
+
+
+def test_exceptional_components_live_in_one_field_per_group():
+    # E6 over Q = Q(zeta_1), E7 over Q(sqrt 2) in Q(zeta_8), E8 over Q(sqrt 5) in Q(zeta_5)
+    for k, conductor in ((6, 1), (7, 8), (8, 5)):
+        group = build_ade_group(AdeLabel("E", k))
+        for g in group.elements:
+            for c in (g.x, g.y, g.z, g.w):
+                assert isinstance(c, CycloScalar) and c.conductor == conductor, (k, g)
+        for c in group.classes:
+            assert isinstance(c.trace, CycloScalar) and c.trace.conductor == conductor, (k, c)
 
 
 def test_element_keys_are_distinct_within_a_group():
@@ -413,7 +430,7 @@ def test_rotation_labels_classify_dense_traces_exactly():
             if euler_phi(g.rotation()[0]) > 2:  # an irrational trace
                 assert not dense.is_rational(), (label, g)
             else:
-                assert isinstance(g.trace(), Fraction), (label, g)
+                assert g.trace().is_rational(), (label, g)
                 assert dense.to_rational() == g.trace(), (label, g)
             assert g.trace() == dense, (label, g)
         # equal labels exactly when equal dense traces
@@ -441,7 +458,7 @@ def test_quaternion_rotation_labels():
             assert abs(2 * math.cos(2 * math.pi * j / d) - cyclo_float(g.trace()).real) < 1e-9
             labels_of_trace.setdefault(g.trace(), set()).add((d, j))
             traces_of_label.setdefault((d, j), set()).add(g.trace())
-            if k == 8 and not isinstance(g.trace(), Fraction):
+            if k == 8 and not g.trace().is_rational():
                 irrational.add((d, j))
         assert all(len(v) == 1 for v in labels_of_trace.values()), k
         assert all(len(v) == 1 for v in traces_of_label.values()), k
@@ -450,7 +467,7 @@ def test_quaternion_rotation_labels():
 
 def test_trace_of_no_rotation_is_rejected():
     with pytest.raises(ArithmeticError):
-        Quaternion(F(1, 4), F(0), F(0), F(0)).rotation()  # trace 1/2
+        rational_quaternion(F(1, 4), 0, 0, 0).rotation()  # trace 1/2
     sqrt5 = 1 + 2 * CycloScalar.zeta_pair_sum(5, 1)
     zero = sqrt5 * 0
     with pytest.raises(ArithmeticError):
@@ -466,7 +483,8 @@ def class_profile(group):
 
 
 def test_one_dense_trace_per_trace_label(monkeypatch):
-    # classes of a^e and a^-e share a label: one zeta_pair_sum serves both
+    # classes of a^e and a^-e share a label: one zeta_pair_sum serves both;
+    # a flip's trace is 0 in Q(zeta_2n), and a^e with label (4, 1) comes first
     pair_sum = CycloScalar.zeta_pair_sum
     built = []
 
@@ -475,17 +493,17 @@ def test_one_dense_trace_per_trace_label(monkeypatch):
         return pair_sum(conductor, exponent)
 
     monkeypatch.setattr(CycloScalar, "zeta_pair_sum", staticmethod(counted))
-    irrational_classes = distinct_labels = 0
+    rotation_classes = distinct_labels = 0
     for label in word_groups():
         built.clear()
         group = build_ade_group.__wrapped__(label)  # bypass the group cache
-        irrational = [c for c in group.classes if euler_phi(c.representative.rotation()[0]) > 2]
-        irrational_classes += len(irrational)
-        labels = {c.representative.rotation() for c in irrational}
+        rotations = [c for c in group.classes if not c.representative.flip]
+        rotation_classes += len(rotations)
+        labels = {c.representative.rotation() for c in rotations}
         distinct_labels += len(labels)
         assert len(built) == len(labels), label
         assert {Word("cyclic", m, False, e).rotation() for m, e in built} == labels, label
-    assert irrational_classes > distinct_labels > 0
+    assert rotation_classes > distinct_labels > 0
 
 
 def test_classes_with_equal_labels_share_one_trace():
@@ -575,8 +593,8 @@ def test_trace_two_imposter_is_rejected():
     with pytest.raises(TraceTwoNonIdentity):
         class_sum_contribution(bogus)
     # and an element of trace 2 that is not 1, in the element sum
-    one = Quaternion(F(1), F(0), F(0), F(0))
-    fake = Quaternion(F(1), F(1), F(0), F(0))
+    one = rational_quaternion(1, 0, 0, 0)
+    fake = rational_quaternion(1, 1, 0, 0)
     with pytest.raises(TraceTwoNonIdentity):
         element_sum_contribution(FiniteSubgroup(None, 2, (one, fake), (), (one,)))
 
@@ -584,11 +602,11 @@ def test_trace_two_imposter_is_rejected():
 def test_orbit_walk_checks_the_trace_two_class():
     # the orbit walk reads one label per class: the class of trace 2 must be
     # {identity}, and there must be exactly one
-    one = Quaternion(F(1), F(0), F(0), F(0))
-    fake = Quaternion(F(1), F(1), F(0), F(0))  # trace 2, not the identity
+    one = rational_quaternion(1, 0, 0, 0)
+    fake = rational_quaternion(1, 1, 0, 0)  # trace 2, not the identity
     with pytest.raises(TraceTwoNonIdentity):
         conjugacy_classes([one, fake], [one])
-    minus_one = Quaternion(F(-1), F(0), F(0), F(0))
+    minus_one = rational_quaternion(-1, 0, 0, 0)
     with pytest.raises(ArithmeticError, match="exactly one identity"):
         conjugacy_classes([minus_one], [minus_one])
 
@@ -634,10 +652,9 @@ def test_row_keys_order_word_traces_as_scalar_key():
 def test_row_key_shape_and_fallback():
     pair = CycloScalar.zeta_pair_sum(14, 3)
     assert Word.value_key(pair) == (1, 14, pair.row)
-    assert Word.value_key(F(-1)) == scalar_key(F(-1))
+    minus_two = CycloScalar.zeta_pair_sum(14, 7)
+    assert Word.value_key(minus_two) == scalar_key(F(-2)) == (0, -2, 1)
     assert Word.value_key(CycloScalar.from_rational(F(1, 2), 14)) == scalar_key(F(1, 2))
-    half = pair * F(1, 2)  # den 2: not an integer row
-    assert Word.value_key(half) == scalar_key(half)
 
 
 def small_word_labels():
