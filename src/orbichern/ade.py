@@ -5,6 +5,10 @@ of the corresponding quotient singularity C^2/G.  The stored parameter is
 the family parameter n: type A_{n-1} is stored as n >= 1 (cyclic of order
 n, with n = 1 the smooth point), type D_{n+2} as n >= 2 (binary dihedral of
 order 4n), and types E6/E7/E8 store their own subscript.
+
+``resolution_data`` is the one catalog of what a label names: the node
+count, the group order, chi of the exceptional fiber and the group's
+name.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from .errors import InvalidLabel
 _LABEL_RE = re.compile(r"([ADE])([0-9]+)")
 
 _E_DATA = {
-    # subscript -> (node count, group order)
-    6: (6, 24),
-    7: (7, 48),
-    8: (8, 120),
+    # subscript -> (node count, group order, group name)
+    6: (6, 24, "binary tetrahedral group"),
+    7: (7, 48, "binary octahedral group"),
+    8: (8, 120, "binary icosahedral group"),
 }
 
 
@@ -81,14 +85,16 @@ class AdeResolutionData:
     ``node_count`` is the number of exceptional (-2)-curves in the minimal
     resolution (the number of Dynkin nodes), ``chi_exceptional`` the
     topological Euler number of the exceptional fiber (a tree of
-    node_count spheres, so node_count + 1), and ``group_order`` the order
-    of the finite subgroup of SU(2).
+    node_count spheres, so node_count + 1), ``group_order`` the order
+    of the finite subgroup of SU(2), and ``group_name`` its name
+    ("binary dihedral group").
     """
 
     label: AdeLabel
     node_count: int
     group_order: int
     chi_exceptional: int
+    group_name: str
 
     @property
     def point_term(self) -> Fraction:
@@ -99,9 +105,9 @@ class AdeResolutionData:
 def resolution_data(label: AdeLabel) -> AdeResolutionData:
     n = label.parameter
     if label.kind == "A":
-        nodes, order = n - 1, n
+        nodes, order, name = n - 1, n, "cyclic group"
     elif label.kind == "D":
-        nodes, order = n + 2, 4 * n
+        nodes, order, name = n + 2, 4 * n, "binary dihedral group"
     else:
-        nodes, order = _E_DATA[n]
-    return AdeResolutionData(label, nodes, order, nodes + 1)
+        nodes, order, name = _E_DATA[n]
+    return AdeResolutionData(label, nodes, order, nodes + 1, name)

@@ -7,7 +7,8 @@ Subcommands:
   report, exit 0 unless the inequality fails (exit 3) or the file is
   invalid (exit 1, with the offending value's path in the message).
 * ``group <label>``: conjugacy table and the three contribution routes
-  for one ADE group, with an exact-equality confirmation.
+  for one ADE group, with an exact-equality confirmation; the group's
+  name and order come from the ``ade`` catalog (``resolution_data``).
 * ``identity --n N --which type_a|half_angle``: print both sides of the
   named identity and PASS/FAIL (FAIL exits 2).
 * ``table --max-n N [--oracle] [--format text|structured]``: catalog
@@ -51,15 +52,6 @@ from .invariants import (
     snc_report,
 )
 from .scalars import parse_rational
-
-_GROUP_NAMES = {
-    "A": "cyclic group",
-    "D": "binary dihedral group",
-    "E6": "binary tetrahedral group",
-    "E7": "binary octahedral group",
-    "E8": "binary icosahedral group",
-}
-
 
 # ----------------------------------------------------------------------
 # description files: one schema table
@@ -279,8 +271,8 @@ def cmd_check(path: str, fmt: str) -> int:
 def cmd_group(label_text: str) -> int:
     label = AdeLabel.from_string(label_text)
     group = build_ade_group(label)
-    family = _GROUP_NAMES.get(str(label)) or _GROUP_NAMES[label.kind]
-    out = [f"label {label}: {family}, order {group.order}"]
+    data = resolution_data(label)
+    out = [f"label {label}: {data.group_name}, order {data.group_order}"]
     out.append("conjugacy classes (size, centralizer, trace):")
     texts: dict = {}  # rotation label -> trace text, printed once per distinct trace
     for c in group.classes:

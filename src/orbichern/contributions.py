@@ -25,6 +25,9 @@ d of 1/(2 - zeta_d^j - zeta_d^-j), evaluated as the field trace of
 off Phi_d at 1 (``CycloScalar.pair_inverse``), not found by a Euclid,
 and checked exactly by u (1 - zeta)^2 = -zeta; it serves every group and
 every identity check, and no Galois image of a trace is computed here.
+Both rotation-sum identities are one divisor sum of S(d)
+(``_divisor_orbit_sum``): type A over d | n, d >= 2, scaled by 1/n, and
+the half angle over d | 2n, d >= 3, scaled by 1/2.
 """
 
 from __future__ import annotations
@@ -208,16 +211,23 @@ def contribution_for_label(label: AdeLabel) -> Fraction:
 # identity checks (exact, raising on any mismatch)
 
 
+def _divisor_orbit_sum(m: int, least: int) -> Fraction:
+    """Sum of S(d) = ``primitive_orbit_sum(d)`` over the divisors d >= least
+    of m: the sum of 1/(2 - zeta_m^k - zeta_m^-k) over the k in 1..m-1
+    with zeta_m^k of order at least ``least``, one Galois orbit per d."""
+    return sum((primitive_orbit_sum(d) for d in divisors(m) if d >= least), _F0)
+
+
 def verify_type_a_identity(n: int) -> Fraction:
     """Check sum_{k=1}^{n-1} (1/n) / (2 - zeta_n^k - zeta_n^-k) = (n^2-1)/(12n).
 
-    The left side regroups over divisors d | n, d > 1 as (1/n) sum S(d).
-    Returns the common value; raises IdentityFailure if the two sides
-    differ.
+    The left side regroups over divisors d | n, d > 1 as (1/n) sum S(d)
+    (``_divisor_orbit_sum``).  Returns the common value; raises
+    IdentityFailure if the two sides differ.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    lhs = sum((primitive_orbit_sum(d) for d in divisors(n)[1:]), _F0) / n
+    lhs = _divisor_orbit_sum(n, 2) / n
     rhs = Fraction(n * n - 1, 12 * n)
     if lhs != rhs:
         raise IdentityFailure(f"rotation sum for n={n}: {lhs} != {rhs}")
@@ -229,11 +239,12 @@ def verify_type_d_half_angle_identity(n: int) -> Fraction:
 
     The summands for k and 2n-k coincide, so the left side is half the
     full sum over k = 1..2n-1 minus the k = n point, i.e.
-    (1/2) sum of S(d) over divisors d of 2n with d >= 3.
+    (1/2) sum of S(d) over divisors d of 2n with d >= 3
+    (``_divisor_orbit_sum``).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    lhs = sum((primitive_orbit_sum(d) for d in divisors(2 * n) if d >= 3), _F0) / 2
+    lhs = _divisor_orbit_sum(2 * n, 3) / 2
     rhs = Fraction(n * n - 1, 6)
     if lhs != rhs:
         raise IdentityFailure(f"half-angle sum for n={n}: {lhs} != {rhs}")

@@ -23,12 +23,16 @@ Q(zeta_1).  Two exact element representations coexist:
 Every element answers ``rotation()``: the pair (d, j), j <= d/2, of its
 eigenvalues zeta_d^(+-j), so its trace is zeta_d^j + zeta_d^-j and d is
 its order.  Two elements share the label exactly when their traces are
-equal, and the trace is rational exactly when phi(d) <= 2.  A word reads
-its label off its exponent, so no field element is built for it, and
-computes it once.  A quaternion finds its label by matching its trace
-against the pair sums of one cyclotomic field, once per distinct trace.
-Each element is asked for its label twice: for trace constancy on its
-conjugacy class, and for the element sum in ``contributions``.  The
+equal, and the trace is rational exactly when phi(d) <= 2.  One rule,
+``_rotation_label``, turns zeta_m^(+-e) into (d, j) for both kinds of
+element.  A word reads its label off its exponent, so no field element
+is built for it, and computes it once.  A quaternion finds its label by
+matching its trace in Q(zeta_m) against the pair sums of one field,
+Q(zeta_M) with M = lcm(12, 2m), once per distinct trace.  Every element
+is asked for its label in the class partition (a representative for its
+class, every other member for trace constancy) and again for the
+element sum in ``contributions``; a class representative is asked also
+by ``contributions._class_rows`` and by the ``group`` command.  The
 trace-2 check reads one label per class: the one class with d = 1 must
 be {identity}.  A dense trace is built once per label, not per class,
 for the class table's text and order; classes with equal labels (a^e
@@ -101,25 +105,29 @@ def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
     return d, a, b
 
 
+def _rotation_label(m: int, e: int) -> tuple[int, int]:
+    """(d, j) of the pair zeta_m^(+-e): d = m/g and j = min(e/g, d - e/g),
+    g = gcd(e, m), so zeta_m^e + zeta_m^-e = zeta_d^j + zeta_d^-j, j <= d/2."""
+    g = gcd(e, m)
+    d, j = m // g, e // g
+    return d, min(j, d - j)
+
+
 @functools.lru_cache(maxsize=None)
 def _trace_rotation(t: CycloScalar) -> tuple[int, int]:
     """(d, j), j <= d/2, with zeta_d^j + zeta_d^-j == t.
 
-    A rational t is searched in Q(zeta_12), which holds all five rational
-    rotation traces.  An irrational t in Q(zeta_m) is searched in
-    Q(zeta_M), M = lcm(2, m): it generates Q(zeta_d)^+, whose conductor
-    is d, or d/2 when d is 2 mod 4, so d divides M.  The match zeta_M^e + zeta_M^-e reduces
-    to d = M/g, j = e/g with g = gcd(e, M).
+    t in Q(zeta_m) is searched in one field, Q(zeta_M) with
+    M = lcm(12, 2m).  A rational rotation trace has d in {1, 2, 3, 4, 6},
+    which divides 12.  An irrational t generates Q(zeta_d)^+, whose
+    conductor is d, or d/2 when d is 2 mod 4, so d divides 2m.  The match
+    zeta_M^e + zeta_M^-e is labelled by ``_rotation_label(M, e)``.
     """
-    if t.is_rational():
-        m = 12
-    else:
-        m = lcm(2, t.conductor)
-        t = t.embed(m)
+    m = lcm(12, 2 * t.conductor)
+    t = t.embed(m)
     for e in range(m // 2 + 1):
         if CycloScalar.zeta_pair_sum(m, e) == t:
-            g = gcd(e, m)
-            return m // g, e // g
+            return _rotation_label(m, e)
     raise ArithmeticError(f"{t} is not the trace of an element of finite order in SU(2)")
 
 
@@ -272,13 +280,7 @@ class Word:
         """
         rotation = self._rotation
         if rotation is None:
-            if self.flip:
-                rotation = 4, 1
-            else:
-                m = self._period()
-                g = gcd(self.exp, m)
-                d, j = m // g, self.exp // g
-                rotation = d, min(j, d - j)
+            rotation = (4, 1) if self.flip else _rotation_label(self._period(), self.exp)
             object.__setattr__(self, "_rotation", rotation)
         return rotation
 

@@ -11,6 +11,8 @@ appears only at the edges: the wire form (``parse_rational``), constructor
 inputs, and results that are rational numbers (traces down to Q, the
 ``coeffs`` view).
 
+``divisors``, ``euler_phi`` and ``moebius`` read one cached prime
+factorization of m (``_factorization``), the one trial division here.
 Phi_m is built as the integer power series prod over d | m of
 (1 - x^d)^mu(m/d), cut at degree phi(m); the dimension phi(m) alone comes
 from ``euler_phi``.  Every product, zeta power, power-table step, Galois
@@ -80,56 +82,48 @@ def parse_rational(text: str) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def divisors(m: int) -> tuple[int, ...]:
-    """Positive divisors of m, ascending."""
+def _factorization(m: int) -> tuple[tuple[int, int], ...]:
+    """The primes p dividing m and their exponents k, as ((p, k), ...), p
+    ascending: the one trial division behind ``divisors``, ``euler_phi``
+    and ``moebius``."""
     if m < 1:
         raise ValueError("m must be positive")
-    small, large = [], []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            small.append(i)
-            if i != m // i:
-                large.append(m // i)
-        i += 1
-    return tuple(small + large[::-1])
+    factors = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            factors.append((p, k))
+        p += 1
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
+
+
+@functools.lru_cache(maxsize=None)
+def divisors(m: int) -> tuple[int, ...]:
+    """Positive divisors of m, ascending."""
+    result = [1]
+    for p, k in _factorization(m):
+        result = [d * p**i for d in result for i in range(k + 1)]
+    return tuple(sorted(result))
 
 
 @functools.lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    if m < 1:
-        raise ValueError("m must be positive")
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p, _ in _factorization(m):
+        result -= result // p
     return result
 
 
 @functools.lru_cache(maxsize=None)
 def moebius(m: int) -> int:
-    if m < 1:
-        raise ValueError("m must be positive")
-    result = 1
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = _factorization(m)
+    return 0 if any(k > 1 for _, k in factors) else (-1) ** len(factors)
 
 
 # ----------------------------------------------------------------------

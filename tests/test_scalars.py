@@ -129,6 +129,17 @@ def test_number_theory_helpers():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert euler_phi(1) == 1 and euler_phi(12) == 4 and euler_phi(199) == 198
     assert [moebius(k) for k in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    # all three read one factorization: check each against its definition
+    for m in range(1, 2001):
+        divs = tuple(d for d in range(1, m + 1) if m % d == 0)
+        primes = [p for p in divs[1:] if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        squarefree = all(m % (p * p) for p in primes)
+        assert divisors(m) == divs
+        assert euler_phi(m) == sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+        assert moebius(m) == ((-1) ** len(primes) if squarefree else 0)
+    for helper in (divisors, euler_phi, moebius):
+        with pytest.raises(ValueError):
+            helper(0)
 
 
 # ----------------------------------------------------------------------
