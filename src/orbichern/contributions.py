@@ -103,12 +103,10 @@ def _orbit_description(d: int, classes: list, centralizer: int) -> str:
             f"class of {first.representative} "
             f"(size {first.size}, centralizer {centralizer}, trace {first.trace_str()})"
         )
-    if isinstance(first.representative, Word):
-        sizes = {c.size for c in classes}
-        size_note = f"size {sizes.pop()}" if len(sizes) == 1 else "mixed sizes"
+    if isinstance(first.representative, Word):  # one centralizer, so one class size
         return (
             f"{len(classes)} classes of order-{d} rotations "
-            f"({size_note}, centralizer {centralizer})"
+            f"(size {first.size}, centralizer {centralizer})"
         )
     reps = " and ".join(str(c.representative) for c in classes)
     sizes = "+".join(str(c.size) for c in classes)

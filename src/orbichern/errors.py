@@ -30,8 +30,10 @@ class BoundExceeded(OrbichernError):
     """Multiplicative closure grew past the requested bound."""
 
 
-class IdentityFailure(OrbichernError):
-    """An identity that must hold exactly did not; message carries both sides."""
+class IdentityFailure(OrbichernError, ArithmeticError):
+    """An identity or cross-check that must hold exactly did not; the message
+    carries what failed.  Also an ``ArithmeticError``, so a caller that
+    catches exact-arithmetic failures in general catches it too."""
 
 
 class NonRationalTotal(OrbichernError):

@@ -70,7 +70,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .ade import AdeLabel, resolution_data
-from .errors import BoundExceeded, TraceTwoNonIdentity
+from .errors import BoundExceeded, IdentityFailure, TraceTwoNonIdentity
 from .scalars import CycloScalar, cyclo_trace, signed_dot
 
 
@@ -101,7 +101,7 @@ def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
     a = cyclo_trace(value) / phi
     b = cyclo_trace(value * root) / (d * phi)
     if a + b * root != value:
-        raise ArithmeticError(f"{value} is not in Q(sqrt{d})")
+        raise IdentityFailure(f"{value} is not in Q(sqrt{d})")
     return d, a, b
 
 
@@ -128,7 +128,7 @@ def _trace_rotation(t: CycloScalar) -> tuple[int, int]:
     for e in range(m // 2 + 1):
         if CycloScalar.zeta_pair_sum(m, e) == t:
             return _rotation_label(m, e)
-    raise ArithmeticError(f"{t} is not the trace of an element of finite order in SU(2)")
+    raise IdentityFailure(f"{t} is not the trace of an element of finite order in SU(2)")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class Quaternion:
     def inverse(self) -> "Quaternion":
         """The conjugate; every element of a finite SU(2) subgroup is a unit."""
         if self.norm() != 1:
-            raise ArithmeticError(f"{self} is not a unit quaternion")
+            raise IdentityFailure(f"{self} is not a unit quaternion")
         return self.conjugate()
 
     def trace(self) -> CycloScalar:
@@ -431,11 +431,11 @@ def _classes_of_sorted(members, generators) -> tuple:
         size = len(orbit)
         covered += size
         if order % size != 0:
-            raise ArithmeticError("orbit size does not divide the group order")
+            raise IdentityFailure("orbit size does not divide the group order")
         label = rep.rotation()
         for e in orbit:
             if e is not rep and e.rotation() != label:
-                raise ArithmeticError("trace is not constant on a conjugacy class")
+                raise IdentityFailure("trace is not constant on a conjugacy class")
         if label[0] == 1:  # trace 2: only the identity, a class of its own
             if not rep.is_identity():
                 raise TraceTwoNonIdentity(f"non-identity element {rep} has trace 2")
@@ -447,9 +447,9 @@ def _classes_of_sorted(members, generators) -> tuple:
         t, t_key = entry
         keyed.append(((size, t_key), ConjugacyClass(rep, size, order // size, t)))
     if covered != order:
-        raise ArithmeticError("class sizes do not sum to the group order")
+        raise IdentityFailure("class sizes do not sum to the group order")
     if identities != 1:
-        raise ArithmeticError("group does not contain exactly one identity")
+        raise IdentityFailure("group does not contain exactly one identity")
     keyed.sort(key=operator.itemgetter(0))  # stable: ties stay in representative order
     return tuple(c for _, c in keyed)
 
@@ -564,7 +564,7 @@ def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
         group = _finite_subgroup(generate_group(gens), gens, label)
     expected = resolution_data(label).group_order
     if group.order != expected:
-        raise ArithmeticError(
+        raise IdentityFailure(
             f"{label} built with order {group.order}, catalog says {expected}"
         )
     return group

@@ -15,9 +15,13 @@ c2 = 12 chi(O) - c1^2 - sum over points of (chi(E_i) - 1/|G_i|), whose
 per-point terms are twelve times the Todd contributions of the
 ``contributions`` module (tested to agree exactly).
 
-Each number is one integer sum over one denominator, the lcm of its terms'
-denominators, with one ``Fraction`` built at the end.  ``point_term`` is
-cached per label, so a process scores each distinct point type once.
+Each of c1^2, the orbifold Euler number and c2 is the list of its
+(numerator, denominator) terms, summed by the one exact-sum routine
+``_exact_sum``: one integer over the lcm of the denominators, with one
+``Fraction`` built at the end.  ``codim2_equivalence_check`` keeps its
+second route on plain ``Fraction`` arithmetic, as an independent
+restatement.  ``point_term`` is cached per label, so a process scores
+each distinct point type once.
 
 Whether the inequality applies at all depends on the canonical class
 being nef, which no formula here can see; it is a user-asserted flag and
@@ -125,25 +129,26 @@ class InvariantReport:
     notes: str
 
 
+def _exact_sum(terms: list) -> Fraction:
+    """Sum of (numerator, denominator) terms, denominators positive, as one
+    integer over the lcm of the denominators, with one Fraction at the end."""
+    den = lcm(*[d for _, d in terms])
+    return Fraction(sum([n * (den // d) for n, d in terms]), den)
+
+
 def pair_c1_squared(desc: SncPairDescription) -> Fraction:
     """(K + sum a_i D_i)^2 with a_i = (r_i - 1)/r_i, from intersection numbers."""
     divisors, k_squared = desc.divisors, desc.k_squared
-    den = lcm(
-        k_squared.denominator,
-        *(e.ramification * e.k_dot.denominator for e in divisors),
-        *(e.ramification ** 2 * e.self_int.denominator for e in divisors),
-        *(divisors[c.i].ramification * divisors[c.j].ramification for c in desc.crossings),
-    )
-    total = k_squared.numerator * (den // k_squared.denominator)
+    terms = [(k_squared.numerator, k_squared.denominator)]
     for entry in divisors:
         r, k_dot, self_int = entry.ramification, entry.k_dot, entry.self_int
-        total += 2 * (r - 1) * k_dot.numerator * (den // (r * k_dot.denominator))
-        total += (r - 1) ** 2 * self_int.numerator * (den // (r * r * self_int.denominator))
+        terms.append((2 * (r - 1) * k_dot.numerator, r * k_dot.denominator))
+        terms.append(((r - 1) ** 2 * self_int.numerator, r * r * self_int.denominator))
     for crossing in desc.crossings:
         r_i = divisors[crossing.i].ramification
         r_j = divisors[crossing.j].ramification
-        total += 2 * crossing.count * (r_i - 1) * (r_j - 1) * (den // (r_i * r_j))
-    return Fraction(total, den)
+        terms.append((2 * crossing.count * (r_i - 1) * (r_j - 1), r_i * r_j))
+    return _exact_sum(terms)
 
 
 def pair_orbifold_euler(desc: SncPairDescription) -> Fraction:
@@ -151,26 +156,18 @@ def pair_orbifold_euler(desc: SncPairDescription) -> Fraction:
 
     Each open boundary curve D_i minus its crossing points loses weight
     1 - 1/r_i, and each transverse crossing counts 1/(r_i r_j) instead
-    of 1.  chi(D_i deprived of crossings) may well be <= 0; that is not
-    an error.
+    of 1.  Gathered per curve and per crossing, that is
+    chi - sum (1 - 1/r_i) chi(D_i) + sum count (1 - 1/r_i)(1 - 1/r_j).
+    chi(D_i deprived of crossings) may well be <= 0; that is not an error.
     """
     divisors = desc.divisors
-    den = lcm(
-        *(e.ramification for e in divisors),
-        *(divisors[c.i].ramification * divisors[c.j].ramification for c in desc.crossings),
-    )
-    crossings_on = [0] * len(divisors)
-    for crossing in desc.crossings:
-        crossings_on[crossing.i] += crossing.count
-        crossings_on[crossing.j] += crossing.count
-    total = desc.chi_coarse * den
-    for entry, on in zip(divisors, crossings_on):
-        total -= (den - den // entry.ramification) * (entry.chi_divisor - on)
+    terms = [(desc.chi_coarse, 1)]
+    terms += [((1 - e.ramification) * e.chi_divisor, e.ramification) for e in divisors]
     for crossing in desc.crossings:
         r_i = divisors[crossing.i].ramification
         r_j = divisors[crossing.j].ramification
-        total += crossing.count * (den // (r_i * r_j) - den)
-    return Fraction(total, den)
+        terms.append((crossing.count * (r_i - 1) * (r_j - 1), r_i * r_j))
+    return _exact_sum(terms)
 
 
 @lru_cache
@@ -186,12 +183,10 @@ def codim2_c2(desc: IsolatedPointsDescription) -> Fraction:
 
 def _c2_from_terms(desc: IsolatedPointsDescription, terms: list) -> Fraction:
     c1_squared = desc.c1_squared
-    den = lcm(c1_squared.denominator, *(term.denominator for term in terms))
-    total = 12 * desc.chi_structure_sheaf * den
-    total -= c1_squared.numerator * (den // c1_squared.denominator)
-    for term in terms:
-        total -= term.numerator * (den // term.denominator)
-    return Fraction(total, den)
+    return _exact_sum(
+        [(12 * desc.chi_structure_sheaf, 1), (-c1_squared.numerator, c1_squared.denominator)]
+        + [(-term.numerator, term.denominator) for term in terms]
+    )
 
 
 def bmy_verdict(

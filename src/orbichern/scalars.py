@@ -139,11 +139,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     mu = 1 is one pass of subtractions, a factor with mu = -1 (the series
     1 + x^d + x^2d + ...) one pass of running sums.  Phi_1 = x - 1.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
     if m == 1:
         return (-1, 1)
-    deg = euler_phi(m)
+    deg = euler_phi(m)  # raises ValueError for m < 1
     poly = [1] + [0] * deg
     for d in divisors(m):
         mu = moebius(m // d)
@@ -153,7 +151,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         elif mu == -1:
             for i in range(d, deg + 1):
                 poly[i] += poly[i - d]
-    assert poly[-1] == 1  # monic of degree phi(m)
+    if poly[-1] != 1:
+        raise IdentityFailure(f"Phi_{m} is not monic of degree phi({m})")
     return tuple(poly)
 
 

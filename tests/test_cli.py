@@ -1,6 +1,8 @@
 """End-to-end command-line tests (in-process main plus subprocess checks)."""
 
+import ast
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -26,6 +28,7 @@ from orbichern.errors import (
     FieldMismatch,
     IdentityFailure,
     NonRationalTotal,
+    OrbichernError,
     TraceTwoNonIdentity,
     ZeroInversion,
 )
@@ -670,6 +673,56 @@ def test_internal_errors_exit_2_with_one_line(capsys, monkeypatch, error):
     assert captured.err == f"internal error ({error.__name__}): sabotaged\n"
 
 
+def assert_one_internal_error(captured, message):
+    assert captured.out == ""
+    assert captured.err == f"internal error (IdentityFailure): {message}\n"
+
+
+def off_by_one_element_sum(monkeypatch):
+    real = cli.element_sum_contribution
+    monkeypatch.setattr(cli, "element_sum_contribution", lambda group: real(group) + 1)
+    return real
+
+
+def test_group_routes_that_disagree_exit_2_with_one_line(capsys, monkeypatch):
+    real_sum = off_by_one_element_sum(monkeypatch)
+    value = real_sum(groups.build_ade_group(AdeLabel.from_string("A3")))
+    assert main(["group", "A3"]) == 2
+    assert_one_internal_error(
+        capsys.readouterr(), f"A3: contribution routes disagree: {value}, {value + 1}, {value}"
+    )
+
+
+def test_table_oracle_that_disagrees_exits_2_with_one_line(capsys, monkeypatch):
+    off_by_one_element_sum(monkeypatch)
+    assert main(["table", "--max-n", "3", "--oracle"]) == 2
+    assert_one_internal_error(capsys.readouterr(), "A1: table row routes disagree")
+
+
+def test_catalog_order_failure_exits_2_with_one_line(capsys, monkeypatch):
+    # a failed groups cross-check is an IdentityFailure, and still an ArithmeticError
+    assert issubclass(IdentityFailure, OrbichernError) and issubclass(IdentityFailure, ArithmeticError)
+    real = groups.resolution_data
+    monkeypatch.setattr(
+        groups, "resolution_data", lambda label: dataclasses.replace(real(label), group_order=7)
+    )
+    groups.build_ade_group.cache_clear()  # so A5 is built, and checked, again
+    assert main(["group", "A5"]) == 2
+    assert_one_internal_error(capsys.readouterr(), "A5 built with order 6, catalog says 7")
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so no exactness check may be one
+    source = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(source.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 # exact `group` output, pinned: class order, trace and quaternion text, rows
 GROUP_GOLDEN = {
     "E6": """\
@@ -937,6 +990,19 @@ def test_identity_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_type_a_identity", sabotaged)
     assert main(["identity", "--n", "5", "--which", "type_a"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "which, expected",
+    [
+        ("type_a", "rotation-sum identity, type A, n = 5\nFAIL: rotation sum for n=5: 0 != 2/5\n"),
+        ("half_angle", "half-angle identity, n = 5\nFAIL: half-angle sum for n=5: 0 != 4\n"),
+    ],
+)
+def test_identity_sides_that_differ_print_fail(capsys, monkeypatch, which, expected):
+    monkeypatch.setattr(contributions, "primitive_orbit_sum", lambda d: F(0))
+    assert main(["identity", "--n", "5", "--which", which]) == 2
+    assert capsys.readouterr() == (expected, "")
 
 
 # ----------------------------------------------------------------------

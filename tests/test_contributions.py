@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbichern import contributions
 from orbichern.ade import AdeLabel
 from orbichern.contributions import (
     assemble_type_d_contribution,
@@ -201,6 +202,12 @@ def test_assembled_binary_dihedral_values():
     assert assemble_type_d_contribution(2) == F(13, 32)
     assert assemble_type_d_contribution(3) == F(71, 144)
     assert assemble_type_d_contribution(10) == F(173, 160)
+
+
+def test_assembled_binary_dihedral_value_must_match_the_catalog(monkeypatch):
+    monkeypatch.setattr(contributions, "closed_form_contribution", lambda label: F(0))
+    with pytest.raises(IdentityFailure, match=r"^assembled D value for n=3: 71/144 != 0$"):
+        assemble_type_d_contribution(3)
 
 
 # ----------------------------------------------------------------------

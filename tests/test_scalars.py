@@ -241,6 +241,9 @@ def test_invert_zero_raises():
         CycloScalar.zero(7).invert()
     with pytest.raises(ZeroInversion):
         (root2() * root2() - 2).invert()  # zero of Q(sqrt 2) inside Q(zeta_8)
+    for m in (1, 7, 12):  # a negative power tries the monomial shortcut first
+        with pytest.raises(ZeroInversion):
+            CycloScalar.zero(m) ** -1
 
 
 def test_random_inverses_are_exact():
