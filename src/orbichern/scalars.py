@@ -13,16 +13,19 @@ inputs, and results that are rational numbers (traces down to Q, the
 
 ``divisors``, ``euler_phi`` and ``moebius`` read one cached prime
 factorization of m (``_factorization``), the one trial division here.
-Phi_m is built as the integer power series prod over d | m of
-(1 - x^d)^mu(m/d), cut at degree phi(m); the dimension phi(m) alone comes
+Phi_m is built on the odd squarefree core c of m as the integer power
+series prod over d | c of (1 - x^d)^mu(c/d), cut at degree phi(c), in
+C-level slice passes; for even m its odd places change sign, and its
+places spread to every (m/rad m)-th; the dimension phi(m) alone comes
 from ``euler_phi``.  Every product, zeta power, power-table step, Galois
-image, embedding and orbit-term inverse places its integer numerators at
-their exponents and is reduced by one remainder modulo Phi_m
-(``_reduce``), a long division over the nonzero coefficients of Phi_m
-only.  Only the unit rows below phi(m), zeta^e for e < phi(m), skip it:
-they have nothing to reduce.  Every product is one ``signed_dot``, a sum
-of signed products (a quaternion component, or one product ``a * b``)
-fused into one convolution and one remainder.  A Galois image and an
+image and embedding places its integer numerators at their exponents and
+is reduced by one remainder modulo Phi_m (``_reduce``), a long division
+over the nonzero coefficients of Phi_m only.  Only the unit rows below
+phi(m), zeta^e for e < phi(m), which have nothing to reduce, and the
+orbit-term inverse, which is built below degree phi(m), skip it.  Every
+product is one ``signed_dot``, a sum of signed products (a quaternion
+component, or one product ``a * b``) fused into one convolution and one
+remainder.  A Galois image and an
 embedding are the same step (``_placed``): place coefficient i at
 i*k mod M, then reduce.
 
@@ -33,9 +36,10 @@ skips it when it is 0, as it is for most steps of a sparse row.  A trace
 row zeta^e + zeta^-e is made in C-level passes: two unit places, one
 ``list()`` copy of a power row plus 1 at a unit place, or one
 ``map(operator.add)`` of two power rows.  The orbit-term inverse
-1/(2 - zeta - zeta^-1) (``pair_inverse``) comes from Phi_m's expansion
-about 1, with its one place at x^phi and its exact check
-u (1 - zeta)^2 = -zeta both reduced by ``_reduce``.  A negative power
+1/(2 - zeta - zeta^-1) (``pair_inverse``) is one pass over Phi_m's
+expansion about 1, and its exact check u (1 - zeta)^2 = -zeta one more,
+a polynomial identity with a linear multiple of Phi_m: an identity that
+needs only these inverses builds no ``_reduce`` table.  A negative power
 of a monomial c zeta^e is c^-k zeta^-ek read off ``zeta_pow``, checked
 by zeta^-s zeta^s = 1.  Every other inversion is one half-extended
 Euclid over the integers with primitive remainders (``_inverse_row``),
@@ -57,7 +61,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import FieldMismatch, IdentityFailure, ZeroInversion
 
@@ -134,26 +138,39 @@ def moebius(m: int) -> int:
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m (constant term first, monic, degree phi(m)).
 
-    For m > 1, Phi_m is the product over d | m of (1 - x^d)^mu(m/d),
-    expanded as an integer power series cut at degree phi(m): a factor with
-    mu = 1 is one pass of subtractions, a factor with mu = -1 (the series
-    1 + x^d + x^2d + ...) one pass of running sums.  Phi_1 = x - 1.
+    Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and
+    Phi_2c(x) = Phi_c(-x) for odd c > 1, so only the odd squarefree core c
+    of m takes the Moebius product over d | c of (1 - x^d)^mu(c/d),
+    expanded as an integer power series cut at degree phi(c): a factor with
+    mu = 1 is one ``map(operator.sub)`` over two slices, a factor with
+    mu = -1 (the series 1 + x^d + x^2d + ...) running sums, per residue
+    class mod d when d^2 <= phi(c) and block by block otherwise.  For even
+    m the odd places change sign (c = 1 gives 1 - x, and so Phi_2 = 1 + x),
+    then the places spread to every (m/r)-th.  Phi_1 = x - 1.
     """
+    primes = [p for p, _ in _factorization(m)]  # raises ValueError for m < 1
     if m == 1:
         return (-1, 1)
-    deg = euler_phi(m)  # raises ValueError for m < 1
+    core = prod(p for p in primes if p > 2)
+    deg = euler_phi(core)
     poly = [1] + [0] * deg
-    for d in divisors(m):
-        mu = moebius(m // d)
-        if mu == 1:
-            for i in range(deg, d - 1, -1):
-                poly[i] -= poly[i - d]
-        elif mu == -1:
-            for i in range(d, deg + 1):
-                poly[i] += poly[i - d]
-    if poly[-1] != 1:
+    for d in divisors(core):
+        if moebius(core // d) == 1:
+            poly[d:] = map(operator.sub, poly[d:], poly[:-d])
+        elif d * d <= deg:
+            for r in range(d):
+                poly[r::d] = itertools.accumulate(poly[r::d])
+        else:
+            for j in range(d, deg + 1, d):
+                poly[j : j + d] = map(operator.add, poly[j : j + d], poly[j - d : j])
+    if m % 2 == 0:
+        poly[1::2] = map(operator.neg, poly[1::2])
+    spread = m // prod(primes)
+    wide = [0] * (deg * spread + 1)
+    wide[::spread] = poly
+    if poly[-1] != 1 or len(wide) != euler_phi(m) + 1:
         raise IdentityFailure(f"Phi_{m} is not monic of degree phi({m})")
-    return tuple(poly)
+    return tuple(wide)
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,10 +400,13 @@ class CycloScalar:
         two running-sum synthetic divisions by x - 1.  At zeta this gives
         (1 - zeta)^2 Q(zeta) = -(a - b + b zeta), and with
         2 - zeta - zeta^-1 = -(1 - zeta)^2/zeta the inverse is
-        u = zeta (Q(zeta)(a + b - b zeta) - b^2)/a^2: one linear combination
-        of Q and its shift, whose one place at x^phi is left to ``_reduce``.
-        u is checked by u (1 - zeta)^2 = -zeta, reduced by ``_reduce``,
-        before it is returned.
+        u = zeta (Q(zeta)(a + b - b zeta) - b^2)/a^2.  Its place at x^phi is
+        -b, so adding b Phi_m, zero in the field, leaves
+        u a^2 = (a - b) x Q + b Q + b (a - b), of degree below phi: one pass
+        over Q and its shift, with no remainder to take, for every m >= 2
+        (Q = 0 when phi = 1).  u is checked before it is returned by the
+        polynomial identity (1 - x)^2 u + x = (t1 x + t0) Phi_m, with t1 and
+        t0 read off the two top places of the left side: one more pass.
         """
         if conductor < 2:
             raise ZeroInversion("2 - zeta_1 - zeta_1^-1 is zero")
@@ -396,15 +416,17 @@ class CycloScalar:
         twice = list(itertools.accumulate(once))  # Q, top first, then b
         b = twice.pop()
         q = twice[::-1] + [0]
-        s = a + b
-        num = [s * c - b * p for c, p in zip(q, [0] + q)]  # Q (a + b - b x), degree phi - 1
-        num[0] -= b * b
-        value = cls._new(conductor, _reduce(conductor, [0] + num), a * a)  # times x
-        # the exact check: (1 - x)^2 u + x leaves no remainder mod Phi_m
-        row, den = list(value.row), value.den
-        check = [c - 2 * p + pp for c, p, pp in zip(row + [0, 0], [0] + row + [0], [0, 0] + row)]
-        check[1] += den
-        if any(_reduce(conductor, check)):
+        k = a - b
+        row = [b * c + k * p for c, p in zip(q, [0] + q)]  # Q (b + (a - b) x)
+        row[0] += b * k
+        value = cls._new(conductor, row, a * a)
+        # the exact check on den ((1 - x)^2 u + x) = row - 2 x row + x^2 row + den x
+        row, den = value.row, value.den
+        low, mid, high = row + (0, 0), (0,) + row + (0,), (0, den) + row
+        t1 = row[-1]
+        t0 = low[-2] - 2 * mid[-2] + high[-2] - t1 * phi[-2]
+        terms = zip(low, mid, high, (0,) + phi, phi + (0,))
+        if any([c - 2 * p + pp - t1 * f - t0 * g for c, p, pp, f, g in terms]):
             raise IdentityFailure(
                 f"1/(2 - zeta - zeta^-1) in Q(zeta_{conductor}) fails u*(1 - zeta)^2 = -zeta"
             )

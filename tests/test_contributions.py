@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbichern import contributions
+from orbichern import contributions, scalars
 from orbichern.ade import AdeLabel
 from orbichern.contributions import (
     assemble_type_d_contribution,
@@ -143,9 +143,20 @@ def test_pair_inverse_check_rejects_a_wrong_row(monkeypatch):
         return build(cls, conductor, [row[0] + 1, *row[1:]], den)
 
     monkeypatch.setattr(CycloScalar, "_new", classmethod(off_by_one))
-    for d in (2, 7, 12, 30, 210, 3990):
+    for d in (2, 3, 4, 6, 7, 12, 30, 210, 1024, 1155, 3990):
         with pytest.raises(IdentityFailure):
             CycloScalar.pair_inverse(d)
+
+
+def test_identities_build_no_division_table():
+    """The orbit-term inverse takes no remainder, so the identities, which need
+    nothing else from the field, leave ``_division_terms`` empty."""
+    for cached in (conjugate_pair_inverse, primitive_orbit_sum, scalars._division_terms):
+        cached.cache_clear()
+    for n in range(2, 2001, 23):
+        verify_type_a_identity(n)
+        verify_type_d_half_angle_identity(n)
+    assert scalars._division_terms.cache_info().currsize == 0
 
 
 def test_primitive_orbit_sum_small_values():

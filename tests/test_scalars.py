@@ -125,6 +125,33 @@ def test_product_over_divisors_reconstructs_x_m_minus_1():
         assert prod == [-1] + [0] * (m - 1) + [1]
 
 
+def moebius_product_oracle(m):
+    """Phi_m as the product over d | m of (1 - x^d)^mu(m/d), one place at a time."""
+    if m == 1:
+        return (-1, 1)
+    deg = euler_phi(m)
+    poly = [1] + [0] * deg
+    for d in divisors(m):
+        mu = moebius(m // d)
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        elif mu == -1:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
+    return tuple(poly)
+
+
+def test_cyclotomic_matches_the_moebius_product_over_every_divisor():
+    """The odd squarefree core, its sign flip and its spread give the plain
+    product: prime powers, 2 and 4 times odd, 2^k, and five-prime cores."""
+    for m in [*range(1, 1501), 1995, 2048, 2310, 3974, 3990, 3998, 4000]:
+        assert cyclotomic_polynomial(m) == moebius_product_oracle(m), m
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(m)
+
+
 def test_number_theory_helpers():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert euler_phi(1) == 1 and euler_phi(12) == 4 and euler_phi(199) == 198
