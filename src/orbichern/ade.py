@@ -14,7 +14,7 @@ name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidLabel
@@ -29,23 +29,25 @@ _E_DATA = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class AdeLabel:
-    kind: str
-    parameter: int
+class AdeLabel(namedtuple("AdeLabel", "kind parameter")):
+    """A family letter and an integer family parameter; ordered as (kind, parameter)."""
 
-    def __post_init__(self) -> None:
-        if self.kind == "A":
-            if self.parameter < 1:
-                raise InvalidLabel(f"type A needs n >= 1, got n={self.parameter}")
-        elif self.kind == "D":
-            if self.parameter < 2:
-                raise InvalidLabel(f"type D needs n >= 2, got n={self.parameter}")
-        elif self.kind == "E":
-            if self.parameter not in _E_DATA:
-                raise InvalidLabel(f"type E subscript must be 6, 7 or 8, got {self.parameter}")
-        else:
-            raise InvalidLabel(f"unknown family {self.kind!a}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, parameter: int) -> "AdeLabel":
+        if kind not in ("A", "D", "E"):
+            raise InvalidLabel(f"unknown family {kind!a}")
+        if isinstance(parameter, bool) or not isinstance(parameter, int):
+            raise InvalidLabel(f"type {kind} parameter must be an integer, got {parameter!a}")
+        if kind == "A":
+            if parameter < 1:
+                raise InvalidLabel(f"type A needs n >= 1, got n={parameter}")
+        elif kind == "D":
+            if parameter < 2:
+                raise InvalidLabel(f"type D needs n >= 2, got n={parameter}")
+        elif parameter not in _E_DATA:
+            raise InvalidLabel(f"type E subscript must be 6, 7 or 8, got {parameter}")
+        return tuple.__new__(cls, (kind, parameter))
 
     @property
     def subscript(self) -> int:
@@ -78,8 +80,9 @@ class AdeLabel:
         return f"{self.kind}{self.subscript}"
 
 
-@dataclass(frozen=True)
-class AdeResolutionData:
+class AdeResolutionData(
+    namedtuple("AdeResolutionData", "label node_count group_order chi_exceptional group_name")
+):
     """Resolution data of the quotient singularity named by ``label``.
 
     ``node_count`` is the number of exceptional (-2)-curves in the minimal
@@ -90,11 +93,7 @@ class AdeResolutionData:
     ("binary dihedral group").
     """
 
-    label: AdeLabel
-    node_count: int
-    group_order: int
-    chi_exceptional: int
-    group_name: str
+    __slots__ = ()
 
     @property
     def point_term(self) -> Fraction:

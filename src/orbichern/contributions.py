@@ -33,8 +33,7 @@ the half angle over d | 2n, d >= 3, scaled by 1/2.
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -167,13 +166,10 @@ def element_sum_contribution(group: FiniteSubgroup) -> Fraction:
 # reports
 
 
-@dataclass(frozen=True)
-class ContributionReport:
-    label: AdeLabel
-    group_order: int
-    class_sum: Fraction
-    closed_form: Fraction
-    per_class_terms: tuple
+class ContributionReport(
+    namedtuple("ContributionReport", "label group_order class_sum closed_form per_class_terms")
+):
+    __slots__ = ()
 
 
 def build_contribution_report(group: FiniteSubgroup) -> ContributionReport:

@@ -25,8 +25,9 @@ eigenvalues zeta_d^(+-j), so its trace is zeta_d^j + zeta_d^-j and d is
 its order.  Two elements share the label exactly when their traces are
 equal, and the trace is rational exactly when phi(d) <= 2.  One rule,
 ``_rotation_label``, turns zeta_m^(+-e) into (d, j) for both kinds of
-element.  A word reads its label off its exponent, so no field element
-is built for it, and computes it once.  A quaternion finds its label by
+element, and keeps the labels of its last 4096 (m, e) pairs in a bounded
+cache.  A word reads its label off its period and exponent through that
+cache, so no field element is built for it.  A quaternion finds its label by
 matching its trace in Q(zeta_m) against the pair sums of one field,
 Q(zeta_M) with M = lcm(12, 2m), once per distinct trace.  Every element
 is asked for its label in the class partition (a representative for its
@@ -41,9 +42,16 @@ and a^-e) share it.  A word's dense trace in Q(zeta_2n) is
 a copy or a sum of zeta-power rows built once per conductor.  A trace
 sorts as ``scalar_key`` orders it: a rational value as (0, num, den),
 an irrational word trace as its integer row, (1, m, row), which orders
-exactly as (1, m, c0, 1, c1, 1, ...).  The elements of an A or D group,
-and products and inverses of words, copy their presentation and skip
-re-validation; ``Word(...)`` itself validates every field.
+exactly as (1, m, c0, 1, c1, 1, ...).  ``Word(...)`` validates every
+field; the elements of an A or D group, and products and inverses of
+words, are built by ``Word._word`` as one tuple that reuses the family
+and n of a validated word and skips the checks.
+
+Elements, classes and reports are ``namedtuple`` records: immutable,
+hashed and compared in C.  A word or quaternion refuses the tuple's
+``+`` and integer ``*``, so only the group product combines elements.
+``FiniteSubgroup`` is a slotted class instead, so that a caller can hold
+a group by weak reference.
 
 Everything is immutable; groups are finite sets of hashable elements.
 Conjugacy classes are computed by a plain orbit partition under
@@ -64,10 +72,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
 
 from .ade import AdeLabel, resolution_data
 from .errors import BoundExceeded, IdentityFailure, TraceTwoNonIdentity
@@ -105,6 +113,7 @@ def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
     return d, a, b
 
 
+@functools.lru_cache(maxsize=4096)
 def _rotation_label(m: int, e: int) -> tuple[int, int]:
     """(d, j) of the pair zeta_m^(+-e): d = m/g and j = min(e/g, d - e/g),
     g = gcd(e, m), so zeta_m^e + zeta_m^-e = zeta_d^j + zeta_d^-j, j <= d/2."""
@@ -131,15 +140,16 @@ def _trace_rotation(t: CycloScalar) -> tuple[int, int]:
     raise IdentityFailure(f"{t} is not the trace of an element of finite order in SU(2)")
 
 
-@dataclass(frozen=True)
-class Quaternion:
+def _no_tuple_arithmetic(self, other):
+    raise TypeError(f"{type(self).__name__} supports only the group product")
+
+
+class Quaternion(namedtuple("Quaternion", "x y z w")):
     """Exact quaternion x + y*i + z*j + w*k, its components CycloScalars of
     one conductor: 1 (Q), 8 (Q(sqrt 2)) or 5 (Q(sqrt 5))."""
 
-    x: CycloScalar
-    y: CycloScalar
-    z: CycloScalar
-    w: CycloScalar
+    __slots__ = ()
+    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Each component one fused sum of products."""
@@ -206,25 +216,22 @@ class Quaternion:
         return f"({x}) + ({y})i + ({z})j + ({w})k"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "family n flip exp")):
     """Normal form a^exp (flip False) or x*a^exp (flip True)."""
 
-    family: str
-    n: int
-    flip: bool
-    exp: int
+    __slots__ = ()
+    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
 
-    _rotation = None  # not a field: rotation() sets it once per word
-
-    def __post_init__(self) -> None:
-        if self.family not in ("cyclic", "dicyclic"):
-            raise ValueError(f"unknown family {self.family!a}")
-        if self.n < 1:
+    def __new__(cls, family: str, n: int, flip: bool, exp: int) -> "Word":
+        if family not in ("cyclic", "dicyclic"):
+            raise ValueError(f"unknown family {family!a}")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be an integer, got {n!a}")
+        if n < 1:
             raise ValueError("n must be positive")
-        if self.family == "cyclic" and self.flip:
+        if family == "cyclic" and flip:
             raise ValueError("cyclic words have no x letter")
-        object.__setattr__(self, "exp", self.exp % self._period())
+        return tuple.__new__(cls, (family, n, flip, exp % (n if family == "cyclic" else 2 * n)))
 
     def _period(self) -> int:
         return self.n if self.family == "cyclic" else 2 * self.n
@@ -235,13 +242,7 @@ class Word:
 
     def _word(self, flip: bool, exp: int) -> "Word":
         """A word of this presentation: family and n are copied, not validated again."""
-        word = object.__new__(Word)
-        set_field = object.__setattr__
-        set_field(word, "family", self.family)
-        set_field(word, "n", self.n)
-        set_field(word, "flip", flip)
-        set_field(word, "exp", exp % self._period())
-        return word
+        return tuple.__new__(Word, (self.family, self.n, flip, exp % self._period()))
 
     def __mul__(self, other: "Word") -> "Word":
         self._check(other)
@@ -276,13 +277,8 @@ class Word:
         """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j = min(j, d - j).
 
         A flip x*a^k has trace 0 = zeta_4 + zeta_4^-1, so it gets (4, 1).
-        Computed once per word.
         """
-        rotation = self._rotation
-        if rotation is None:
-            rotation = (4, 1) if self.flip else _rotation_label(self._period(), self.exp)
-            object.__setattr__(self, "_rotation", rotation)
-        return rotation
+        return (4, 1) if self.flip else _rotation_label(self._period(), self.exp)
 
     def trace(self) -> CycloScalar:
         """zeta^exp + zeta^-exp in Q(zeta_period); 0 for a flip x*a^k."""
@@ -317,7 +313,7 @@ class Word:
         return body
 
 
-GroupElement = Union[Quaternion, Word]
+GroupElement = Quaternion | Word
 
 
 def element_key(element: GroupElement) -> tuple:
@@ -362,24 +358,28 @@ def generate_group(
     return frozenset(elements)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: GroupElement
-    size: int
-    centralizer_order: int
-    trace: CycloScalar
+class ConjugacyClass(namedtuple("ConjugacyClass", "representative size centralizer_order trace")):
+    __slots__ = ()
 
     def trace_str(self) -> str:
         return self.representative.value_str(self.trace)
 
 
-@dataclass(frozen=True)
 class FiniteSubgroup:
-    label: AdeLabel | None
-    order: int
-    elements: tuple
-    classes: tuple
-    generators: tuple
+    """A built group: its label (or None), order, ``element_key``-sorted
+    elements, sorted classes and generators.  Immutable, and weakly
+    referenceable, so a caller can watch a cached group being let go."""
+
+    __slots__ = ("label", "order", "elements", "classes", "generators", "__weakref__")
+
+    def __init__(self, label: AdeLabel | None, order: int, elements, classes, generators):
+        for name, value in zip(self.__slots__, (label, order, elements, classes, generators)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError("FiniteSubgroup is immutable")
+
+    __delattr__ = __setattr__
 
 
 def conjugacy_classes(

@@ -31,7 +31,7 @@ verdicts report NotApplicable when it is absent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -57,76 +57,70 @@ class Verdict(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DivisorEntry:
+class DivisorEntry(namedtuple("DivisorEntry", "ramification chi_divisor k_dot self_int")):
     """One boundary curve: ramification r >= 2 and its intersection data."""
 
-    ramification: int
-    chi_divisor: int
-    k_dot: Fraction
-    self_int: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.ramification, int) or self.ramification < 2:
+    def __new__(cls, ramification: int, chi_divisor: int, k_dot, self_int) -> "DivisorEntry":
+        if not isinstance(ramification, int) or ramification < 2:
             raise DescriptionError("ramification must be >= 2")
-        object.__setattr__(self, "k_dot", _fraction(self.k_dot))
-        object.__setattr__(self, "self_int", _fraction(self.self_int))
+        return tuple.__new__(cls, (ramification, chi_divisor, _fraction(k_dot), _fraction(self_int)))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(namedtuple("Crossing", "i j count")):
     """count transverse intersection points of divisors i and j (i < j)."""
 
-    i: int
-    j: int
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.j < 0 or self.i >= self.j:
+    def __new__(cls, i: int, j: int, count: int) -> "Crossing":
+        if i < 0 or j < 0 or i >= j:
             raise DescriptionError("crossing indices must satisfy 0 <= i < j")
-        if self.count < 0:
+        if count < 0:
             raise DescriptionError("crossing count must be >= 0")
+        return tuple.__new__(cls, (i, j, count))
 
 
-@dataclass(frozen=True)
-class SncPairDescription:
-    chi_coarse: int
-    k_squared: Fraction
-    divisors: tuple
-    crossings: tuple
-    canonical_nef_asserted: bool
+class SncPairDescription(
+    namedtuple(
+        "SncPairDescription", "chi_coarse k_squared divisors crossings canonical_nef_asserted"
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k_squared", _fraction(self.k_squared))
-        object.__setattr__(self, "divisors", tuple(self.divisors))
-        object.__setattr__(self, "crossings", tuple(self.crossings))
-        for crossing in self.crossings:
-            if crossing.j >= len(self.divisors):
+    def __new__(
+        cls, chi_coarse: int, k_squared, divisors, crossings, canonical_nef_asserted: bool
+    ) -> "SncPairDescription":
+        k_squared, divisors, crossings = _fraction(k_squared), tuple(divisors), tuple(crossings)
+        for crossing in crossings:
+            if crossing.j >= len(divisors):
                 raise DescriptionError(
                     f"crossing ({crossing.i}, {crossing.j}) names a missing divisor"
                 )
+        return tuple.__new__(
+            cls, (chi_coarse, k_squared, divisors, crossings, canonical_nef_asserted)
+        )
 
 
-@dataclass(frozen=True)
-class IsolatedPointsDescription:
-    chi_structure_sheaf: int
-    c1_squared: Fraction
-    points: tuple
-    canonical_nef_asserted: bool
+class IsolatedPointsDescription(
+    namedtuple(
+        "IsolatedPointsDescription", "chi_structure_sheaf c1_squared points canonical_nef_asserted"
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c1_squared", _fraction(self.c1_squared))
-        object.__setattr__(self, "points", tuple(self.points))
+    def __new__(
+        cls, chi_structure_sheaf: int, c1_squared, points, canonical_nef_asserted: bool
+    ) -> "IsolatedPointsDescription":
+        return tuple.__new__(
+            cls, (chi_structure_sheaf, _fraction(c1_squared), tuple(points), canonical_nef_asserted)
+        )
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    c1_squared: Fraction
-    c2: Fraction
-    margin: Fraction
-    verdict: Verdict
-    per_point: tuple
-    notes: str
+class InvariantReport(
+    namedtuple("InvariantReport", "c1_squared c2 margin verdict per_point notes")
+):
+    __slots__ = ()
 
 
 def _exact_sum(terms: list) -> Fraction:
@@ -248,8 +242,7 @@ def gerbe_scale(report: InvariantReport, gerbe_order: int) -> InvariantReport:
     if gerbe_order == 1:
         return report
     scale = Fraction(1, gerbe_order)
-    return replace(
-        report,
+    return report._replace(
         c1_squared=report.c1_squared * scale,
         c2=report.c2 * scale,
         margin=report.margin * scale,

@@ -39,6 +39,13 @@ def test_invalid_labels_rejected():
         AdeLabel("X", 4)
 
 
+def test_label_parameter_must_be_an_int():
+    # a float or a bool once made labels such as A1.5 (order 2.5), E6.0 and A0
+    for kind, parameter in (("A", 2.5), ("E", 6.0), ("A", True), ("D", "3")):
+        with pytest.raises(InvalidLabel):
+            AdeLabel(kind, parameter)
+
+
 def test_resolution_catalog_values():
     a = resolution_data(AdeLabel("A", 5))  # A_4
     assert (a.node_count, a.group_order, a.chi_exceptional) == (4, 5, 5)

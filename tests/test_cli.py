@@ -2,7 +2,6 @@
 
 import ast
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -704,7 +703,7 @@ def test_catalog_order_failure_exits_2_with_one_line(capsys, monkeypatch):
     assert issubclass(IdentityFailure, OrbichernError) and issubclass(IdentityFailure, ArithmeticError)
     real = groups.resolution_data
     monkeypatch.setattr(
-        groups, "resolution_data", lambda label: dataclasses.replace(real(label), group_order=7)
+        groups, "resolution_data", lambda label: real(label)._replace(group_order=7)
     )
     groups.build_ade_group.cache_clear()  # so A5 is built, and checked, again
     assert main(["group", "A5"]) == 2
@@ -1201,6 +1200,18 @@ def run_cli(env, *args):
         check=False,
         env=env,
     )
+
+
+def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing(child_env):
+    # what ``import orbichern.cli`` adds to the modules a bare interpreter already
+    # holds; a module the interpreter's site preloads does not count
+    script = "import sys; bare = set(sys.modules); import orbichern.cli; print(*set(sys.modules) - bare)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=child_env
+    )
+    added = set(result.stdout.split())
+    assert "orbichern.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "typing"}
 
 
 def test_module_entry_point_runs(child_env):

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import orbichern.cli as cli
 import orbichern.groups as groups
-from orbichern.ade import AdeLabel
+from orbichern.ade import AdeLabel, resolution_data
 from orbichern.cli import main
+from orbichern.contributions import build_contribution_report
 from orbichern.errors import BoundExceeded, InvalidLabel, TraceTwoNonIdentity
 from orbichern.groups import (
     ConjugacyClass,
@@ -756,3 +757,41 @@ def test_table_holds_one_group_at_a_time(monkeypatch, capsys):
     gc.collect()
     assert len(built) == len(refs) == 2 * 11 + 3  # one build per row
     assert [ref() is None for ref in refs] == [True] * (len(refs) - 1) + [False]
+
+
+def test_word_n_must_be_an_int():
+    for n in (True, 4.0, "4"):
+        with pytest.raises(ValueError):
+            Word("dicyclic", n, False, 1)
+
+
+def test_records_are_immutable():
+    group = build_ade_group(AdeLabel("E", 6))
+    word = build_ade_group(AdeLabel("D", 3)).elements[1]
+    records = [
+        (AdeLabel("A", 3), "parameter"),
+        (resolution_data(AdeLabel("A", 3)), "group_order"),
+        (word, "exp"),
+        (group.elements[1], "x"),
+        (group.classes[1], "size"),
+        (group, "order"),
+        (build_contribution_report(group), "class_sum"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+
+def test_group_elements_do_no_tuple_arithmetic():
+    word = Word("dicyclic", 3, False, 1)
+    quaternion = build_ade_group(AdeLabel("E", 6)).elements[1]
+    for combine in (
+        lambda: word + word,
+        lambda: 2 * word,
+        lambda: quaternion + quaternion,
+        lambda: 2 * quaternion,
+    ):
+        with pytest.raises(TypeError):
+            combine()
