@@ -212,7 +212,7 @@ class Quaternion(namedtuple("Quaternion", "x y z w")):
         return f"{a} {'+' if b > 0 else '-'} {term}"
 
     def __str__(self) -> str:
-        x, y, z, w = (self.value_str(c) for c in (self.x, self.y, self.z, self.w))
+        x, y, z, w = (self.value_str(c) for c in self)
         return f"({x}) + ({y})i + ({z})j + ({w})k"
 
 
@@ -319,12 +319,8 @@ GroupElement = Quaternion | Word
 def element_key(element: GroupElement) -> tuple:
     """Deterministic sort key usable across one group's elements."""
     if isinstance(element, Word):
-        return (0, element.family, element.n, element.flip, element.exp)
-    return (1,) + tuple(
-        part
-        for c in (element.x, element.y, element.z, element.w)
-        for part in element.value_key(c)
-    )
+        return (0, *element)
+    return (1,) + tuple(part for c in element for part in element.value_key(c))
 
 
 def generate_group(
