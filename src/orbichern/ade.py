@@ -33,6 +33,7 @@ class AdeLabel(namedtuple("AdeLabel", "kind parameter")):
     """A family letter and an integer family parameter; ordered as (kind, parameter)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, kind: str, parameter: int) -> "AdeLabel":
         if kind not in ("A", "D", "E"):

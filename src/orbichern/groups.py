@@ -221,6 +221,7 @@ class Word(namedtuple("Word", "family n flip exp")):
 
     __slots__ = ()
     __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, family: str, n: int, flip: bool, exp: int) -> "Word":
         if family not in ("cyclic", "dicyclic"):
@@ -363,8 +364,9 @@ class ConjugacyClass(namedtuple("ConjugacyClass", "representative size centraliz
 
 class FiniteSubgroup:
     """A built group: its label (or None), order, ``element_key``-sorted
-    elements, sorted classes and generators.  Immutable, and weakly
-    referenceable, so a caller can watch a cached group being let go."""
+    elements, sorted classes and generators.  Immutable, compared and
+    hashed by identity, and weakly referenceable, so a caller can watch a
+    cached group being let go."""
 
     __slots__ = ("label", "order", "elements", "classes", "generators", "__weakref__")
 

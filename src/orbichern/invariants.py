@@ -61,6 +61,7 @@ class DivisorEntry(namedtuple("DivisorEntry", "ramification chi_divisor k_dot se
     """One boundary curve: ramification r >= 2 and its intersection data."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, ramification: int, chi_divisor: int, k_dot, self_int) -> "DivisorEntry":
         if not isinstance(ramification, int) or ramification < 2:
@@ -72,6 +73,7 @@ class Crossing(namedtuple("Crossing", "i j count")):
     """count transverse intersection points of divisors i and j (i < j)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, i: int, j: int, count: int) -> "Crossing":
         if i < 0 or j < 0 or i >= j:
@@ -87,6 +89,7 @@ class SncPairDescription(
     )
 ):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(
         cls, chi_coarse: int, k_squared, divisors, crossings, canonical_nef_asserted: bool
@@ -108,6 +111,7 @@ class IsolatedPointsDescription(
     )
 ):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(
         cls, chi_structure_sheaf: int, c1_squared, points, canonical_nef_asserted: bool

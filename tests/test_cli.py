@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -1202,14 +1203,14 @@ def run_cli(env, *args):
     )
 
 
-def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing(child_env):
+def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
     # what ``import orbichern.cli`` adds to the modules a bare interpreter already
-    # holds; a module the interpreter's site preloads does not count
-    script = "import sys; bare = set(sys.modules); import orbichern.cli; print(*set(sys.modules) - bare)"
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=child_env
-    )
-    added = set(result.stdout.split())
+    # holds, as tools/import_cost.py prints it; a module the site preloads does not count
+    tool = Path(__file__).resolve().parents[1] / "tools" / "import_cost.py"
+    spec = importlib.util.spec_from_file_location("import_cost", tool)
+    import_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(import_cost)
+    added = import_cost.added_modules()
     assert "orbichern.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "typing"}
 

@@ -23,7 +23,7 @@ import orbichern.groups as groups
 from orbichern.ade import AdeLabel, resolution_data
 from orbichern.cli import main
 from orbichern.contributions import build_contribution_report
-from orbichern.errors import BoundExceeded, InvalidLabel, TraceTwoNonIdentity
+from orbichern.errors import BoundExceeded, DescriptionError, InvalidLabel, TraceTwoNonIdentity
 from orbichern.groups import (
     ConjugacyClass,
     FiniteSubgroup,
@@ -37,6 +37,7 @@ from orbichern.groups import (
     element_key,
     generate_group,
 )
+from orbichern.invariants import Crossing, DivisorEntry, IsolatedPointsDescription, SncPairDescription
 from orbichern.scalars import CycloScalar, euler_phi, scalar_key
 
 F = Fraction
@@ -275,8 +276,8 @@ def matrix_key(a):
 
 
 def test_products_and_inverses_equal_validated_words():
-    # products and inverses skip __post_init__; each must equal the word that
-    # the validating constructor builds for the same matrix
+    # products and inverses skip the checks in Word.__new__; each must equal
+    # the word that the validating constructor builds for the same matrix
     labels = [AdeLabel("A", n) for n in range(1, 13)] + [AdeLabel("D", n) for n in range(2, 11)]
     for label in labels:
         elements = build_ade_group(label).elements
@@ -297,7 +298,8 @@ def test_products_and_inverses_equal_validated_words():
                 assert word == expected and hash(word) == hash(expected), (label, g, word)
                 assert 0 <= word.exp < period
                 assert word.rotation() == expected.rotation()
-                assert word.rotation() is word.rotation()  # computed once per word
+                # a word stores no label: both calls read _rotation_label's cache
+                assert word.rotation() is word.rotation()
 
 
 def test_conjugated_by_equals_the_product_with_the_inverse():
@@ -765,6 +767,9 @@ def test_word_n_must_be_an_int():
             Word("dicyclic", n, False, 1)
 
 
+DIVISOR = DivisorEntry(ramification=2, chi_divisor=2, k_dot=-3, self_int=1)
+
+
 def test_records_are_immutable():
     group = build_ade_group(AdeLabel("E", 6))
     word = build_ade_group(AdeLabel("D", 3)).elements[1]
@@ -776,12 +781,38 @@ def test_records_are_immutable():
         (group.classes[1], "size"),
         (group, "order"),
         (build_contribution_report(group), "class_sum"),
+        (DIVISOR, "k_dot"),
+        (Crossing(0, 1, 1), "count"),
+        (SncPairDescription(3, 9, (DIVISOR, DIVISOR), (Crossing(0, 1, 1),), False), "k_squared"),
+        (IsolatedPointsDescription(2, 0, (AdeLabel("A", 2),), True), "points"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             delattr(record, field)
+
+
+def test_make_and_replace_run_the_constructor_checks():
+    # namedtuple's _make and _replace would build the tuple directly; the
+    # validating records send both through __new__
+    bad = [
+        (InvalidLabel, lambda: AdeLabel._make(("A", 2.5))),
+        (InvalidLabel, lambda: AdeLabel("A", 3)._replace(parameter=0)),
+        (ValueError, lambda: Word("dicyclic", 3, False, 1)._replace(n=True)),
+        (ValueError, lambda: Word("cyclic", 3, False, 1)._replace(flip=True)),
+        (DescriptionError, lambda: DIVISOR._replace(ramification=1)),
+        (DescriptionError, lambda: Crossing(0, 1, 1)._replace(i=1)),
+        (DescriptionError, lambda: SncPairDescription(3, 9, (DIVISOR,), (), False)._replace(
+            crossings=(Crossing(0, 1, 1),))),
+    ]
+    for error, build in bad:
+        with pytest.raises(error):
+            build()
+    assert Word("cyclic", 3, False, 1)._replace(exp=7).exp == 1
+    assert DIVISOR._replace(k_dot="1/2").k_dot == Fraction(1, 2)
+    points = IsolatedPointsDescription(2, 0, [AdeLabel("A", 2)], True)._replace(c1_squared="3")
+    assert points.c1_squared == 3 and type(points.c1_squared) is Fraction
 
 
 def test_group_elements_do_no_tuple_arithmetic():

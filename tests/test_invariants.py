@@ -1,6 +1,5 @@
 """Chern number and BMY verdict tests."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichern.ade import AdeLabel, resolution_data
-from orbichern.cli import main
 from orbichern.contributions import class_sum_contribution
 from orbichern.errors import DescriptionError
 from orbichern.groups import build_ade_group
@@ -127,18 +125,6 @@ def test_description_validation():
 
 # ----------------------------------------------------------------------
 # c2 from isolated points
-
-
-def test_description_records_are_immutable():
-    pair, points = triangle_pair(), kummer_points()
-    for record, field in (
-        (pair, "k_squared"),
-        (pair.divisors[0], "k_dot"),
-        (pair.crossings[0], "count"),
-        (points, "points"),
-    ):
-        with pytest.raises(AttributeError):
-            setattr(record, field, getattr(record, field))
 
 
 def test_c2_with_no_points_is_noether():
@@ -402,28 +388,3 @@ def test_gerbe_scaling_preserves_verdict_fuzz():
             assert scaled.c2 * order == report.c2
             assert 3 * scaled.c2 - scaled.c1_squared == scaled.margin
 
-
-@pytest.mark.parametrize(
-    "where, value, message",
-    [
-        (("divisors", 1, "ramification"), 1, "snc_pair.divisors[1]: ramification must be >= 2"),
-        (("crossings", 0, "i"), -1, "snc_pair.crossings[0]: crossing indices must satisfy 0 <= i < j"),
-        (("crossings", 2, "count"), -2, "snc_pair.crossings[2]: crossing count must be >= 0"),
-        (("crossings", 1, "j"), 5, "snc_pair: crossing (0, 5) names a missing divisor"),
-    ],
-)
-def test_record_range_checks_reach_the_cli(tmp_path, capsys, where, value, message):
-    line = {"ramification": 2, "chi_divisor": 2, "k_dot": -3, "self_int": 1}
-    crossings = [{"i": i, "j": j, "count": 1} for i, j in ((0, 1), (0, 2), (1, 2))]
-    payload = {"kind": "snc_pair", "chi_coarse": 3, "k_squared": 9, "divisors": [dict(line) for _ in range(3)],
-               "crossings": crossings, "canonical_nef_asserted": False}
-    *path, key = where
-    target = payload
-    for step in path:
-        target = target[step]
-    target[key] = value
-    file = tmp_path / "surface.json"
-    file.write_text(json.dumps(payload), encoding="utf-8")
-    assert main(["check", str(file)]) == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {file}: {message}\n")

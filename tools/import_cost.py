@@ -2,47 +2,48 @@
 
 Two figures: the modules the import adds to those a bare interpreter
 already holds (so a module the site preloads does not count), and the
-median wall time of the import over fresh processes, each importing the
-checkout's ``src/``.  Byte-code files are whatever the environment
+median wall time of the import over 15 fresh processes, each importing
+the checkout's ``src/``.  Byte-code files are whatever the environment
 leaves: set PYTHONDONTWRITEBYTECODE=1 and remove ``__pycache__`` to time
 a cold compile.
 
-Run from anywhere: ``python3 tools/import_cost.py [--runs N]`` (default 15).
+Run from anywhere: ``python3 tools/import_cost.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src"
-_ADDED = "import sys; bare = set(sys.modules); import orbichern.cli; print(*set(sys.modules) - bare)"
-_TIMED = "import time; t = time.perf_counter(); import orbichern.cli; print(time.perf_counter() - t)"
+RUNS = 15
 
 
-def run(script: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SOURCE), env.get("PYTHONPATH"))))
+def _run(script: str) -> str:
+    """stdout of ``script`` in a fresh interpreter with the checkout's src/ first on sys.path."""
+    prefix = f"import sys; sys.path.insert(0, {str(SOURCE)!r}); "
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", prefix + script], capture_output=True, text=True, check=True
     ).stdout
 
 
+def added_modules() -> set[str]:
+    """The modules ``import orbichern.cli`` adds to those a bare interpreter holds."""
+    script = "bare = set(sys.modules); import orbichern.cli; print(*set(sys.modules) - bare)"
+    return set(_run(script).split())
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=15, help="fresh processes to time (default 15)")
-    runs = parser.parse_args().runs
-    added = sorted(run(_ADDED).split())
+    added = sorted(added_modules())
     print(f"modules added by import orbichern.cli ({len(added)}):")
     for name in added:
         print(f"  {name}")
-    seconds = [float(run(_TIMED)) for _ in range(max(runs, 1))]
+    timed = "import time; t = time.perf_counter(); import orbichern.cli; print(time.perf_counter() - t)"
+    seconds = [float(_run(timed)) for _ in range(RUNS)]
     median_ms = statistics.median(seconds) * 1000
-    print(f"import orbichern.cli: median {median_ms:.2f} ms over {len(seconds)} fresh processes")
+    print(f"import orbichern.cli: median {median_ms:.2f} ms over {RUNS} fresh processes")
     return 0
 
 
