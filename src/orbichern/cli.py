@@ -15,6 +15,15 @@ Subcommands:
   closed forms next to brute-force class sums for every label with
   family parameter up to N, plus the three E types.
 
+Two readers turn argv into a command.  ``_read_documented`` takes the
+four spellings above, tokens in the order shown, each option spelled in
+full and given once, and returns None for anything else, including a
+value that fails its check.  ``main`` sends every None to
+``_parse_with_argparse``, whose parser (and ``argparse`` itself) is
+loaded on first use, so help, usage errors and every other spelling
+argparse accepts keep argparse's output.  ``_order`` and the ``_one_of``
+checks are each value's one validity rule on both paths.
+
 Exit codes: 0 success (including NotApplicable), 1 input error (a usage
 error, ``DescriptionError`` or ``InvalidLabel``), 2 any other package
 error (an internal cross-check failed), 3 inequality fails.  ``main``
@@ -24,10 +33,8 @@ Output is deterministic: fixed orderings, exact rationals, no timestamps.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -268,8 +275,8 @@ def cmd_check(path: str, fmt: str) -> int:
     return 3 if report.verdict is Verdict.FAILS else 0
 
 
-def cmd_group(label_text: str) -> int:
-    label = AdeLabel.from_string(label_text)
+def cmd_group(label: str) -> int:
+    label = AdeLabel.from_string(label)
     group = build_ade_group(label)
     data = resolution_data(label)
     out = [f"label {label}: {data.group_name}, order {data.group_order}"]
@@ -370,42 +377,90 @@ def cmd_table(max_n: int, oracle: bool, fmt: str) -> int:
 # entry point
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1, the input-error code."""
-
-    def error(self, message: str):
-        head, _, rest = message.partition("argument command: invalid choice: ")
-        if rest and not head:  # argparse words this differently by version
-            # and quotes with repr: escaping it as ascii() does makes the bytes version-free
-            got = rest.rpartition(" (choose from ")[0].encode("ascii", "backslashreplace").decode()
-            message = f"argument command: must be check, group, identity or table, got {got}"
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+class _Invalid(ValueError):
+    """A value failed ``_order`` or a ``_one_of`` check; the message is the error text."""
 
 
 def _order(text: str) -> int:
-    """argparse type of ``--n`` and ``--max-n``: ASCII digits, at least 2."""
-    if not re.fullmatch(r"[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!a}")
+    """The value of ``--n`` and ``--max-n``: ASCII digits, at least 2."""
+    if not (text.isascii() and text.isdigit()):
+        raise _Invalid(f"invalid int value: {text!a}")
     if int(text) < 2:
-        raise argparse.ArgumentTypeError("must be >= 2")
+        raise _Invalid("must be >= 2")
     return int(text)
 
 
-def _one_of(*names: str) -> dict:
-    """``add_argument`` keywords: ``choices=names``, with one error text on every Python."""
+def _one_of(*names: str):
+    """The check of a value that must be one of ``names``, with one error text on every Python."""
 
     def choose(text: str) -> str:
         if text not in names:
-            raise argparse.ArgumentTypeError(f"must be {' or '.join(names)}, got {text!a}")
+            raise _Invalid(f"must be {' or '.join(names)}, got {text!a}")
         return text
 
-    return {"type": choose, "metavar": "{" + ",".join(names) + "}"}
+    choose.metavar = "{" + ",".join(names) + "}"
+    return choose
+
+
+_FORMAT = _one_of("text", "structured")
+_WHICH = _one_of("type_a", "half_angle")
+
+
+def _read_documented(argv):
+    """(command, keyword values) for a spelling the README documents, else None.
+
+    Tokens must come in the README's order, each option spelled in full
+    and given once.  A positional value starting with "-" or an option
+    value failing its check gives None, so that argparse reports it.
+    """
+    try:
+        match argv:
+            case ["check", path] if not path.startswith("-"):
+                return "check", {"path": path, "fmt": "text"}
+            case ["check", path, "--format", fmt] if not path.startswith("-"):
+                return "check", {"path": path, "fmt": _FORMAT(fmt)}
+            case ["group", label] if not label.startswith("-"):
+                return "group", {"label": label}
+            case ["identity", "--n", n, "--which", which]:
+                return "identity", {"n": _order(n), "which": _WHICH(which)}
+            case ["table", "--max-n", max_n, *oracle, "--format", fmt] if oracle in ([], ["--oracle"]):
+                return "table", {"max_n": _order(max_n), "oracle": bool(oracle), "fmt": _FORMAT(fmt)}
+            case ["table", "--max-n", max_n, *oracle] if oracle in ([], ["--oracle"]):
+                return "table", {"max_n": _order(max_n), "oracle": bool(oracle), "fmt": "text"}
+    except ValueError:  # _Invalid, or int() past the interpreter's digit limit
+        pass
+    return None
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser, built on first use; parse_args keeps no state between calls."""
+def _build_parser():
+    """The one argparse parser, built on first use; parse_args keeps no state between calls."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse with usage errors on exit code 1, the input-error code."""
+
+        def error(self, message: str):
+            head, _, rest = message.partition("argument command: invalid choice: ")
+            if rest and not head:  # argparse words this differently by version
+                # and quotes with repr: escaping it as ascii() does makes the bytes version-free
+                got = rest.rpartition(" (choose from ")[0].encode("ascii", "backslashreplace").decode()
+                message = f"argument command: must be check, group, identity or table, got {got}"
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def value(check) -> dict:
+        """``add_argument`` keywords running ``check``; its _Invalid text is the usage error."""
+
+        @functools.wraps(check)  # argparse names the type in the error of any other ValueError
+        def convert(text: str):
+            try:
+                return check(text)
+            except _Invalid as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return {"type": convert, "metavar": getattr(check, "metavar", None)}
+
     parser = _Parser(
         prog="orbichern",
         description=(
@@ -417,33 +472,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="check a surface description file")
     p_check.add_argument("path")
-    p_check.add_argument("--format", default="text", **_one_of("text", "structured"))
+    p_check.add_argument("--format", default="text", dest="fmt", **value(_FORMAT))
 
     p_group = sub.add_parser("group", help="print one ADE group's data")
     p_group.add_argument("label")
 
     p_identity = sub.add_parser("identity", help="verify a rotation-sum identity")
-    p_identity.add_argument("--n", type=_order, required=True)
-    p_identity.add_argument("--which", required=True, **_one_of("type_a", "half_angle"))
+    p_identity.add_argument("--n", required=True, **value(_order))
+    p_identity.add_argument("--which", required=True, **value(_WHICH))
 
     p_table = sub.add_parser("table", help="contribution table for all families")
-    p_table.add_argument("--max-n", type=_order, required=True, dest="max_n")
+    p_table.add_argument("--max-n", required=True, dest="max_n", **value(_order))
     p_table.add_argument("--oracle", action="store_true")
-    p_table.add_argument("--format", default="text", **_one_of("text", "structured"))
+    p_table.add_argument("--format", default="text", dest="fmt", **value(_FORMAT))
 
     return parser
 
 
+def _parse_with_argparse(argv) -> tuple:
+    """(command, keyword values) for any argv argparse accepts; it exits on the rest."""
+    values = vars(_build_parser().parse_args(argv))
+    return values.pop("command"), values
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command, values = _read_documented(argv) or _parse_with_argparse(argv)
     try:
-        if args.command == "check":
-            return cmd_check(args.path, args.format)
-        if args.command == "group":
-            return cmd_group(args.label)
-        if args.command == "identity":
-            return cmd_identity(args.n, args.which)
-        return cmd_table(args.max_n, args.oracle, args.format)
+        if command == "check":
+            return cmd_check(**values)
+        if command == "group":
+            return cmd_group(**values)
+        if command == "identity":
+            return cmd_identity(**values)
+        return cmd_table(**values)
     except OrbichernError as exc:
         prefix = "error" if exc.exit_code == 1 else f"internal error ({type(exc).__name__})"
         print(f"{prefix}: {exc}", file=sys.stderr)

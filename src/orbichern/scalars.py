@@ -323,8 +323,10 @@ class CycloScalar:
         den = lcm(*(c.denominator for c in values))
         self._store(conductor, [c.numerator * (den // c.denominator) for c in values], den)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError("CycloScalar is immutable")
+
+    __delattr__ = __setattr__
 
     def _store(self, conductor: int, row: list[int], den: int) -> None:
         """Set row/den in lowest terms: den > 0 and gcd(den, *row) == 1."""

@@ -955,9 +955,11 @@ def test_identity_small_n_is_an_input_error(capsys):
 def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     """main builds its parser once; no state carries from one call to the next."""
     path = write_json(tmp_path, "kummer.json", kummer_payload())
-    sequence = [
+    sequence = [  # README spellings skip argparse; the other three reach it
         ["check", path],
+        ["check", "--format", "text", path],
         ["identity", "--n", "12", "--which", "half_angle"],
+        ["identity", "--which", "half_angle", "--n", "12"],
         ["table", "--max-n", "3", "--format", "xml"],
         ["group", "A4"],
     ]
@@ -976,9 +978,10 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     reused = [run(argv, fresh=False) for argv in sequence]
     assert cli._build_parser() is parser
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 0, 1, 0]
-    assert reused[2][1] == "" and reused[2][2].startswith("usage: orbichern")
-    assert reused[2][2].endswith(
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 0]
+    assert reused[1] == reused[0] and reused[3] == reused[2]
+    assert reused[4][1] == "" and reused[4][2].startswith("usage: orbichern")
+    assert reused[4][2].endswith(
         "orbichern table: error: argument --format: must be text or structured, got 'xml'\n"
     )
 
@@ -1190,6 +1193,124 @@ def test_usage_errors_exit_1(capsys, monkeypatch, argv):
 
 
 # ----------------------------------------------------------------------
+# the two argv readers: the README's spellings directly, the rest by argparse
+
+README_SPELLINGS = [
+    ["check", "{path}"],
+    ["check", "{path}", "--format", "text"],
+    ["check", "{path}", "--format", "structured"],
+    ["group", "E6"],
+    ["identity", "--n", "12", "--which", "type_a"],
+    ["identity", "--n", "012", "--which", "half_angle"],
+    ["table", "--max-n", "3"],
+    ["table", "--max-n", "3", "--oracle"],
+    ["table", "--max-n", "3", "--format", "structured"],
+    ["table", "--max-n", "3", "--oracle", "--format", "structured"],
+]
+
+
+def test_readme_spellings_do_not_build_the_argparse_parser(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "kummer.json", kummer_payload())
+    expected = []
+    for argv in README_SPELLINGS:
+        assert main([token.format(path=path) for token in argv]) == 0, argv
+        expected.append(capsys.readouterr())
+
+    def refuse():
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    for argv, output in zip(README_SPELLINGS, expected):
+        assert main([token.format(path=path) for token in argv]) == 0, argv
+        assert capsys.readouterr() == output, argv
+    assert main(["group", "Q3"]) == 1  # a bad label is the command's error, not a usage error
+    assert capsys.readouterr() == ("", "error: not an ADE label: 'Q3'\n")
+
+
+_ODD_TEXTS = ["0", "1", "01", "-5", "-", "\u0663", " 3", "1_0", "", "\xe9", "xml", "Text", "-h", "--oracle"]
+_OPTION_VALUES = {  # option -> (valid values, invalid values)
+    "--n": (["2", "12", "0012"], _ODD_TEXTS),
+    "--max-n": (["2", "3", "007"], _ODD_TEXTS),
+    "--which": (["type_a", "half_angle"], ["text", *_ODD_TEXTS]),
+    "--format": (["text", "structured"], ["type_a", *_ODD_TEXTS]),
+}
+_POSITIONAL_TEXTS = ["A4", "f.json", "Q3", "\xe9\U00032011", "table", "-1", "-x", "--", "-h", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """A README spelling, or one near it: options dropped, reordered, repeated,
+    abbreviated or =-joined, "--", "-h" or stray tokens added."""
+    command = draw(st.sampled_from(["check", "group", "identity", "table", "bogus"]))
+    options = {
+        "check": ["--format"], "group": [], "bogus": [],
+        "identity": ["--n", "--which"], "table": ["--max-n", "--oracle", "--format"],
+    }[command]
+    parts = [] if command in ("identity", "table") else [[draw(st.sampled_from(_POSITIONAL_TEXTS))]]
+    for option in options:
+        if draw(st.integers(0, 5)):  # mostly kept, so that documented spellings are common
+            if option in _OPTION_VALUES:
+                valid, invalid = _OPTION_VALUES[option]
+                value = draw(st.sampled_from(valid if draw(st.integers(0, 3)) else invalid))
+                spelling = draw(st.sampled_from(["full"] * 6 + ["abbreviated", "joined"]))
+                if spelling == "joined":
+                    parts.append([f"{option}={value}"])
+                    continue
+                if spelling == "abbreviated":
+                    option = option[: draw(st.integers(3, max(3, len(option) - 1)))]
+                parts.append([option, value])
+            else:
+                parts.append([option])
+    if parts and draw(st.integers(0, 3)) == 0:
+        parts = draw(st.permutations(parts))
+    if parts and draw(st.integers(0, 5)) == 0:
+        parts.append(draw(st.sampled_from(parts)))
+    argv = [command, *itertools.chain.from_iterable(parts)]
+    if draw(st.integers(0, 4)) == 0:
+        stray = draw(st.sampled_from(["--", "-h", "--help", "--oracle", "--format", "extra", "-1"]))
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_argvs())
+def test_direct_reader_agrees_with_argparse(argv):
+    direct = cli._read_documented(argv)
+    if direct is not None:
+        try:
+            parsed = cli._parse_with_argparse(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refused {argv!a}, which the direct reader took")
+        assert parsed == direct
+        assert not any(token in ("--", "-h") or "=" in token for token in argv[1:])
+
+
+def test_direct_reader_answers_the_readme_spellings_only():
+    for argv in README_SPELLINGS:
+        assert cli._read_documented(argv) == cli._parse_with_argparse(argv), argv
+    for argv in [
+        ["check", "--format", "text", "f.json"],
+        ["check", "f.json", "--format=text"],
+        ["check", "f.json", "--form", "text"],
+        ["check", "--", "f.json"],
+        ["check", "-f.json"],
+        ["check", "f.json", "--format", "text", "--format", "text"],
+        ["group", "-1"],
+        ["group", "E6", "-h"],
+        ["identity", "--which", "type_a", "--n", "12"],
+        ["identity", "--n", "1", "--which", "type_a"],
+        ["identity", "--n", "1" * 5000, "--which", "type_a"],
+        ["identity", "--n", "12", "--which", "Type_a"],
+        ["table", "--max-n", "3", "--oracle", "--oracle"],
+        ["table", "--max-n", "3", "--format"],
+        ["table", "--oracle", "--max-n", "3"],
+        ["tab", "--max-n", "3"],
+        [],
+    ]:
+        assert cli._read_documented(argv) is None, argv
+
+
+# ----------------------------------------------------------------------
 # determinism (subprocess, the real entry point)
 
 
@@ -1212,7 +1333,7 @@ def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
     spec.loader.exec_module(import_cost)
     added = import_cost.added_modules()
     assert "orbichern.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "typing"}
+    assert not added & {"dataclasses", "inspect", "ast", "typing", "argparse", "gettext"}
 
 
 def test_module_entry_point_runs(child_env):

@@ -785,6 +785,7 @@ def test_records_are_immutable():
         (Crossing(0, 1, 1), "count"),
         (SncPairDescription(3, 9, (DIVISOR, DIVISOR), (Crossing(0, 1, 1),), False), "k_squared"),
         (IsolatedPointsDescription(2, 0, (AdeLabel("A", 2),), True), "points"),
+        (CycloScalar.zeta_pow(5, 1), "row"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
