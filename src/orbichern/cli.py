@@ -385,9 +385,13 @@ def _order(text: str) -> int:
     """The value of ``--n`` and ``--max-n``: ASCII digits, at least 2."""
     if not (text.isascii() and text.isdigit()):
         raise _Invalid(f"invalid int value: {text!a}")
-    if int(text) < 2:
+    try:
+        value = int(text)
+    except ValueError:  # past the interpreter's digit limit, worded differently by version
+        raise _Invalid("integer has too many digits") from None
+    if value < 2:
         raise _Invalid("must be >= 2")
-    return int(text)
+    return value
 
 
 def _one_of(*names: str):
@@ -427,7 +431,7 @@ def _read_documented(argv):
                 return "table", {"max_n": _order(max_n), "oracle": bool(oracle), "fmt": _FORMAT(fmt)}
             case ["table", "--max-n", max_n, *oracle] if oracle in ([], ["--oracle"]):
                 return "table", {"max_n": _order(max_n), "oracle": bool(oracle), "fmt": "text"}
-    except ValueError:  # _Invalid, or int() past the interpreter's digit limit
+    except _Invalid:
         pass
     return None
 
@@ -452,7 +456,6 @@ def _build_parser():
     def value(check) -> dict:
         """``add_argument`` keywords running ``check``; its _Invalid text is the usage error."""
 
-        @functools.wraps(check)  # argparse names the type in the error of any other ValueError
         def convert(text: str):
             try:
                 return check(text)

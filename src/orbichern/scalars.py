@@ -40,8 +40,9 @@ row zeta^e + zeta^-e is made in C-level passes: two unit places, one
 expansion about 1, and its exact check u (1 - zeta)^2 = -zeta one more,
 a polynomial identity with a linear multiple of Phi_m: an identity that
 needs only these inverses builds no ``_reduce`` table.  A negative power
-of a monomial c zeta^e is c^-k zeta^-ek read off ``zeta_pow``, checked
-by zeta^-s zeta^s = 1.  Every other inversion is one half-extended
+k of a row with one nonzero place, c zeta^e with e < phi(m), is
+c^k zeta^ek read off ``zeta_pow``, checked by zeta^-e zeta^e = 1.  Every
+other inversion, and every other negative power, is one half-extended
 Euclid over the integers with primitive remainders (``_inverse_row``),
 exact by construction; its pseudo-division is the one polynomial
 remainder besides ``_reduce``.  ``cyclo_trace`` takes a trace by
@@ -478,11 +479,27 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CycloScalar":
+        """self ** k for any integer k.
+
+        For k < 0, a row with one nonzero place, c zeta^e (e < phi(m)), gives
+        c^k zeta^ek read off ``zeta_pow`` once zeta^-e zeta^e = 1 is checked
+        by one remainder mod Phi_m; any other row is inverted by the Euclid
+        (``invert``) and raised to -k.
+        """
         if exponent == 1:
             return self
         if exponent < 0:
-            power = self._monomial_power(exponent)  # c zeta^e: no Euclid
-            return power if power is not None else self.invert() ** (-exponent)
+            m, row = self.conductor, self.row
+            if len(row) - row.count(0) != 1:
+                return self.invert() ** -exponent
+            e = next(itertools.compress(range(len(row)), row))
+            base = CycloScalar.zeta_pow(m, -e)
+            check = _reduce(m, [0] * e + list(base.row))
+            if check[0] != 1 or any(check[1:]):
+                raise IdentityFailure(f"zeta^-{e} * zeta^{e} in Q(zeta_{m}) is not 1")
+            scale = Fraction(row[e], self.den) ** exponent
+            unit = base.row if exponent == -1 else CycloScalar.zeta_pow(m, e * exponent).row
+            return CycloScalar._new(m, [scale.numerator * c for c in unit], scale.denominator)
         result = CycloScalar.one(self.conductor)
         base = self
         while exponent:
@@ -492,43 +509,6 @@ class CycloScalar:
             if exponent:
                 base = base * base
         return result
-
-    def _monomial_power(self, exponent: int) -> "CycloScalar | None":
-        """(c zeta^e)^-k = c^-k zeta^-ek for k > 0, read off ``zeta_pow``; None
-        when self is not a monomial c zeta^e.
-
-        A row with one nonzero place e is c zeta^e.  Any other row is tried as
-        c zeta^e with e = j + phi(m), j its lowest nonzero place, since the
-        first reduction of x^e leaves -x^(e - phi) as its lowest term
-        (Phi_m(0) = 1).  One row times a power of x, reduced mod Phi_m, is the
-        exact check u z = 1 on the base u = (c zeta^e)^-1: zeta^-e x^e = 1 for
-        one term, and row x^(m - e) = c otherwise, which also decides whether
-        self is c zeta^e at all.
-        """
-        m, row = self.conductor, self.row
-        terms = len(row) - row.count(0)
-        if not terms:
-            return None
-        e = next(itertools.compress(range(len(row)), row))
-        if terms == 1:
-            c, base = row[e], CycloScalar.zeta_pow(m, -e)
-            check = _reduce(m, [0] * e + list(base.row))
-            if check[0] != 1 or any(check[1:]):
-                raise IdentityFailure(f"zeta^-{e} * zeta^{e} in Q(zeta_{m}) is not 1")
-        else:
-            e, base = e + len(row), None
-            if e >= m:
-                return None
-            check = _reduce(m, [0] * (m - e) + list(row))
-            c = check[0]
-            if not c or any(check[1:]):
-                return None
-        if base is None or exponent != -1:
-            base = CycloScalar.zeta_pow(m, e * exponent)
-        scale = Fraction(c, self.den) ** exponent
-        if scale == 1:
-            return base
-        return CycloScalar._new(m, list(map(scale.numerator.__mul__, base.row)), scale.denominator)
 
     def invert(self) -> "CycloScalar":
         s, lam = _inverse_row(self.row, cyclotomic_polynomial(self.conductor))

@@ -1154,6 +1154,7 @@ TABLE_USAGE = (
     "                       [--format {text,structured}]\n"
 )
 
+TOO_MANY_DIGITS = "1" * 5000
 
 # argv -> the whole stderr, byte for byte: it must not change with the Python version
 USAGE_ERRORS = {
@@ -1178,6 +1179,15 @@ USAGE_ERRORS = {
     ("identity", "--n", "5", "--which", "nope"):
         IDENTITY_USAGE
         + "orbichern identity: error: argument --which: must be type_a or half_angle, got 'nope'\n",
+    # past the interpreter's digit limit: one short line that does not echo the value
+    ("identity", "--n", TOO_MANY_DIGITS, "--which", "type_a"):
+        IDENTITY_USAGE + "orbichern identity: error: argument --n: integer has too many digits\n",
+    ("identity", "--which", "type_a", "--n", TOO_MANY_DIGITS):
+        IDENTITY_USAGE + "orbichern identity: error: argument --n: integer has too many digits\n",
+    ("table", "--max-n", TOO_MANY_DIGITS):
+        TABLE_USAGE + "orbichern table: error: argument --max-n: integer has too many digits\n",
+    ("table", "--oracle", "--format", "text", "--max-n", TOO_MANY_DIGITS):
+        TABLE_USAGE + "orbichern table: error: argument --max-n: integer has too many digits\n",
 }
 
 
@@ -1190,6 +1200,7 @@ def test_usage_errors_exit_1(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == USAGE_ERRORS[tuple(argv)]
+    assert "_order" not in captured.err and len(captured.err.encode()) < 300
 
 
 # ----------------------------------------------------------------------

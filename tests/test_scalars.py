@@ -297,7 +297,7 @@ def test_large_conductor_pair_inverse_matches_closed_form(d):
 @pytest.mark.parametrize("m", [5, 12, 240, 1000, 4000])
 def test_negative_powers_of_zeta_powers(m):
     rng = random.Random(m)
-    exponents = {0, 1, m // 2, m - 1, euler_phi(m) - 1, euler_phi(m)} | {
+    exponents = {0, 1, m // 2 - 1, m // 2, m - 1, euler_phi(m) - 1, euler_phi(m)} | {
         rng.randrange(m) for _ in range(12 if m > 300 else m)
     }
     for e in sorted(exponents):
@@ -317,7 +317,32 @@ def test_negative_powers_of_monomials_skip_the_euclid(monkeypatch):
             c = F(-2, 3) * CycloScalar.zeta_pow(m, e)
             assert c ** -3 == CycloScalar.zeta_pow(m, -3 * e) * F(-27, 8)
             assert (c ** -1) * c == 1
-    assert CycloScalar.zeta_pow(4000, 1999) ** -1 == CycloScalar.zeta_pow(4000, 2001)
+
+
+@pytest.mark.parametrize("m", [60, 120, 240])
+def test_negative_powers_of_dense_zeta_powers_go_straight_to_the_euclid(m, monkeypatch):
+    """zeta^k for phi(m) <= k < m/2, the literal half-angle sums' dense terms:
+    ``** -1`` is one Euclid and no remainder mod Phi_m."""
+    calls = {"_reduce": 0, "_inverse_row": 0}
+
+    def counting(name):
+        real = getattr(scalars, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    powers = [CycloScalar.zeta_pow(m, k) for k in range(euler_phi(m), m // 2)]
+    expected = [CycloScalar.zeta_pow(m, -k) for k in range(euler_phi(m), m // 2)]
+    for name in calls:
+        monkeypatch.setattr(scalars, name, counting(name))
+    for k, z, want in zip(range(euler_phi(m), m // 2), powers, expected):
+        assert len(z.row) - z.row.count(0) > 1, k
+        calls.update(_reduce=0, _inverse_row=0)
+        assert z ** -1 == want, (m, k)
+        assert calls == {"_reduce": 0, "_inverse_row": 1}, (m, k)
 
 
 def test_negative_power_check_rejects_a_wrong_row(monkeypatch):
