@@ -14,38 +14,38 @@ Q(zeta_1).  Two exact element representations coexist:
     one as the rational itself.
 
 ``Word``
-    Normal form a^e or x*a^e in the cyclic group <a | a^n> or the binary
-    dihedral (dicyclic) group <a, x | a^(2n) = 1, x^2 = a^n,
-    x^-1 a x = a^-1>, with a acting as the rotation diag(zeta_2n,
-    zeta_2n^-1) and x as [[0, 1], [-1, 0]].  Traces land in Q(zeta_2n)
-    and print on its power basis.
+    Normal form a^exp or x*a^exp with a = diag(zeta_p, zeta_p^-1) of
+    period p and x = [[0, 1], [-1, 0]], so x^2 = a^(p/2) and
+    x^-1 a x = a^-1.  A_(n-1), the cyclic group <a | a^n>, is the words
+    a^exp of period n; D_(n+2), the binary dihedral (dicyclic) group
+    <a, x | a^(2n) = 1, x^2 = a^n, x^-1 a x = a^-1>, is every word of
+    period 2n.  Traces land in Q(zeta_p) and print on its power basis.
 
 Every element answers ``rotation()``: the pair (d, j), j <= d/2, of its
 eigenvalues zeta_d^(+-j), so its trace is zeta_d^j + zeta_d^-j and d is
 its order.  Two elements share the label exactly when their traces are
 equal, and the trace is rational exactly when phi(d) <= 2.  One rule,
 ``_rotation_label``, turns zeta_m^(+-e) into (d, j) for both kinds of
-element, and keeps the labels of its last 4096 (m, e) pairs in a bounded
-cache.  A word reads its label off its period and exponent through that
-cache, so no field element is built for it.  A quaternion finds its label by
-matching its trace in Q(zeta_m) against the pair sums of one field,
-Q(zeta_M) with M = lcm(12, 2m), once per distinct trace.  Every element
-is asked for its label in the class partition (a representative for its
-class, every other member for trace constancy) and again for the
-element sum in ``contributions``; a class representative is asked also
-by ``contributions._class_rows`` and by the ``group`` command.  The
-trace-2 check reads one label per class: the one class with d = 1 must
-be {identity}.  A dense trace is built once per label, not per class,
-for the class table's text and order; classes with equal labels (a^e
-and a^-e) share it.  A word's dense trace in Q(zeta_2n) is
-``CycloScalar.zeta_pair_sum``, rational or not, and 0 for a flip x*a^k:
-a copy or a sum of zeta-power rows built once per conductor.  A trace
-sorts as ``scalar_key`` orders it: a rational value as (0, num, den),
-an irrational word trace as its integer row, (1, m, row), which orders
-exactly as (1, m, c0, 1, c1, 1, ...).  ``Word(...)`` validates every
-field; the elements of an A or D group, and products and inverses of
-words, are built by ``Word._word`` as one tuple that reuses the family
-and n of a validated word and skips the checks.
+element: one gcd and two divisions, computed on each ask.  A word reads
+its label off its period and exponent, so no field element is built for
+it.  A quaternion finds its label by matching its trace in Q(zeta_m)
+against the pair sums of one field, Q(zeta_M) with M = lcm(12, 2m), once
+per distinct trace.  Every element is asked for its label in the class
+partition (a representative for its class, every other member for trace
+constancy) and again for the element sum in ``contributions``; a class
+representative is asked also by ``contributions._class_rows`` and by the
+``group`` command.  The trace-2 check reads one label per class: the one
+class with d = 1 must be {identity}.  A dense trace is built once per
+label, not per class, for the class table's text and order; classes with
+equal labels (a^e and a^-e) share it.  A word's dense trace in Q(zeta_p)
+is ``CycloScalar.zeta_pair_sum``, rational or not, and 0 for a flip
+x*a^k: a copy or a sum of zeta-power rows built once per conductor.  A
+trace sorts as ``scalar_key`` orders it: a rational value as (0, num,
+den), an irrational word trace as its integer row, (1, m, row), which
+orders exactly as (1, m, c0, 1, c1, 1, ...).  ``Word(...)`` validates
+every field; the elements of an A or D group, and products and inverses
+of words, are built by ``Word._word`` as one tuple that reuses the
+period of a validated word and skips the checks.
 
 Elements, classes and reports are ``namedtuple`` records: immutable,
 hashed and compared in C.  A word or quaternion refuses the tuple's
@@ -113,7 +113,6 @@ def _quadratic_parts(value: CycloScalar) -> tuple[int, Fraction, Fraction]:
     return d, a, b
 
 
-@functools.lru_cache(maxsize=4096)
 def _rotation_label(m: int, e: int) -> tuple[int, int]:
     """(d, j) of the pair zeta_m^(+-e): d = m/g and j = min(e/g, d - e/g),
     g = gcd(e, m), so zeta_m^e + zeta_m^-e = zeta_d^j + zeta_d^-j, j <= d/2."""
@@ -216,34 +215,30 @@ class Quaternion(namedtuple("Quaternion", "x y z w")):
         return f"({x}) + ({y})i + ({z})j + ({w})k"
 
 
-class Word(namedtuple("Word", "family n flip exp")):
-    """Normal form a^exp (flip False) or x*a^exp (flip True)."""
+class Word(namedtuple("Word", "period flip exp")):
+    """a^exp (flip False) or x*a^exp (flip True), with a of order period and
+    x^2 = a^(period/2); a flip needs an even period."""
 
     __slots__ = ()
     __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
-    def __new__(cls, family: str, n: int, flip: bool, exp: int) -> "Word":
-        if family not in ("cyclic", "dicyclic"):
-            raise ValueError(f"unknown family {family!a}")
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"n must be an integer, got {n!a}")
-        if n < 1:
-            raise ValueError("n must be positive")
-        if family == "cyclic" and flip:
-            raise ValueError("cyclic words have no x letter")
-        return tuple.__new__(cls, (family, n, flip, exp % (n if family == "cyclic" else 2 * n)))
-
-    def _period(self) -> int:
-        return self.n if self.family == "cyclic" else 2 * self.n
+    def __new__(cls, period: int, flip: bool, exp: int) -> "Word":
+        if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+            raise ValueError(f"period must be a positive integer, got {period!a}")
+        if not isinstance(flip, bool) or flip and period % 2:
+            raise ValueError(f"flip must be a bool, and True only for an even period, got {flip!a}")
+        if isinstance(exp, bool) or not isinstance(exp, int):
+            raise ValueError(f"exp must be an integer, got {exp!a}")
+        return tuple.__new__(cls, (period, flip, exp % period))
 
     def _check(self, other: "Word") -> None:
-        if self.family != other.family or self.n != other.n:
-            raise ValueError("words from different presentations do not multiply")
+        if self.period != other.period:
+            raise ValueError("words of different periods do not multiply")
 
     def _word(self, flip: bool, exp: int) -> "Word":
-        """A word of this presentation: family and n are copied, not validated again."""
-        return tuple.__new__(Word, (self.family, self.n, flip, exp % self._period()))
+        """A word of this period: the period is copied, not validated again."""
+        return tuple.__new__(Word, (self.period, flip, exp % self.period))
 
     def __mul__(self, other: "Word") -> "Word":
         self._check(other)
@@ -255,8 +250,8 @@ class Word(namedtuple("Word", "family n flip exp")):
         if self.flip and not other.flip:
             # (x a^i) * a^j = x a^(i+j)
             return self._word(True, self.exp + other.exp)
-        # (x a^i)(x a^j) = x^2 a^(j-i) = a^(n+j-i)
-        return self._word(False, self.n + other.exp - self.exp)
+        # (x a^i)(x a^j) = x^2 a^(j-i) = a^(period/2+j-i)
+        return self._word(False, self.period // 2 + other.exp - self.exp)
 
     def conjugated_by(self, g: "Word", g_inv: "Word") -> "Word":
         """g * self * g^-1 off the normal forms: a^i sends x*a^k to x*a^(k-2i), x*a^i
@@ -271,27 +266,27 @@ class Word(namedtuple("Word", "family n flip exp")):
     def inverse(self) -> "Word":
         if not self.flip:
             return self._word(False, -self.exp)
-        # (x a^i)^-1 = a^-i x a^-n ... = x a^(i+n)
-        return self._word(True, self.exp + self.n)
+        # (x a^i)^-1 = a^-i x^-1 = a^-i x a^(period/2) = x a^(i+period/2)
+        return self._word(True, self.exp + self.period // 2)
 
     def rotation(self) -> tuple[int, int]:
         """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j = min(j, d - j).
 
         A flip x*a^k has trace 0 = zeta_4 + zeta_4^-1, so it gets (4, 1).
         """
-        return (4, 1) if self.flip else _rotation_label(self._period(), self.exp)
+        return (4, 1) if self.flip else _rotation_label(self.period, self.exp)
 
     def trace(self) -> CycloScalar:
         """zeta^exp + zeta^-exp in Q(zeta_period); 0 for a flip x*a^k."""
         if self.flip:
-            return CycloScalar.zero(self._period())
-        return CycloScalar.zeta_pair_sum(self._period(), self.exp)
+            return CycloScalar.zero(self.period)
+        return CycloScalar.zeta_pair_sum(self.period, self.exp)
 
     def is_identity(self) -> bool:
         return not self.flip and self.exp == 0
 
     def identity(self) -> "Word":
-        return Word(self.family, self.n, False, 0)
+        return self._word(False, 0)
 
     @staticmethod
     def value_key(value: CycloScalar) -> tuple:
@@ -529,8 +524,10 @@ def _kept_when_asked_again(build):
 def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     """Construct the finite subgroup of SU(2) named by an ADE label.
 
-    Type A and D groups are enumerated directly from their normal forms,
-    each element copied from the validated generator's presentation (the
+    Type A and D groups are enumerated directly from their normal forms
+    in one branch: A_(n-1) is the words a^k of period n, generated by a,
+    and D_(n+2) the words a^k and x*a^k of period 2n, generated by a and
+    x.  Each element is copied from the validated generator's period (the
     closure of the same generators agrees; tests verify).  The E
     groups are closed from explicit quaternion generators, and the
     resulting order is checked against the catalog.
@@ -545,21 +542,19 @@ def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     per label.  ``build_ade_group.__wrapped__`` is the uncached build.
     """
     n = label.parameter
-    if label.kind == "A":
-        gens = (Word("cyclic", n, False, 1 if n > 1 else 0),)
-        elements = [gens[0]._word(False, k) for k in range(n)]
-        group = _finite_subgroup(elements, gens, label)
-    elif label.kind == "D":
-        gens = (Word("dicyclic", n, False, 1), Word("dicyclic", n, True, 0))
-        elements = [gens[0]._word(flip, k) for flip in (False, True) for k in range(2 * n)]
-        group = _finite_subgroup(elements, gens, label)
-    else:
+    if label.kind == "E":
         gens = {
             6: _binary_tetrahedral_generators,
             7: _binary_octahedral_generators,
             8: _binary_icosahedral_generators,
         }[n]()
-        group = _finite_subgroup(generate_group(gens), gens, label)
+        elements = generate_group(gens)
+    else:
+        flips = (False, True) if label.kind == "D" else (False,)
+        period = len(flips) * n
+        gens = tuple(Word(period, flip, 0 if flip else 1) for flip in flips)
+        elements = [gens[0]._word(flip, k) for flip in flips for k in range(period)]
+    group = _finite_subgroup(elements, gens, label)
     expected = resolution_data(label).group_order
     if group.order != expected:
         raise IdentityFailure(

@@ -347,7 +347,7 @@ def test_unpaired_irrational_trace_is_rejected():
 
 def test_incomplete_rotation_orbit_is_rejected():
     # a conductor-5 rotation class without the rest of its Galois orbit
-    rep = Word("dicyclic", 5, False, 2)
+    rep = Word(10, False, 2)
     identity = rep.identity()
     bogus = FiniteSubgroup(
         None,

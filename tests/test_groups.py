@@ -82,8 +82,7 @@ def mat_close(a, b, tol=1e-9):
 
 
 def word_matrix(w: Word):
-    period = 2 * w.n if w.family == "dicyclic" else w.n
-    lam = cmath.exp(2j * cmath.pi * w.exp / period)
+    lam = cmath.exp(2j * cmath.pi * w.exp / w.period)
     rot = ((lam, 0), (0, lam.conjugate()))
     if not w.flip:
         return rot
@@ -140,11 +139,22 @@ def test_closure_is_idempotent():
 
 
 def test_word_enumeration_matches_closure_for_dicyclic():
-    for n in range(2, 8):
-        group = build_ade_group(AdeLabel("D", n))
+    # one builder branch enumerates both word families
+    labels = [AdeLabel("A", n) for n in range(1, 21)] + [AdeLabel("D", n) for n in range(2, 8)]
+    for label in labels:
+        group = build_ade_group(label)
         closed = generate_group(group.generators)
-        assert set(closed) == set(group.elements)
-        assert len(closed) == 4 * n
+        assert set(closed) == set(group.elements), label
+        assert len(closed) == (4 if label.kind == "D" else 1) * label.parameter, label
+
+
+def test_cyclic_groups_are_the_rotations_of_binary_dihedral_groups():
+    # A_(2n-1) and D_(n+2) share one presentation: the same words of period 2n
+    for n in range(2, 41):
+        cyclic = build_ade_group(AdeLabel("A", 2 * n)).elements
+        rotations = tuple(g for g in build_ade_group(AdeLabel("D", n)).elements if not g.flip)
+        assert cyclic == rotations, n
+        assert [hash(g) for g in cyclic] == [hash(g) for g in rotations], n
 
 
 # ----------------------------------------------------------------------
@@ -208,22 +218,22 @@ def test_trace_values():
     assert i.identity().trace() == 2
     assert i.trace() == 0
     assert omega.trace() == 1
-    flip = Word("dicyclic", 5, True, 3)
+    flip = Word(10, True, 3)
     assert flip.trace() == 0
-    minus_one = Word("dicyclic", 5, False, 5)  # a^n = -1
+    minus_one = Word(10, False, 5)  # a^(period/2) = -1
     assert minus_one.trace() == -2
 
 
 def test_word_normalization_and_inverses():
-    a = Word("dicyclic", 4, False, 1)
-    assert Word("dicyclic", 4, False, 9) == a  # exponent mod 2n
-    assert Word("dicyclic", 4, False, -1) == Word("dicyclic", 4, False, 7)
+    a = Word(8, False, 1)
+    assert Word(8, False, 9) == a  # exponent mod the period
+    assert Word(8, False, -1) == Word(8, False, 7)
     power = a
     for _ in range(7):
         power = power * a
-    assert power.is_identity()  # a has order 2n
-    x = Word("dicyclic", 4, True, 0)
-    assert (x * x) == Word("dicyclic", 4, False, 4)  # x^2 = a^n = -1
+    assert power.is_identity()  # a has order period
+    x = Word(8, True, 0)
+    assert (x * x) == Word(8, False, 4)  # x^2 = a^(period/2) = -1
     for g in build_ade_group(AdeLabel("D", 4)).elements:
         assert (g * g.inverse()).is_identity()
         assert (g.inverse() * g).is_identity()
@@ -242,25 +252,28 @@ def test_non_unit_quaternion_has_no_group_inverse():
 
 
 def test_mixed_family_words_do_not_combine():
-    a = Word("dicyclic", 4, False, 1)
-    b = Word("cyclic", 4, False, 1)
+    # different periods do not multiply
+    a = Word(8, False, 1)
+    b = Word(4, False, 1)
     with pytest.raises(ValueError):
         a * b
-    with pytest.raises(ValueError):
-        Word("dihedral", 4, False, 1)
 
 
 def test_validating_constructor_still_rejects_bad_words():
-    for family, n, flip, exp in (
-        ("dihedral", 4, False, 1),
-        ("cyclic", 0, False, 0),
-        ("dicyclic", -2, True, 1),
-        ("cyclic", 4, True, 1),
+    for period, flip, exp in (
+        (0, False, 0),
+        (-4, True, 1),
+        (5, True, 1),
+        (3, False, 1.5),
+        (6, "yes", 0),
+        (6, 1, 0),
+        (6, False, True),
+        (6, False, "1"),
     ):
         with pytest.raises(ValueError):
-            Word(family, n, flip, exp)
+            Word(period, flip, exp)
     with pytest.raises(ValueError):
-        Word("dicyclic", 4, False, 1) * Word("dicyclic", 5, False, 1)
+        Word(8, False, 1) * Word(10, False, 1)
 
 
 def matrix_inverse(a):
@@ -281,13 +294,12 @@ def test_products_and_inverses_equal_validated_words():
     labels = [AdeLabel("A", n) for n in range(1, 13)] + [AdeLabel("D", n) for n in range(2, 11)]
     for label in labels:
         elements = build_ade_group(label).elements
-        family, n = elements[0].family, elements[0].n
-        period = 2 * n if family == "dicyclic" else n
-        flips = (False, True) if family == "dicyclic" else (False,)
+        period = elements[0].period
+        flips = (False, True) if label.kind == "D" else (False,)
         validated = {}
         for flip in flips:
             for exp in range(period):
-                word = Word(family, n, flip, exp)
+                word = Word(period, flip, exp)
                 validated[matrix_key(word_matrix(word))] = word
         assert len(validated) == len(elements)
         for g in elements:
@@ -298,8 +310,8 @@ def test_products_and_inverses_equal_validated_words():
                 assert word == expected and hash(word) == hash(expected), (label, g, word)
                 assert 0 <= word.exp < period
                 assert word.rotation() == expected.rotation()
-                # a word stores no label: both calls read _rotation_label's cache
-                assert word.rotation() is word.rotation()
+                # a word stores no label: each call computes it again
+                assert word.rotation() == word.rotation()
 
 
 def test_conjugated_by_equals_the_product_with_the_inverse():
@@ -318,9 +330,9 @@ def test_conjugated_by_equals_the_product_with_the_inverse():
                 if not (g.flip or w.flip):
                     assert conj is w  # a^i fixes a^k: nothing is built
     for w, g in (
-        (Word("dicyclic", 4, False, 1), Word("cyclic", 4, False, 1)),
-        (Word("dicyclic", 4, True, 1), Word("dicyclic", 5, True, 0)),
-        (Word("cyclic", 6, False, 2), Word("cyclic", 7, False, 1)),
+        (Word(8, False, 1), Word(4, False, 1)),
+        (Word(8, True, 1), Word(10, True, 0)),
+        (Word(6, False, 2), Word(7, False, 1)),
     ):
         with pytest.raises(ValueError):
             w.conjugated_by(g, g.inverse())
@@ -398,12 +410,12 @@ def test_element_keys_are_distinct_within_a_group():
 
 
 def test_rotation_labels():
-    assert Word("cyclic", 7, False, 0).rotation() == (1, 0)
-    assert Word("dicyclic", 5, False, 5).rotation() == (2, 1)  # a^n = -1
-    assert Word("dicyclic", 5, True, 3).rotation() == (4, 1)  # trace 0
-    assert Word("cyclic", 12, False, 10).rotation() == (6, 1)
-    assert Word("cyclic", 12, False, 7).rotation() == (12, 5)
-    assert Word("dicyclic", 9, False, 14).rotation() == (9, 2)  # a^14 in Q(zeta_18)
+    assert Word(7, False, 0).rotation() == (1, 0)
+    assert Word(10, False, 5).rotation() == (2, 1)  # a^(period/2) = -1
+    assert Word(10, True, 3).rotation() == (4, 1)  # trace 0
+    assert Word(12, False, 10).rotation() == (6, 1)
+    assert Word(12, False, 7).rotation() == (12, 5)
+    assert Word(18, False, 14).rotation() == (9, 2)  # a^14 in Q(zeta_18)
 
 
 def word_groups():
@@ -419,7 +431,7 @@ def test_rotation_labels_classify_dense_traces_exactly():
         labels_of_trace: dict = {}
         traces_of_label: dict = {}
         for g in build_ade_group(label).elements:
-            m = 2 * g.n if g.family == "dicyclic" else g.n
+            m = g.period
             key = None if g.flip else g.exp
             if key not in dense_of:
                 dense_of[key] = (
@@ -505,7 +517,7 @@ def test_one_dense_trace_per_trace_label(monkeypatch):
         labels = {c.representative.rotation() for c in rotations}
         distinct_labels += len(labels)
         assert len(built) == len(labels), label
-        assert {Word("cyclic", m, False, e).rotation() for m, e in built} == labels, label
+        assert {Word(m, False, e).rotation() for m, e in built} == labels, label
     assert rotation_classes > distinct_labels > 0
 
 
@@ -580,7 +592,7 @@ def test_conjugacy_classes_rebuild_from_elements_and_generators():
 
 def test_trace_two_imposter_is_rejected():
     # a dishonest "class" whose representative has trace 2 but is not 1
-    fake = Word("dicyclic", 3, False, 1)
+    fake = Word(6, False, 1)
     bogus = FiniteSubgroup(
         label=None,
         order=2,
@@ -761,10 +773,10 @@ def test_table_holds_one_group_at_a_time(monkeypatch, capsys):
     assert [ref() is None for ref in refs] == [True] * (len(refs) - 1) + [False]
 
 
-def test_word_n_must_be_an_int():
-    for n in (True, 4.0, "4"):
+def test_word_period_must_be_an_int():
+    for period in (True, 4.0, "4"):
         with pytest.raises(ValueError):
-            Word("dicyclic", n, False, 1)
+            Word(period, False, 1)
 
 
 DIVISOR = DivisorEntry(ramification=2, chi_divisor=2, k_dot=-3, self_int=1)
@@ -800,8 +812,11 @@ def test_make_and_replace_run_the_constructor_checks():
     bad = [
         (InvalidLabel, lambda: AdeLabel._make(("A", 2.5))),
         (InvalidLabel, lambda: AdeLabel("A", 3)._replace(parameter=0)),
-        (ValueError, lambda: Word("dicyclic", 3, False, 1)._replace(n=True)),
-        (ValueError, lambda: Word("cyclic", 3, False, 1)._replace(flip=True)),
+        (ValueError, lambda: Word(6, False, 1)._replace(period=True)),
+        (ValueError, lambda: Word(3, False, 1)._replace(flip=True)),
+        (ValueError, lambda: Word._make((3, False, 1.5))),
+        (ValueError, lambda: Word(6, False, 1)._replace(flip="yes")),
+        (ValueError, lambda: Word(6, False, 1)._replace(exp=True)),
         (DescriptionError, lambda: DIVISOR._replace(ramification=1)),
         (DescriptionError, lambda: Crossing(0, 1, 1)._replace(i=1)),
         (DescriptionError, lambda: SncPairDescription(3, 9, (DIVISOR,), (), False)._replace(
@@ -810,14 +825,14 @@ def test_make_and_replace_run_the_constructor_checks():
     for error, build in bad:
         with pytest.raises(error):
             build()
-    assert Word("cyclic", 3, False, 1)._replace(exp=7).exp == 1
+    assert Word(3, False, 1)._replace(exp=7).exp == 1
     assert DIVISOR._replace(k_dot="1/2").k_dot == Fraction(1, 2)
     points = IsolatedPointsDescription(2, 0, [AdeLabel("A", 2)], True)._replace(c1_squared="3")
     assert points.c1_squared == 3 and type(points.c1_squared) is Fraction
 
 
 def test_group_elements_do_no_tuple_arithmetic():
-    word = Word("dicyclic", 3, False, 1)
+    word = Word(6, False, 1)
     quaternion = build_ade_group(AdeLabel("E", 6)).elements[1]
     for combine in (
         lambda: word + word,
