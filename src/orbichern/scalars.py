@@ -8,7 +8,8 @@ the one field type: Q itself is Q(zeta_1), a row of one place, and the
 real quadratic fields the exceptional groups need sit inside it,
 Q(sqrt 2) in Q(zeta_8) and Q(sqrt 5) in Q(zeta_5).  ``fractions.Fraction``
 appears only at the edges: the wire form (``parse_rational``), constructor
-inputs, and results that are rational numbers (traces down to Q, the
+inputs (an int other than a bool, or a Fraction; anything else raises
+TypeError), and results that are rational numbers (traces down to Q, the
 ``coeffs`` view).
 
 ``divisors``, ``euler_phi`` and ``moebius`` read one cached prime
@@ -25,7 +26,8 @@ phi(m), zeta^e for e < phi(m), which have nothing to reduce, and the
 orbit-term inverse, which is built below degree phi(m), skip it.  Every
 product is one ``signed_dot``, a sum of signed products (a quaternion
 component, or one product ``a * b``) fused into one convolution and one
-remainder.  A Galois image and an
+remainder; ``_convolve`` is the one integer convolution loop, shared
+with the inversion's descent.  A Galois image and an
 embedding are the same step (``_placed``): place coefficient i at
 i*k mod M, then reduce.
 
@@ -42,10 +44,20 @@ a polynomial identity with a linear multiple of Phi_m: an identity that
 needs only these inverses builds no ``_reduce`` table.  A negative power
 k of a row with one nonzero place, c zeta^e with e < phi(m), is
 c^k zeta^ek read off ``zeta_pow``, checked by zeta^-e zeta^e = 1.  Every
-other inversion, and every other negative power, is one half-extended
-Euclid over the integers with primitive remainders (``_inverse_row``),
-exact by construction; its pseudo-division is the one polynomial
-remainder besides ``_reduce``.  ``cyclo_trace`` takes a trace by
+other inversion, and every other negative power, ends in one
+half-extended Euclid over the integers with primitive remainders
+(``_inverse_row``); its pseudo-division is the one polynomial remainder
+besides ``_reduce``.  While 4 | m and the value is not rational, the
+Euclid runs at half the degree (``_descent_row``, the field-norm descent
+of Pornin and Prest): Phi_m(x) = Phi_(m/2)(x^2), so zeta -> -zeta
+negates the odd places and fixes Q(zeta_(m/2)), the even places, the
+norm z sigma(z) lies there, and 1/z = sigma(z) (1/N(z)), two products
+per level on integer rows, none for a row with no odd places.  The
+descent stops at the first m with 4 not dividing it, where the Euclid
+runs, and the inverse is returned only after one exact check s z = lam
+at the top, one more product.  For 4 not dividing m, and for rational
+values, the Euclid on Phi_m runs alone, exact by construction, with no
+product and no check.  ``cyclo_trace`` takes a trace by
 Ramanujan sums, one slice sum per divisor of m.  No polynomial code
 works on Fractions.  ``scalar_key`` is the reference order of values:
 a rational, in any field, before every irrational value.  Every value
@@ -80,6 +92,14 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!a}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def _exact(value: Fraction | int) -> Fraction | int:
+    """value itself if it is an int other than a bool, or a Fraction: a
+    float, a string or a bool raises TypeError instead of being read."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an int or a Fraction: {value!a}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +204,28 @@ def _division_terms(m: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...
         if c:
             places.setdefault(c, []).append(j)
     return deg, tuple((c, tuple(js)) for c, js in places.items())
+
+
+def _convolve(conv: list, a, b, scale: int = 1, shift: int = 0) -> list:
+    """conv[i + j + shift] += scale * a[i] * b[j], in place; returns conv.
+
+    The one integer convolution loop.  It skips the zeros of a only, so
+    the sparser operand goes first.
+    """
+    for i, x in enumerate(a, shift):
+        if x:
+            x *= scale
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+    return conv
+
+
+def _product_row(m: int, a, b) -> list:
+    """a*b modulo Phi_m for two integer rows of phi(m) places: one
+    ``_convolve``, the row with more zeros first, and one ``_reduce``."""
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    return _reduce(m, _convolve([0] * (2 * len(a) - 1), a, b))
 
 
 def _reduce(m: int, poly: list) -> list:
@@ -297,6 +339,34 @@ def _inverse_row(row: tuple[int, ...], phi: tuple[int, ...]) -> tuple[list[int],
     return s1, lam1 * r1[0]
 
 
+def _descent_row(m: int, row) -> tuple[list[int], int]:
+    """(s, lam) with s*row = lam modulo Phi_m, through Q(zeta_(m/2)) while 4 | m.
+
+    Phi_m(x) = Phi_(m/2)(x^2), so sigma: zeta -> -zeta negates the odd
+    places and fixes Q(zeta_(m/2)), the rows on the even places.  For
+    row = A(x^2) + x B(x^2) the norm row * sigma(row) is (A^2 - y B^2)(x^2),
+    y = x^2: two half-length convolutions and one remainder modulo
+    Phi_(m/2).  From t N = lam there, s = sigma(row) t(x^2): one more
+    product.  A row with no odd places lies in Q(zeta_(m/2)) already and
+    takes no product.  At the first m with 4 not dividing it, the Euclid
+    (``_inverse_row``).  No level is checked here: ``invert`` checks s once.
+    """
+    if m % 4:
+        return _inverse_row(row, cyclotomic_polynomial(m))
+    even, odd = row[::2], row[1::2]
+    s = [0] * len(row)
+    if not any(odd):
+        t, lam = _descent_row(m // 2, even)
+        s[: 2 * len(t) : 2] = t
+        return s, lam
+    norm = _convolve(_convolve([0] * len(row), even, even), odd, odd, -1, 1)
+    t, lam = _descent_row(m // 2, _reduce(m // 2, norm))
+    s[: 2 * len(t) : 2] = t
+    conj = list(row)
+    conj[1::2] = map(operator.neg, odd)
+    return _product_row(m, s, conj), lam
+
+
 # ----------------------------------------------------------------------
 # cyclotomic scalars
 
@@ -320,7 +390,7 @@ class CycloScalar:
             raise ValueError(
                 f"conductor {conductor} needs {deg} coefficients, got {len(coeffs)}"
             )
-        values = [Fraction(c) for c in coeffs]
+        values = [_exact(c) for c in coeffs]
         den = lcm(*(c.denominator for c in values))
         self._store(conductor, [c.numerator * (den // c.denominator) for c in values], den)
 
@@ -354,7 +424,7 @@ class CycloScalar:
 
     @classmethod
     def from_rational(cls, value: Fraction | int, conductor: int) -> "CycloScalar":
-        value = Fraction(value)
+        value = _exact(value)
         row = [0] * euler_phi(conductor)
         row[0] = value.numerator
         return cls._new(conductor, row, value.denominator)
@@ -483,8 +553,8 @@ class CycloScalar:
 
         For k < 0, a row with one nonzero place, c zeta^e (e < phi(m)), gives
         c^k zeta^ek read off ``zeta_pow`` once zeta^-e zeta^e = 1 is checked
-        by one remainder mod Phi_m; any other row is inverted by the Euclid
-        (``invert``) and raised to -k.
+        by one remainder mod Phi_m; any other row is inverted by ``invert``
+        and raised to -k.
         """
         if exponent == 1:
             return self
@@ -511,9 +581,26 @@ class CycloScalar:
         return result
 
     def invert(self) -> "CycloScalar":
-        s, lam = _inverse_row(self.row, cyclotomic_polynomial(self.conductor))
-        row = [self.den * c for c in s] + [0] * (len(self.row) - len(s))
-        return CycloScalar._new(self.conductor, row, lam)
+        """1/self, or ZeroInversion for zero.
+
+        While 4 | m and self is not rational, through Q(zeta_(m/2)) by the
+        norm under zeta -> -zeta (``_descent_row``) down to the first
+        conductor with 4 not dividing it, where the Euclid runs; then one
+        exact check s*row = lam modulo Phi_m (one product, one
+        ``_reduce``), IdentityFailure otherwise.  For 4 not dividing m,
+        and for a rational value, one Euclid on Phi_m (``_inverse_row``),
+        with no product and no check.
+        """
+        m, row = self.conductor, self.row
+        if m % 4 or not any(row[1:]):
+            s, lam = _inverse_row(row, cyclotomic_polynomial(m))
+        else:
+            s, lam = _descent_row(m, row)
+            check = _product_row(m, row, s)
+            if check[0] != lam or any(check[1:]):
+                raise IdentityFailure(f"an inverse in Q(zeta_{m}) fails u*z = 1")
+        row = [self.den * c for c in s] + [0] * (len(row) - len(s))
+        return CycloScalar._new(m, row, lam)
 
     def _placed(self, conductor: int, k: int) -> "CycloScalar":
         """zeta_m^i -> zeta_M^(i*k mod M) on every place i, reduced mod Phi_M.
@@ -603,12 +690,7 @@ def signed_dot(lefts, rights, signs) -> CycloScalar:
             scale = term_den // gcd(den, term_den)
             conv = [c * scale for c in conv]
             den *= scale
-        scale = sign * (den // term_den)
-        for i, x in enumerate(a.row):
-            if x:
-                x *= scale
-                for j, y in enumerate(b.row, i):
-                    conv[j] += x * y
+        _convolve(conv, a.row, b.row, sign * (den // term_den))
     return CycloScalar._new(m, _reduce(m, conv), den)
 
 

@@ -253,6 +253,19 @@ def test_float_oracle_on_zeta_powers_and_pair_sums(m):
         assert abs(approx(CycloScalar.zeta_pair_sum(m, e)) - 2 * math.cos(angle)) < 1e-6
 
 
+def test_constructors_take_only_ints_and_fractions():
+    for bad in (0.1, 0.5, "1/2", "1", True, False, None):
+        with pytest.raises(TypeError):
+            CycloScalar(5, (bad, 0, 0, 0))
+        with pytest.raises(TypeError):
+            CycloScalar(5, (0, 0, 0, bad))
+        with pytest.raises(TypeError):
+            CycloScalar.from_rational(bad, 5)
+    assert CycloScalar(5, (1, F(1, 2), 0, -3)).coeffs == (1, F(1, 2), 0, -3)
+    assert CycloScalar.from_rational(-7, 5) == -7
+    assert CycloScalar.from_rational(F(3, 4), 1).to_rational() == F(3, 4)
+
+
 def test_invert_examples():
     assert CycloScalar.from_rational(2, 5).invert() == F(1, 2)
     z4 = CycloScalar.zeta_pow(4)
@@ -319,30 +332,121 @@ def test_negative_powers_of_monomials_skip_the_euclid(monkeypatch):
             assert (c ** -1) * c == 1
 
 
-@pytest.mark.parametrize("m", [60, 120, 240])
-def test_negative_powers_of_dense_zeta_powers_go_straight_to_the_euclid(m, monkeypatch):
-    """zeta^k for phi(m) <= k < m/2, the literal half-angle sums' dense terms:
-    ``** -1`` is one Euclid and no remainder mod Phi_m."""
-    calls = {"_reduce": 0, "_inverse_row": 0}
-
-    def counting(name):
+def count_calls(monkeypatch, *names) -> dict:
+    """Count the calls of each named function of ``scalars`` from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         real = getattr(scalars, name)
 
-        def counted(*args):
+        def counted(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        return counted
+        monkeypatch.setattr(scalars, name, counted)
+    return calls
 
+
+def descent_products(z: CycloScalar) -> int:
+    """The products ``invert`` makes below its one check: two (the norm
+    z * sigma(z) and the lift) at each level 4 | m where the value has a
+    nonzero odd place.  sigma: zeta -> -zeta is the Galois map j = m/2 + 1."""
+    m, count = z.conductor, 0
+    while m % 4 == 0:
+        if any(z.row[1::2]):
+            count += 2
+            z = z * z.galois(m // 2 + 1)
+        m //= 2
+        z = CycloScalar(m, z.coeffs[::2])
+    return count
+
+
+@pytest.mark.parametrize("m", [60, 120, 240])
+def test_negative_powers_of_dense_zeta_powers_take_the_descent_and_one_euclid(m, monkeypatch):
+    """zeta^k for phi(m) <= k < m/2, the literal half-angle sums' dense terms:
+    ``** -1`` guesses no dense row, runs one Euclid, and takes one remainder
+    mod Phi per product of the descent plus one for the check at the top."""
     powers = [CycloScalar.zeta_pow(m, k) for k in range(euler_phi(m), m // 2)]
     expected = [CycloScalar.zeta_pow(m, -k) for k in range(euler_phi(m), m // 2)]
-    for name in calls:
-        monkeypatch.setattr(scalars, name, counting(name))
-    for k, z, want in zip(range(euler_phi(m), m // 2), powers, expected):
+    reductions = [descent_products(z) + 1 for z in powers]
+    calls = count_calls(monkeypatch, "_reduce", "_inverse_row")
+    for k, z, want, count in zip(range(euler_phi(m), m // 2), powers, expected, reductions):
         assert len(z.row) - z.row.count(0) > 1, k
         calls.update(_reduce=0, _inverse_row=0)
         assert z ** -1 == want, (m, k)
-        assert calls == {"_reduce": 0, "_inverse_row": 1}, (m, k)
+        assert calls == {"_reduce": count, "_inverse_row": 1}, (m, k)
+
+
+def euclid_inverse(z: CycloScalar) -> CycloScalar:
+    """The one half-extended Euclid over Phi_m at the full conductor, as
+    ``invert`` ran before the descent: the oracle for it."""
+    s, lam = scalars._inverse_row(z.row, cyclotomic_polynomial(z.conductor))
+    return CycloScalar._new(z.conductor, [z.den * c for c in s] + [0] * (len(z.row) - len(s)), lam)
+
+
+def sparse_row(rng, deg, terms, top, step=1):
+    """terms nonzero places (fewer if two draws meet) at multiples of step,
+    each a nonzero integer in [-top, top]."""
+    row = [0] * deg
+    for _ in range(terms):
+        row[rng.randrange(0, deg, step)] = rng.choice([-1, 1]) * rng.randint(1, top)
+    return row
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 16, 20, 24, 28, 36, 40, 48, 60, 64, 72, 120, 240, 1024])
+def test_descent_inverse_matches_the_euclid(m):
+    """Dense, 1-5 term sparse, even-place-only and rational values: the
+    descent through Q(zeta_(m/2)) gives the Euclid's row and den exactly.
+    At m = 1024 the oracle takes seconds on a dense value, and on sparse
+    ones with larger coefficients, so only signed sums of 1-5 powers of
+    zeta are drawn there."""
+    rng = random.Random(m)
+    deg = euler_phi(m)
+    top = 9 if m < 1024 else 1
+    rows = [sparse_row(rng, deg, terms, top) for terms in range(1, 6)]
+    rows += [sparse_row(rng, deg, terms, top, 2) for terms in (1, 3)]
+    rows.append([rng.randint(-9, 9) or 1] + [0] * (deg - 1))
+    if m < 1024:
+        rows += [[rng.randint(-9, 9) for _ in range(deg)] for _ in range(3)]
+        even = [rng.randint(-9, 9) for _ in range(deg)]
+        even[1::2] = [0] * (deg // 2)
+        rows.append(even)
+    for row in rows:
+        den = rng.randint(1, 5)
+        z = CycloScalar(m, tuple(F(c, den) for c in row))
+        if z.is_zero():
+            continue
+        u, want = z.invert(), euclid_inverse(z)
+        assert (u.row, u.den) == (want.row, want.den), (m, row)
+        assert u * z == 1
+    with pytest.raises(ZeroInversion):
+        CycloScalar.zero(m).invert()
+
+
+@pytest.mark.parametrize("m", [7, 30, 3990])
+def test_invert_without_4_dividing_m_is_one_euclid_and_no_remainder(m, monkeypatch):
+    z1, z2 = CycloScalar.zeta_pow(m, 1), CycloScalar.zeta_pow(m, 2)
+    values = [1 + z1, 2 - z1 + 3 * z2]
+    expected = [euclid_inverse(z) for z in values]
+    calls = count_calls(monkeypatch, "_reduce", "_inverse_row")
+    for z, want in zip(values, expected):
+        calls.update(_reduce=0, _inverse_row=0)
+        assert z.invert() == want
+        assert calls == {"_reduce": 0, "_inverse_row": 1}, (m, z)
+
+
+def test_descent_check_rejects_a_wrong_cofactor(monkeypatch):
+    """A wrong Euclid cofactor at the bottom conductor (30, below 240 ->
+    120 -> 60) fails the one check u*z = 1 at the top."""
+    real = scalars._inverse_row
+
+    def wrong(row, phi):
+        s, lam = real(row, phi)
+        return [s[0] + 1] + s[1:], lam
+
+    z = 2 - CycloScalar.zeta_pow(240, 1) - CycloScalar.zeta_pow(240, 7)
+    monkeypatch.setattr(scalars, "_inverse_row", wrong)
+    with pytest.raises(IdentityFailure):
+        z.invert()
 
 
 def test_negative_power_check_rejects_a_wrong_row(monkeypatch):

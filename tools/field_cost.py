@@ -1,0 +1,73 @@
+"""Print what ``CycloScalar.invert`` and one product cost, per conductor.
+
+One line per value set: the conductor m, phi(m), how many values, and the
+best of 3 in-process times, per value, of ``invert`` and of one product
+z * z.  The sets are the terms 2 - zeta^k - zeta^-k (k = 1 .. m/2 - 1) of
+the literal half-angle sums at m = 60, 120, 180 and 240; dense values
+with integer coefficients in [-9, 9] at m = 240 and 480, where inversion
+descends through Q(zeta_(m/2)); and dense values at the odd conductor
+105, where it is one Euclid.  The tables each set needs are built before
+it is timed.  Print only: the exit status is 0 whenever the script runs.
+
+Run from anywhere: ``python3 tools/field_cost.py``.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from orbichern.scalars import CycloScalar, euler_phi  # noqa: E402
+
+RUNS = 3
+DENSE = 3  # dense values per conductor
+
+
+def literal_terms(m: int) -> list[CycloScalar]:
+    """2 - zeta^k - zeta^-k in Q(zeta_m) for k = 1 .. m/2 - 1."""
+    terms = []
+    for k in range(1, m // 2):
+        z = CycloScalar.zeta_pow(m, k)
+        terms.append(2 - z - z ** -1)
+    return terms
+
+
+def dense_values(m: int) -> list[CycloScalar]:
+    rng = random.Random(m)
+    return [
+        CycloScalar(m, tuple(Fraction(rng.randint(-9, 9)) for _ in range(euler_phi(m))))
+        for _ in range(DENSE)
+    ]
+
+
+def best_ms_per_value(step, values) -> float:
+    """Best of RUNS timings of step over every value, in ms per value."""
+    best = float("inf")
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        for z in values:
+            step(z)
+        best = min(best, time.perf_counter() - start)
+    return best * 1000 / len(values)
+
+
+def main() -> int:
+    sets = [(m, "literal-sum terms", literal_terms(m)) for m in (60, 120, 180, 240)]
+    sets += [(m, "dense", dense_values(m)) for m in (240, 480, 105)]
+    print(f"{'m':>5} {'phi':>5}  {'values':<24} {'invert ms':>10} {'product ms':>11}")
+    for m, kind, values in sets:
+        values[0] * values[0]  # the remainder table of Phi_m, outside the timing
+        invert = best_ms_per_value(CycloScalar.invert, values)
+        product = best_ms_per_value(lambda z: z * z, values)
+        label = f"{len(values)} {kind}"
+        print(f"{m:>5} {euler_phi(m):>5}  {label:<24} {invert:>10.3f} {product:>11.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
