@@ -61,11 +61,10 @@ orbit-stabilizer relation.  The partition walks the elements in
 which is its representative.  ``conjugated_by`` reads a word's conjugate
 off the two normal forms in one step; a quaternion multiplies twice.
 
-``build_ade_group`` holds the group it built last, and holds a group for
-good only when its label is asked for again after another label was
-built.  A CLI command and each ``table`` row ask for a label once, so
-such a process holds one group at a time instead of every group it ever
-built; loops that revisit labels keep their cache hits.
+``build_ade_group`` is an ``lru_cache`` of one group: the one it built
+last, so a CLI command, each ``table`` row or any loop over labels holds
+one A or D group at a time.  The three E groups, closed from quaternion
+generators, sit in a cache of their own and are built once per process.
 """
 
 from __future__ import annotations
@@ -490,37 +489,18 @@ def _binary_icosahedral_generators() -> tuple:
     return (omega, psi)
 
 
-def _kept_when_asked_again(build):
-    """``build`` cached as ``build_ade_group`` describes; labels asked for
-    once are remembered as labels only.  ``cache_clear()`` forgets all."""
-    asked: set = set()
-    kept: dict = {}
-    last = [None, None]  # the label built last and its group
-
-    @functools.wraps(build)
-    def cached(label: AdeLabel) -> FiniteSubgroup:
-        if label == last[0]:
-            return last[1]
-        group = kept.get(label)
-        if group is None:
-            group = build(label)
-            if label in asked:
-                kept[label] = group
-            else:
-                asked.add(label)
-            last[:] = label, group
-        return group
-
-    def cache_clear() -> None:
-        asked.clear()
-        kept.clear()
-        last[:] = None, None
-
-    cached.cache_clear = cache_clear
-    return cached
+@functools.cache
+def _exceptional_group(label: AdeLabel) -> FiniteSubgroup:
+    """E6, E7 or E8, closed from its quaternion generators; cached for good."""
+    gens = {
+        6: _binary_tetrahedral_generators,
+        7: _binary_octahedral_generators,
+        8: _binary_icosahedral_generators,
+    }[label.parameter]()
+    return _finite_subgroup(generate_group(gens), gens, label)
 
 
-@_kept_when_asked_again
+@functools.lru_cache(maxsize=1)
 def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     """Construct the finite subgroup of SU(2) named by an ADE label.
 
@@ -529,32 +509,26 @@ def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     and D_(n+2) the words a^k and x*a^k of period 2n, generated by a and
     x.  Each element is copied from the validated generator's period (the
     closure of the same generators agrees; tests verify).  The E
-    groups are closed from explicit quaternion generators, and the
-    resulting order is checked against the catalog.
+    groups are closed from explicit quaternion generators.  The order of
+    every returned group is checked against the catalog.
 
-    The result is cached for callers that come back to a label: the group
-    built last is held, and a label asked for again after another label
-    was built is held for good from that second build on.  A CLI command,
-    a ``table`` row or a benchmark round asks for each label once, so it
-    holds one group at a time rather than every group it built, whose
-    dense class traces grow as n squared.  Loops that revisit
-    labels, as the tests do, keep their cache hits for one extra build
-    per label.  ``build_ade_group.__wrapped__`` is the uncached build.
+    The group built last is cached, so a build followed by its report
+    builds once, and a process that asks for many labels holds one A or D
+    group at a time, whose dense class traces grow as n squared.  The
+    three E groups are small, fixed and the costliest to close, so
+    ``_exceptional_group`` keeps them for good: ``cache_clear()`` leaves
+    them cached, and ``build_ade_group.__wrapped__`` skips only the A/D
+    cache.
     """
-    n = label.parameter
     if label.kind == "E":
-        gens = {
-            6: _binary_tetrahedral_generators,
-            7: _binary_octahedral_generators,
-            8: _binary_icosahedral_generators,
-        }[n]()
-        elements = generate_group(gens)
+        group = _exceptional_group(label)
     else:
+        n = label.parameter
         flips = (False, True) if label.kind == "D" else (False,)
         period = len(flips) * n
         gens = tuple(Word(period, flip, 0 if flip else 1) for flip in flips)
         elements = [gens[0]._word(flip, k) for flip in flips for k in range(period)]
-    group = _finite_subgroup(elements, gens, label)
+        group = _finite_subgroup(elements, gens, label)
     expected = resolution_data(label).group_order
     if group.order != expected:
         raise IdentityFailure(

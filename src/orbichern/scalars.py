@@ -102,6 +102,18 @@ def _exact(value: Fraction | int) -> Fraction | int:
     return value
 
 
+def _conductor(m: int) -> int:
+    """m itself if it is an int other than a bool and m >= 1: a float, a
+    string or a bool raises TypeError, and m < 1 ValueError.  Not behind
+    the ``lru_cache`` of ``euler_phi``, where 2.0 and True hit the entries
+    of 2 and 1."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise TypeError(f"a conductor must be an int, got {m!a}")
+    if m < 1:
+        raise ValueError(f"a conductor must be >= 1, got {m}")
+    return m
+
+
 # ----------------------------------------------------------------------
 # small number-theoretic helpers
 
@@ -385,7 +397,7 @@ class CycloScalar:
     __slots__ = ("conductor", "row", "den")
 
     def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        deg = euler_phi(conductor)
+        deg = euler_phi(_conductor(conductor))
         if len(coeffs) != deg:
             raise ValueError(
                 f"conductor {conductor} needs {deg} coefficients, got {len(coeffs)}"
@@ -425,7 +437,7 @@ class CycloScalar:
     @classmethod
     def from_rational(cls, value: Fraction | int, conductor: int) -> "CycloScalar":
         value = _exact(value)
-        row = [0] * euler_phi(conductor)
+        row = [0] * euler_phi(_conductor(conductor))
         row[0] = value.numerator
         return cls._new(conductor, row, value.denominator)
 
@@ -440,7 +452,7 @@ class CycloScalar:
     @classmethod
     def zeta_pow(cls, conductor: int, exponent: int = 1) -> "CycloScalar":
         """zeta_m raised to any integer exponent: x^(e mod m) modulo Phi_m."""
-        deg, e = euler_phi(conductor), exponent % conductor
+        deg, e = euler_phi(_conductor(conductor)), exponent % conductor
         poly = [0] * max(deg, e + 1)
         poly[e] = 1
         # below phi(m) the power is a unit row, with nothing to reduce
@@ -451,7 +463,7 @@ class CycloScalar:
         """zeta_m^e + zeta_m^-e in C-level passes over ``_power_rows``: two unit
         places, one copy of a power row plus 1 at a unit place, or one
         ``map(add)`` of two power rows."""
-        deg = euler_phi(conductor)
+        deg = euler_phi(_conductor(conductor))
         low, high = sorted((exponent % conductor, -exponent % conductor))
         if high < deg:
             row = [0] * deg
@@ -481,7 +493,7 @@ class CycloScalar:
         polynomial identity (1 - x)^2 u + x = (t1 x + t0) Phi_m, with t1 and
         t0 read off the two top places of the left side: one more pass.
         """
-        if conductor < 2:
+        if _conductor(conductor) < 2:
             raise ZeroInversion("2 - zeta_1 - zeta_1^-1 is zero")
         phi = cyclotomic_polynomial(conductor)
         once = list(itertools.accumulate(reversed(phi)))  # Phi_m/(x - 1), top first, then a
@@ -623,7 +635,7 @@ class CycloScalar:
     def embed(self, conductor: int) -> "CycloScalar":
         """Image in Q(zeta_M) for a multiple M of the conductor (zeta_m = zeta_M^(M/m))."""
         m = self.conductor
-        if conductor % m != 0:
+        if _conductor(conductor) % m != 0:
             raise FieldMismatch(f"{m} does not divide {conductor}")
         return self if conductor == m else self._placed(conductor, conductor // m)
 

@@ -703,10 +703,11 @@ def test_build_rejects_bad_labels():
 
 
 # ----------------------------------------------------------------------
-# group retention: a group is held only when its label is asked for again
+# group caches: build_ade_group holds the group it built last, and the
+# three E groups sit in a cache of their own
 #
-# A330..A336 are asked for by no other test, so these tests see the policy
-# from a label's first ask without clearing the cache other tests use.
+# A330..A336 are asked for by no other test, so these tests see a label's
+# first ask without clearing the cache other tests use.
 
 
 def count_builds(monkeypatch) -> list:
@@ -743,21 +744,8 @@ def test_single_asks_hold_only_the_last_group(capsys):
     assert last() is not None
 
 
-def test_a_label_asked_again_after_another_build_is_kept(monkeypatch):
-    built = count_builds(monkeypatch)
-    a, b = AdeLabel.from_string("A331"), AdeLabel.from_string("A332")
-    build_ade_group(a)
-    build_ade_group(b)
-    again = build_ade_group(a)  # built a second time, then held for good
-    build_ade_group(b)
-    build_ade_group(AdeLabel.from_string("E6"))
-    assert build_ade_group(a) is again
-    assert built.count(a) == built.count(b) == 2
-
-
-def test_table_holds_one_group_at_a_time(monkeypatch, capsys):
-    build_ade_group.cache_clear()  # every row's label asked for the first time
-    built = count_builds(monkeypatch)
+def watch_reported_groups(monkeypatch) -> list:
+    """Weak references to the groups ``table`` reports from now on."""
     refs = []
     report = cli.build_contribution_report
 
@@ -766,11 +754,49 @@ def test_table_holds_one_group_at_a_time(monkeypatch, capsys):
         return report(group)
 
     monkeypatch.setattr(cli, "build_contribution_report", watched)
+    return refs
+
+
+def alive_groups(refs) -> list:
+    gc.collect()
+    return [group for group in (ref() for ref in refs) if group is not None]
+
+
+def test_table_holds_one_group_at_a_time(monkeypatch, capsys):
+    build_ade_group.cache_clear()
+    groups._exceptional_group.cache_clear()  # every row's group is built here
+    built = count_builds(monkeypatch)
+    refs = watch_reported_groups(monkeypatch)
     assert main(["table", "--max-n", "12"]) == 0
     capsys.readouterr()
-    gc.collect()
+    alive = alive_groups(refs)
     assert len(built) == len(refs) == 2 * 11 + 3  # one build per row
-    assert [ref() is None for ref in refs] == [True] * (len(refs) - 1) + [False]
+    assert sum(group.label.kind != "E" for group in alive) <= 1
+    exceptional = [group for group in alive if group.label.kind == "E"]  # held by their own cache
+    assert len(exceptional) == 3
+    assert all(group is groups._exceptional_group(group.label) for group in exceptional)
+
+
+def test_two_table_passes_hold_at_most_one_word_group(monkeypatch, capsys):
+    refs = watch_reported_groups(monkeypatch)
+    for _ in range(2):
+        assert main(["table", "--max-n", "12"]) == 0
+    capsys.readouterr()
+    assert len(refs) == 2 * (2 * 11 + 3)
+    assert sum(group.label.kind != "E" for group in alive_groups(refs)) <= 1
+
+
+def test_interleaved_asks_build_each_e_group_once(monkeypatch):
+    build_ade_group.cache_clear()
+    groups._exceptional_group.cache_clear()
+    built = count_builds(monkeypatch)
+    e6 = AdeLabel.from_string("E6")
+    asked = [build_ade_group(AdeLabel.from_string(text)) for text in ("E6", "A5", "E6", "D7", "E6")]
+    assert built == [e6, AdeLabel.from_string("A5"), AdeLabel.from_string("D7")]
+    assert asked[0] is asked[2] is asked[4]
+    build_ade_group.cache_clear()  # forgets D7 and leaves the E groups cached
+    assert build_ade_group(e6) is build_ade_group.__wrapped__(e6) is asked[0]
+    assert built.count(e6) == 1
 
 
 def test_word_period_must_be_an_int():

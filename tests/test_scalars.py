@@ -266,6 +266,27 @@ def test_constructors_take_only_ints_and_fractions():
     assert CycloScalar.from_rational(F(3, 4), 1).to_rational() == F(3, 4)
 
 
+def test_entry_points_take_only_positive_int_conductors():
+    # checked before euler_phi's cache, where 2.0 and True would hit the entries of 2 and 1
+    entries = (
+        lambda m: CycloScalar(m, (1,)),
+        lambda m: CycloScalar.zeta_pow(m, 1),
+        lambda m: CycloScalar.zeta_pair_sum(m, 1),
+        lambda m: CycloScalar.from_rational(1, m),
+        CycloScalar.pair_inverse,
+        CycloScalar.one(5).embed,
+    )
+    for entry in entries:
+        for bad in (2.0, 10.0, True, False, "10", None, F(10)):
+            with pytest.raises(TypeError):
+                entry(bad)
+        for bad in (0, -10):
+            with pytest.raises(ValueError):
+                entry(bad)
+    assert type(CycloScalar.zeta_pow(10).conductor) is int
+    assert CycloScalar.one(5).embed(10) == CycloScalar.one(10)
+
+
 def test_invert_examples():
     assert CycloScalar.from_rational(2, 5).invert() == F(1, 2)
     z4 = CycloScalar.zeta_pow(4)
