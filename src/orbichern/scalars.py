@@ -13,15 +13,17 @@ TypeError), and results that are rational numbers (traces down to Q, the
 ``coeffs`` view).
 
 ``divisors``, ``euler_phi`` and ``moebius`` read one cached prime
-factorization of m (``_factorization``), the one trial division here.
-Phi_m is built on the odd squarefree core c of m as the integer power
-series prod over d | c of (1 - x^d)^mu(c/d), cut at degree phi(c), in
-C-level slice passes; for even m its odd places change sign, and its
-places spread to every (m/rad m)-th; the dimension phi(m) alone comes
-from ``euler_phi``.  Every product, zeta power, power-table step, Galois
-image and embedding places its integer numerators at their exponents and
-is reduced by one remainder modulo Phi_m (``_reduce``), a long division
-over the nonzero coefficients of Phi_m only.  Only the unit rows below
+factorization of m (``_factorization``), the one trial division here,
+which rejects a bool, a non-int and m < 1.  Only an odd squarefree m
+builds Phi_m as the integer power series prod over d | m of
+(1 - x^d)^mu(m/d), cut at degree phi(m), in C-level slice passes; any
+other m reads the cached Phi_c of its odd squarefree core c, changes
+the sign of its odd places for even m, and spreads its places to every
+(m/rad m)-th; the dimension phi(m) alone comes from ``euler_phi``.
+Every product, zeta power, power-table step, Galois image and embedding
+places its integer numerators at their exponents and is reduced by one
+remainder modulo Phi_m (``_reduce``), a long division over the nonzero
+coefficients of Phi_m only.  Only the unit rows below
 phi(m), zeta^e for e < phi(m), which have nothing to reduce, and the
 orbit-term inverse, which is built below degree phi(m), skip it.  Every
 product is one ``signed_dot``, a sum of signed products (a quaternion
@@ -54,10 +56,15 @@ negates the odd places and fixes Q(zeta_(m/2)), the even places, the
 norm z sigma(z) lies there, and 1/z = sigma(z) (1/N(z)), two products
 per level on integer rows, none for a row with no odd places.  The
 descent stops at the first m with 4 not dividing it, where the Euclid
-runs, and the inverse is returned only after one exact check s z = lam
-at the top, one more product.  For 4 not dividing m, and for rational
-values, the Euclid on Phi_m runs alone, exact by construction, with no
-product and no check.  ``cyclo_trace`` takes a trace by
+runs.  Every level below the top goes through ``_subfield_inverse``, an
+``lru_cache`` of at most 256 (conductor, row) entries holding tuples: for
+odd k the norm of 2 - zeta^k - zeta^-k is 2 - zeta^2k - zeta^-2k one
+level down, so the terms of one literal sum share their chains.  The top
+level is not cached, since its rows do not repeat.  The inverse is
+returned only after one exact check s z = lam at the top, one more
+product, which a wrong cached entry fails.  For 4 not dividing m, and for
+rational values, the Euclid on Phi_m runs alone, exact by construction,
+with no product and no check.  ``cyclo_trace`` takes a trace by
 Ramanujan sums, one slice sum per divisor of m.  No polynomial code
 works on Fractions.  ``scalar_key`` is the reference order of values:
 a rational, in any field, before every irrational value.  Every value
@@ -104,9 +111,9 @@ def _exact(value: Fraction | int) -> Fraction | int:
 
 def _conductor(m: int) -> int:
     """m itself if it is an int other than a bool and m >= 1: a float, a
-    string or a bool raises TypeError, and m < 1 ValueError.  Not behind
-    the ``lru_cache`` of ``euler_phi``, where 2.0 and True hit the entries
-    of 2 and 1."""
+    string or a bool raises TypeError, and m < 1 ValueError.  An
+    ``lru_cache`` does not reject them: it keys 5.0 and True apart from 5
+    and 1, so without this check ``euler_phi(5.0)`` would compute 4.0."""
     if isinstance(m, bool) or not isinstance(m, int):
         raise TypeError(f"a conductor must be an int, got {m!a}")
     if m < 1:
@@ -122,9 +129,9 @@ def _conductor(m: int) -> int:
 def _factorization(m: int) -> tuple[tuple[int, int], ...]:
     """The primes p dividing m and their exponents k, as ((p, k), ...), p
     ascending: the one trial division behind ``divisors``, ``euler_phi``
-    and ``moebius``."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    and ``moebius``, and so ``cyclotomic_polynomial``: a bool, a non-int
+    or m < 1 raises here (``_conductor``)."""
+    _conductor(m)
     factors = []
     p = 2
     while p * p <= m:
@@ -172,38 +179,43 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m (constant term first, monic, degree phi(m)).
 
     Phi_m(x) = Phi_r(x^(m/r)) for the radical r of m, and
-    Phi_2c(x) = Phi_c(-x) for odd c > 1, so only the odd squarefree core c
-    of m takes the Moebius product over d | c of (1 - x^d)^mu(c/d),
-    expanded as an integer power series cut at degree phi(c): a factor with
-    mu = 1 is one ``map(operator.sub)`` over two slices, a factor with
-    mu = -1 (the series 1 + x^d + x^2d + ...) running sums, per residue
-    class mod d when d^2 <= phi(c) and block by block otherwise.  For even
-    m the odd places change sign (c = 1 gives 1 - x, and so Phi_2 = 1 + x),
-    then the places spread to every (m/r)-th.  Phi_1 = x - 1.
+    Phi_2c(x) = Phi_c(-x) for odd c > 1, so only an odd squarefree m takes
+    the Moebius product over d | m of (1 - x^d)^mu(m/d), expanded as an
+    integer power series cut at degree phi(m): a factor with mu = 1 is one
+    ``map(operator.sub)`` over two slices, a factor with mu = -1 (the
+    series 1 + x^d + x^2d + ...) running sums, per residue class mod d when
+    d^2 <= phi(m) and block by block otherwise.  Any other m reads the
+    cached Phi_c of its odd squarefree core c (the base row 1 - x when m is
+    a power of 2), changes the sign of its odd places when m is even (so
+    Phi_2 = 1 + x), then spreads its places to every (m/r)-th.
+    Phi_1 = x - 1.
     """
-    primes = [p for p, _ in _factorization(m)]  # raises ValueError for m < 1
+    primes = [p for p, _ in _factorization(m)]  # raises for a non-int or m < 1
     if m == 1:
         return (-1, 1)
     core = prod(p for p in primes if p > 2)
-    deg = euler_phi(core)
-    poly = [1] + [0] * deg
-    for d in divisors(core):
-        if moebius(core // d) == 1:
-            poly[d:] = map(operator.sub, poly[d:], poly[:-d])
-        elif d * d <= deg:
-            for r in range(d):
-                poly[r::d] = itertools.accumulate(poly[r::d])
-        else:
-            for j in range(d, deg + 1, d):
-                poly[j : j + d] = map(operator.add, poly[j : j + d], poly[j - d : j])
-    if m % 2 == 0:
-        poly[1::2] = map(operator.neg, poly[1::2])
-    spread = m // prod(primes)
-    wide = [0] * (deg * spread + 1)
-    wide[::spread] = poly
-    if poly[-1] != 1 or len(wide) != euler_phi(m) + 1:
+    if m == core:
+        deg = euler_phi(m)
+        poly = [1] + [0] * deg
+        for d in divisors(m):
+            if moebius(m // d) == 1:
+                poly[d:] = map(operator.sub, poly[d:], poly[:-d])
+            elif d * d <= deg:
+                for r in range(d):
+                    poly[r::d] = itertools.accumulate(poly[r::d])
+            else:
+                for j in range(d, deg + 1, d):
+                    poly[j : j + d] = map(operator.add, poly[j : j + d], poly[j - d : j])
+    else:
+        base = list(cyclotomic_polynomial(core)) if core > 1 else [1, -1]
+        if m % 2 == 0:
+            base[1::2] = map(operator.neg, base[1::2])
+        spread = m // prod(primes)
+        poly = [0] * ((len(base) - 1) * spread + 1)
+        poly[::spread] = base
+    if poly[-1] != 1 or len(poly) != euler_phi(m) + 1:
         raise IdentityFailure(f"Phi_{m} is not monic of degree phi({m})")
-    return tuple(wide)
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -351,7 +363,7 @@ def _inverse_row(row: tuple[int, ...], phi: tuple[int, ...]) -> tuple[list[int],
     return s1, lam1 * r1[0]
 
 
-def _descent_row(m: int, row) -> tuple[list[int], int]:
+def _descent_row(m: int, row) -> tuple[tuple[int, ...], int]:
     """(s, lam) with s*row = lam modulo Phi_m, through Q(zeta_(m/2)) while 4 | m.
 
     Phi_m(x) = Phi_(m/2)(x^2), so sigma: zeta -> -zeta negates the odd
@@ -361,22 +373,32 @@ def _descent_row(m: int, row) -> tuple[list[int], int]:
     Phi_(m/2).  From t N = lam there, s = sigma(row) t(x^2): one more
     product.  A row with no odd places lies in Q(zeta_(m/2)) already and
     takes no product.  At the first m with 4 not dividing it, the Euclid
-    (``_inverse_row``).  No level is checked here: ``invert`` checks s once.
+    (``_inverse_row``).  The inverse t of each level below comes from
+    ``_subfield_inverse``, this function behind an ``lru_cache`` of 256
+    entries keyed by (m/2, row), so its values are tuples: the terms
+    2 - zeta^k - zeta^-k of one sum share their norms down the tower.  No
+    level is checked here: ``invert`` checks s once, at the top, so a
+    wrong cached entry raises there and is never returned.
     """
     if m % 4:
-        return _inverse_row(row, cyclotomic_polynomial(m))
+        s, lam = _inverse_row(row, cyclotomic_polynomial(m))
+        return tuple(s), lam
     even, odd = row[::2], row[1::2]
     s = [0] * len(row)
     if not any(odd):
-        t, lam = _descent_row(m // 2, even)
+        t, lam = _subfield_inverse(m // 2, even)
         s[: 2 * len(t) : 2] = t
-        return s, lam
+        return tuple(s), lam
     norm = _convolve(_convolve([0] * len(row), even, even), odd, odd, -1, 1)
-    t, lam = _descent_row(m // 2, _reduce(m // 2, norm))
+    t, lam = _subfield_inverse(m // 2, tuple(_reduce(m // 2, norm)))
     s[: 2 * len(t) : 2] = t
     conj = list(row)
     conj[1::2] = map(operator.neg, odd)
-    return _product_row(m, s, conj), lam
+    return tuple(_product_row(m, s, conj)), lam
+
+
+# the literal half-angle sum at n = 120 leaves 191 entries
+_subfield_inverse = functools.lru_cache(maxsize=256)(_descent_row)
 
 
 # ----------------------------------------------------------------------
@@ -597,9 +619,12 @@ class CycloScalar:
 
         While 4 | m and self is not rational, through Q(zeta_(m/2)) by the
         norm under zeta -> -zeta (``_descent_row``) down to the first
-        conductor with 4 not dividing it, where the Euclid runs; then one
-        exact check s*row = lam modulo Phi_m (one product, one
-        ``_reduce``), IdentityFailure otherwise.  For 4 not dividing m,
+        conductor with 4 not dividing it, where the Euclid runs, each level
+        below this one read from or kept in the bounded cache
+        ``_subfield_inverse`` (this level is not: its rows do not repeat);
+        then one exact check s*row = lam modulo Phi_m (one product, one
+        ``_reduce``), IdentityFailure otherwise, so a wrong cached entry is
+        never returned.  For 4 not dividing m,
         and for a rational value, one Euclid on Phi_m (``_inverse_row``),
         with no product and no check.
         """

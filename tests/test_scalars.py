@@ -152,6 +152,40 @@ def test_cyclotomic_matches_the_moebius_product_over_every_divisor():
             cyclotomic_polynomial(m)
 
 
+def test_only_odd_squarefree_conductors_take_the_moebius_passes(monkeypatch):
+    """Phi_2c and Phi_(c p^2) read the cached Phi_c of their core, which the
+    first of them puts in the cache; the Moebius passes (the one caller of
+    ``divisors`` here) run only for an odd squarefree m."""
+    cyclotomic_polynomial.cache_clear()
+    assert cyclotomic_polynomial(30) == moebius_product_oracle(30)
+    assert cyclotomic_polynomial.cache_info().currsize == 2  # Phi_30 and Phi_15
+    hits = cyclotomic_polynomial.cache_info().hits
+    assert cyclotomic_polynomial(15 * 25) == moebius_product_oracle(15 * 25)
+    assert cyclotomic_polynomial(15) == moebius_product_oracle(15)
+    assert cyclotomic_polynomial.cache_info().hits == hits + 2
+    passes = []
+    real = scalars.divisors
+    monkeypatch.setattr(scalars, "divisors", lambda m: passes.append(m) or real(m))
+    cyclotomic_polynomial.cache_clear()
+    for m in range(1, 301):
+        cyclotomic_polynomial(m)
+    assert passes == [m for m in range(3, 301, 2) if moebius(m)]
+
+
+def test_number_theory_helpers_take_only_positive_int_conductors():
+    """A float, a bool, a string or None raises TypeError, m < 1 ValueError,
+    whatever the caches already hold for the int it equals."""
+    for m in (1, 2, 6):
+        euler_phi(m), divisors(m), moebius(m), cyclotomic_polynomial(m)
+    for helper in (divisors, euler_phi, moebius, cyclotomic_polynomial):
+        for bad in (2.0, True, "6", None):
+            with pytest.raises(TypeError):
+                helper(bad)
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                helper(bad)
+
+
 def test_number_theory_helpers():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert euler_phi(1) == 1 and euler_phi(12) == 4 and euler_phi(199) == 198
@@ -267,7 +301,7 @@ def test_constructors_take_only_ints_and_fractions():
 
 
 def test_entry_points_take_only_positive_int_conductors():
-    # checked before euler_phi's cache, where 2.0 and True would hit the entries of 2 and 1
+    # lru_cache keys 2.0 and True apart from 2 and 1, so each must be rejected, not looked up
     entries = (
         lambda m: CycloScalar(m, (1,)),
         lambda m: CycloScalar.zeta_pow(m, 1),
@@ -381,20 +415,70 @@ def descent_products(z: CycloScalar) -> int:
     return count
 
 
+@pytest.fixture
+def cold_descent():
+    """An empty cache of subfield inverses before the test, and again after
+    it, so no entry a test made or poisoned outlives it."""
+    cache = scalars._subfield_inverse
+    cache.cache_clear()
+    yield cache
+    cache.cache_clear()
+
+
 @pytest.mark.parametrize("m", [60, 120, 240])
-def test_negative_powers_of_dense_zeta_powers_take_the_descent_and_one_euclid(m, monkeypatch):
+def test_negative_powers_of_dense_zeta_powers_take_the_descent_and_one_euclid(
+    m, monkeypatch, cold_descent
+):
     """zeta^k for phi(m) <= k < m/2, the literal half-angle sums' dense terms:
-    ``** -1`` guesses no dense row, runs one Euclid, and takes one remainder
-    mod Phi per product of the descent plus one for the check at the top."""
+    from an empty subfield cache, ``** -1`` guesses no dense row, runs one
+    Euclid, and takes one remainder mod Phi per product of the descent plus
+    one for the check at the top.  The same power again runs no Euclid: the
+    level below the top is a cache hit."""
     powers = [CycloScalar.zeta_pow(m, k) for k in range(euler_phi(m), m // 2)]
     expected = [CycloScalar.zeta_pow(m, -k) for k in range(euler_phi(m), m // 2)]
     reductions = [descent_products(z) + 1 for z in powers]
     calls = count_calls(monkeypatch, "_reduce", "_inverse_row")
     for k, z, want, count in zip(range(euler_phi(m), m // 2), powers, expected, reductions):
         assert len(z.row) - z.row.count(0) > 1, k
+        cold_descent.cache_clear()
         calls.update(_reduce=0, _inverse_row=0)
         assert z ** -1 == want, (m, k)
         assert calls == {"_reduce": count, "_inverse_row": 1}, (m, k)
+        calls.update(_inverse_row=0)
+        assert z ** -1 == want, (m, k)
+        assert calls["_inverse_row"] == 0, (m, k)
+
+
+def test_a_wrong_cached_subfield_inverse_fails_the_check(monkeypatch, cold_descent):
+    """A cached entry with the wrong lam, (s, lam + 1) for Q(zeta_120), is
+    caught by the one check u*z = 1 at the top of ``invert``."""
+    z = 2 - CycloScalar.zeta_pow(240, 1) - CycloScalar.zeta_pow(240, 7)
+    assert z.invert() * z == 1
+
+    def poisoned(m, row):
+        s, lam = cold_descent(m, row)
+        return (s, lam + 1) if m == 120 else (s, lam)
+
+    monkeypatch.setattr(scalars, "_subfield_inverse", poisoned)
+    hits = cold_descent.cache_info().hits
+    with pytest.raises(IdentityFailure):
+        z.invert()
+    assert cold_descent.cache_info().hits == hits + 1
+
+
+def test_the_subfield_cache_stays_bounded(cold_descent):
+    """90 dense values at m = 240 leave 270 subfield rows (at 120, 60 and
+    30); the cache keeps 256 of them, its values are tuples from each
+    branch, and an evicted row is inverted again exactly."""
+    rng = random.Random(240)
+    values = [CycloScalar(240, tuple(F(rng.randint(-9, 9)) for _ in range(64))) for _ in range(90)]
+    inverses = [z.invert() for z in values]
+    info = cold_descent.cache_info()
+    assert info.misses > info.maxsize == 256 and info.currsize <= 256, info
+    for m, low in ((120, (1, 1)), (120, (1, 0, 1)), (30, (1, 1))):  # odd places, even only, Euclid
+        s, lam = cold_descent(m, low + (0,) * (euler_phi(m) - len(low)))
+        assert type(s) is tuple and type(lam) is int, (m, low)
+    assert values[0].invert() == inverses[0] and inverses[0] * values[0] == 1
 
 
 def euclid_inverse(z: CycloScalar) -> CycloScalar:
@@ -455,9 +539,10 @@ def test_invert_without_4_dividing_m_is_one_euclid_and_no_remainder(m, monkeypat
         assert calls == {"_reduce": 0, "_inverse_row": 1}, (m, z)
 
 
-def test_descent_check_rejects_a_wrong_cofactor(monkeypatch):
+def test_descent_check_rejects_a_wrong_cofactor(monkeypatch, cold_descent):
     """A wrong Euclid cofactor at the bottom conductor (30, below 240 ->
-    120 -> 60) fails the one check u*z = 1 at the top."""
+    120 -> 60) fails the one check u*z = 1 at the top.  The subfield cache
+    starts empty, so the Euclid runs, and is emptied after."""
     real = scalars._inverse_row
 
     def wrong(row, phi):

@@ -7,7 +7,10 @@ the literal half-angle sums at m = 60, 120, 180 and 240; dense values
 with integer coefficients in [-9, 9] at m = 240 and 480, where inversion
 descends through Q(zeta_(m/2)); and dense values at the odd conductor
 105, where it is one Euclid.  The tables each set needs are built before
-it is timed.  Print only: the exit status is 0 whenever the script runs.
+it is timed.  The cache of subfield inverses is emptied before each timed
+run of ``invert``, so its time is the cold cost; each literal set gets one
+more line with the hits and misses of that cache over one cold pass.
+Print only: the exit status is 0 whenever the script runs.
 
 Run from anywhere: ``python3 tools/field_cost.py``.
 """
@@ -22,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from orbichern.scalars import CycloScalar, euler_phi  # noqa: E402
+from orbichern.scalars import CycloScalar, _subfield_inverse, euler_phi  # noqa: E402
 
 RUNS = 3
 DENSE = 3  # dense values per conductor
@@ -46,9 +49,11 @@ def dense_values(m: int) -> list[CycloScalar]:
 
 
 def best_ms_per_value(step, values) -> float:
-    """Best of RUNS timings of step over every value, in ms per value."""
+    """Best of RUNS timings of step over every value, in ms per value, each
+    run from an empty cache of subfield inverses."""
     best = float("inf")
     for _ in range(RUNS):
+        _subfield_inverse.cache_clear()
         start = time.perf_counter()
         for z in values:
             step(z)
@@ -66,6 +71,12 @@ def main() -> int:
         product = best_ms_per_value(lambda z: z * z, values)
         label = f"{len(values)} {kind}"
         print(f"{m:>5} {euler_phi(m):>5}  {label:<24} {invert:>10.3f} {product:>11.3f}")
+        if kind.startswith("literal"):
+            _subfield_inverse.cache_clear()
+            for z in values:
+                z.invert()
+            info = _subfield_inverse.cache_info()
+            print(f"{'':>13}one cold pass: {info.hits} subfield-inverse hits, {info.misses} misses")
     return 0
 
 
