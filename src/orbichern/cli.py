@@ -283,12 +283,11 @@ def cmd_group(label: str) -> int:
     out.append("conjugacy classes (size, centralizer, trace):")
     texts: dict = {}  # rotation label -> trace text, printed once per distinct trace
     for c in group.classes:
-        key = c.representative.rotation()
-        if key not in texts:
-            texts[key] = c.trace_str()
+        if c.rotation not in texts:
+            texts[c.rotation] = c.trace_str()
         out.append(
             f"  size {c.size:>4}  centralizer {c.centralizer_order:>4}  "
-            f"trace {texts[key]}"
+            f"trace {texts[c.rotation]}"
         )
     report = build_contribution_report(group)
     if report.per_class_terms:

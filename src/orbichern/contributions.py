@@ -15,16 +15,18 @@ here and are kept separate on purpose:
 Every term is summed over a Galois orbit, where the terms collapse to a
 rational by one rule.  Every element, word or quaternion, carries the
 label ``rotation() == (d, j)`` from ``groups``: its trace is
-zeta_d^j + zeta_d^-j.  Elements are bucketed by d, and a bucket of N
-equally weighted terms whose j's cover the residues j <= d/2 prime to d
-with uniform multiplicity sums to N * S(d) / phi(d) (``_orbit_sum``).  A
-rational trace, phi(d) <= 2, is an orbit that holds one label, so it
-takes the same rule.  Here S(d) is the sum over primitive residues j mod
-d of 1/(2 - zeta_d^j - zeta_d^-j), evaluated as the field trace of
-``conjugate_pair_inverse(d)``, cached per order.  That inverse is read
-off Phi_d at 1 (``CycloScalar.pair_inverse``), not found by a Euclid,
-and checked exactly by u (1 - zeta)^2 = -zeta; it serves every group and
-every identity check, and no Galois image of a trace is computed here.
+zeta_d^j + zeta_d^-j; a class record holds its representative's as
+``rotation``, read once in the orbit walk.  Elements are bucketed by d,
+and a bucket of N equally weighted terms whose j's cover the residues
+j <= d/2 prime to d with uniform multiplicity sums to N * S(d) / phi(d)
+(``_orbit_sum``).  A rational trace, phi(d) <= 2, is an orbit that
+holds one label, so it takes the same rule.  Here S(d) is the sum over
+primitive residues j mod d of 1/(2 - zeta_d^j - zeta_d^-j), evaluated
+as the field trace of ``conjugate_pair_inverse(d)`` and cached per
+order.  That inverse is read off Phi_d at 1 (``CycloScalar.pair_inverse``),
+not found by a Euclid, and checked exactly by u (1 - zeta)^2 = -zeta; it
+serves every group and every identity check, and no Galois image of a
+trace is computed here.
 Both rotation-sum identities are one divisor sum of S(d)
 (``_divisor_orbit_sum``): type A over d | n, d >= 2, scaled by 1/n, and
 the half angle over d | 2n, d >= 3, scaled by 1/2.
@@ -45,10 +47,15 @@ from .scalars import CycloScalar, cyclo_trace, divisors, euler_phi
 _F0 = Fraction(0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def conjugate_pair_inverse(d: int) -> CycloScalar:
     """1/(2 - zeta_d - zeta_d^(-1)) as an element of Q(zeta_d), d >= 2,
-    read off Phi_d at 1 and checked by u*(1 - zeta_d)^2 = -zeta_d."""
+    read off Phi_d at 1 and checked by u*(1 - zeta_d)^2 = -zeta_d.
+
+    The cache holds the 64 orders asked last, more than any one identity
+    with n <= 2000 asks for (46 at n = 1980, the divisors d >= 3 of 2n);
+    ``primitive_orbit_sum`` keeps each order's S(d), so no inverse is
+    computed twice for it."""
     if d < 2:
         raise ValueError("need d >= 2 so that the denominator is nonzero")
     return CycloScalar.pair_inverse(d)
@@ -116,18 +123,18 @@ def _orbit_description(d: int, classes: list, centralizer: int) -> str:
 def _class_rows(group: FiniteSubgroup) -> list[tuple[str, Fraction]]:
     """One (description, value) row per Galois orbit of nontrivial classes.
 
-    Every class is bucketed by its label ``rotation() == (d, j)`` and each
-    bucket summed by ``_orbit_sum``.  A class with a rational trace
-    (phi(d) <= 2) is a bucket of its own; the others share one per order
-    d and centralizer order.  A bucket is made at its first class, and
-    ``group.classes`` is in class-table order, so the rows are too.
+    Every class is bucketed by its label ``c.rotation == (d, j)``, read
+    once in the orbit walk, and each bucket summed by ``_orbit_sum``.  A
+    class with a rational trace (phi(d) <= 2) is a bucket of its own; the
+    others share one per order d and centralizer order.  A bucket is made
+    at its first class, and ``group.classes`` is in class-table order, so
+    the rows are too.
     """
     buckets: dict[tuple, list] = {}
     for position, c in enumerate(group.classes):
-        rep = c.representative
-        if rep.is_identity():
+        rep, (d, j) = c.representative, c.rotation
+        if d == 1 and rep.is_identity():  # a wrong label on the identity's class fails below
             continue
-        d, j = rep.rotation()
         alone = euler_phi(d) <= 2
         if alone and c.trace == 2:  # the stored trace too: a class record may disagree
             raise TraceTwoNonIdentity(f"nontrivial class of {rep} has trace 2")

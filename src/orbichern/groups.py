@@ -32,9 +32,10 @@ it.  A quaternion finds its label by matching its trace in Q(zeta_m)
 against the pair sums of one field, Q(zeta_M) with M = lcm(12, 2m), once
 per distinct trace.  Every element is asked for its label in the class
 partition (a representative for its class, every other member for trace
-constancy) and again for the element sum in ``contributions``; a class
-representative is asked also by ``contributions._class_rows`` and by the
-``group`` command.  The trace-2 check reads one label per class: the one
+constancy) and again for the element sum in ``contributions``.  The
+partition keeps each class's label on its record,
+``ConjugacyClass.rotation``, which ``contributions._class_rows`` and the
+``group`` command read.  The trace-2 check reads one label per class: the one
 class with d = 1 must be {identity}.  A dense trace is built once per
 label, not per class, for the class table's text and order; classes with
 equal labels (a^e and a^-e) share it.  A word's dense trace in Q(zeta_p)
@@ -59,22 +60,25 @@ conjugation by the generators, and centralizer orders come from the
 orbit-stabilizer relation.  The partition walks the elements in
 ``element_key`` order, so each orbit is first met at its least member,
 which is its representative.  ``conjugated_by`` reads a word's conjugate
-off the two normal forms in one step; a quaternion multiplies twice.
+off the two normal forms in one step; a quaternion keeps x and turns
+(y, z, w) by the generator's 3x3 rotation matrix, built once per walk.
 
 ``build_ade_group`` is an ``lru_cache`` of one group: the one it built
 last, so a CLI command, each ``table`` row or any loop over labels holds
-one A or D group at a time.  The three E groups, closed from quaternion
-generators, sit in a cache of their own and are built once per process.
+one A or D group at a time.  The three E groups are listed from explicit
+coordinates, the Hurwitz units and the icosians, with no quaternion
+product; they sit in a cache of their own and are built once per process.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .ade import AdeLabel, resolution_data
 from .errors import BoundExceeded, IdentityFailure, TraceTwoNonIdentity
@@ -163,8 +167,24 @@ class Quaternion(namedtuple("Quaternion", "x y z w")):
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.x, -self.y, -self.z, -self.w)
 
-    def conjugated_by(self, g: "Quaternion", g_inv: "Quaternion") -> "Quaternion":
-        return g * self * g_inv
+    def conjugated_by(self, g: "Quaternion", rows: tuple) -> "Quaternion":
+        """g * self * g^-1 given ``rows = g.rotation_matrix()``: x is kept and
+        (y, z, w) turned by the matrix, three fused sums of three products."""
+        v = self[1:]
+        return tuple.__new__(Quaternion, (self.x, *(signed_dot(row, v, (1, 1, 1)) for row in rows)))
+
+    def rotation_matrix(self) -> tuple:
+        """Rows of the 3x3 matrix by which v -> self * v * self^-1 turns the
+        pure part (y, z, w) of v; each entry one fused sum."""
+        self.inverse()  # raises unless self is a unit
+        a, b, c, d = self
+        square = lambda *signs: signed_dot(self, self, (1, *signs))  # a^2 +- b^2 +- c^2 +- d^2
+        pair = lambda p, q, r, s, sign: signed_dot((p, r), (q, s), (2, 2 * sign))  # 2(pq +- rs)
+        return (
+            (square(1, -1, -1), pair(b, c, a, d, -1), pair(b, d, a, c, 1)),
+            (pair(b, c, a, d, 1), square(-1, 1, -1), pair(c, d, a, b, -1)),
+            (pair(b, d, a, c, -1), pair(c, d, a, b, 1), square(-1, -1, 1)),
+        )
 
     def norm(self):
         return self.x * self.x + self.y * self.y + self.z * self.z + self.w * self.w
@@ -252,9 +272,10 @@ class Word(namedtuple("Word", "period flip exp")):
         # (x a^i)(x a^j) = x^2 a^(j-i) = a^(period/2+j-i)
         return self._word(False, self.period // 2 + other.exp - self.exp)
 
-    def conjugated_by(self, g: "Word", g_inv: "Word") -> "Word":
+    def conjugated_by(self, g: "Word", _rows) -> "Word":
         """g * self * g^-1 off the normal forms: a^i sends x*a^k to x*a^(k-2i), x*a^i
-        sends a^k to a^-k and x*a^k to x*a^(2i-k); a word it fixes comes back as is."""
+        sends a^k to a^-k and x*a^k to x*a^(2i-k); a word it fixes comes back as is.
+        The second argument, a quaternion's rotation matrix, has no use here."""
         self._check(g)
         if g.flip:
             return self._word(self.flip, 2 * g.exp - self.exp if self.flip else -self.exp)
@@ -349,7 +370,11 @@ def generate_group(
     return frozenset(elements)
 
 
-class ConjugacyClass(namedtuple("ConjugacyClass", "representative size centralizer_order trace")):
+class ConjugacyClass(
+    namedtuple("ConjugacyClass", "representative size centralizer_order trace rotation")
+):
+    """A class record; ``rotation`` is its label (d, j), read once in the orbit walk."""
+
     __slots__ = ()
 
     def trace_str(self) -> str:
@@ -399,10 +424,13 @@ def _classes_of_sorted(members, generators) -> tuple:
     representative order, so a stable sort on (size, trace key) finishes
     the class order.  An orbit whose label has d = 1 (trace 2) must be
     {identity}, or TraceTwoNonIdentity is raised, and there must be
-    exactly one.
+    exactly one.  Each class record keeps its representative's label.  A
+    quaternion generator's rotation matrix is built once per walk.  An
+    orbit larger than the group raises IdentityFailure at once: some
+    conjugate left the group, and its orbit need not close.
     """
     order = len(members)
-    gen_pairs = [(g, g.inverse()) for g in generators]
+    gens = [(g, g.rotation_matrix() if isinstance(g, Quaternion) else None) for g in generators]
     seen: set = set()
     traces: dict = {}  # rotation label -> (trace, its sort key)
     keyed = []
@@ -414,11 +442,13 @@ def _classes_of_sorted(members, generators) -> tuple:
         queue = [rep]
         while queue:
             e = queue.pop()
-            for g, g_inv in gen_pairs:
-                conj = e.conjugated_by(g, g_inv)
+            for g, rows in gens:
+                conj = e.conjugated_by(g, rows)
                 if conj is not e and conj not in orbit:  # a word g fixes comes back as is
                     orbit.add(conj)
                     queue.append(conj)
+            if len(orbit) > order:  # a conjugate left the group; stop before the orbit runs away
+                raise IdentityFailure("an orbit outgrew the group")
         seen |= orbit
         size = len(orbit)
         covered += size
@@ -437,7 +467,8 @@ def _classes_of_sorted(members, generators) -> tuple:
             t = rep.trace()
             entry = traces[label] = t, rep.value_key(t)
         t, t_key = entry
-        keyed.append(((size, t_key), ConjugacyClass(rep, size, order // size, t)))
+        record = tuple.__new__(ConjugacyClass, (rep, size, order // size, t, label))
+        keyed.append(((size, t_key), record))
     if covered != order:
         raise IdentityFailure("class sizes do not sum to the group order")
     if identities != 1:
@@ -489,15 +520,53 @@ def _binary_icosahedral_generators() -> tuple:
     return (omega, psi)
 
 
+_PERMUTATIONS = tuple(itertools.permutations(range(4)))
+# even: the product of p[j] - p[i] over i < j, the permutation's sign, is positive
+_EVEN = tuple(p for p in _PERMUTATIONS if prod(b - a for a, b in itertools.combinations(p, 2)) > 0)
+
+
+def _signed_arrangements(values, pattern, perms=_PERMUTATIONS) -> list:
+    """Every quaternion (values[pattern[p[0]]], ..., values[pattern[p[3]]])
+    for p in perms, each distinct arrangement once, under every choice of
+    signs on its nonzero places; values[0] is 0."""
+    elements = []
+    for places in {tuple(pattern[i] for i in p) for p in perms}:
+        choices = [(values[v], -values[v]) if v else (values[v],) for v in places]
+        elements += map(Quaternion._make, itertools.product(*choices))
+    return elements
+
+
+def _exceptional_elements(parameter: int) -> list:
+    """The elements of E6, E7 or E8 from explicit coordinates (Conway &
+    Smith, *On Quaternions and Octonions*, 2003, ch. 3).
+
+    E6 is the 24 Hurwitz units +-1, +-i, +-j, +-k and (+-1 +-i +-j +-k)/2.
+    E7 adds the 24 units (+-e +-e')/sqrt2 for two of e, e' in {1, i, j, k},
+    and E8 adds the even permutations of (0, +-1, +-1/phi, +-phi)/2, the
+    ones that hold the generator (1/phi + i + phi*j)/2.
+    """
+    conductor = {6: 1, 7: 8, 8: 5}[parameter]
+    zero, one, half = (CycloScalar.from_rational(v, conductor) for v in (0, 1, Fraction(1, 2)))
+    elements = _signed_arrangements((zero, one), (1, 0, 0, 0))
+    elements += _signed_arrangements((zero, half), (1, 1, 1, 1))
+    if parameter == 7:
+        elements += _signed_arrangements((zero, _quadratic(8, 0, Fraction(1, 2))), (1, 1, 0, 0))
+    if parameter == 8:
+        quarter = Fraction(1, 4)  # 1/(2 phi) = (sqrt5 - 1)/4 and phi/2 = (sqrt5 + 1)/4
+        golden = (zero, half, _quadratic(5, -quarter, quarter), _quadratic(5, quarter, quarter))
+        elements += _signed_arrangements(golden, (0, 1, 2, 3), _EVEN)
+    return elements
+
+
 @functools.cache
 def _exceptional_group(label: AdeLabel) -> FiniteSubgroup:
-    """E6, E7 or E8, closed from its quaternion generators; cached for good."""
+    """E6, E7 or E8 from its explicit elements; cached for good."""
     gens = {
         6: _binary_tetrahedral_generators,
         7: _binary_octahedral_generators,
         8: _binary_icosahedral_generators,
     }[label.parameter]()
-    return _finite_subgroup(generate_group(gens), gens, label)
+    return _finite_subgroup(_exceptional_elements(label.parameter), gens, label)
 
 
 @functools.lru_cache(maxsize=1)
@@ -508,14 +577,15 @@ def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     in one branch: A_(n-1) is the words a^k of period n, generated by a,
     and D_(n+2) the words a^k and x*a^k of period 2n, generated by a and
     x.  Each element is copied from the validated generator's period (the
-    closure of the same generators agrees; tests verify).  The E
-    groups are closed from explicit quaternion generators.  The order of
-    every returned group is checked against the catalog.
+    closure of the same generators agrees; tests verify).  The E groups
+    are listed from explicit coordinates by ``_exceptional_elements``
+    (again, tests verify the closure).  The order of every returned group
+    is checked against the catalog.
 
     The group built last is cached, so a build followed by its report
     builds once, and a process that asks for many labels holds one A or D
     group at a time, whose dense class traces grow as n squared.  The
-    three E groups are small, fixed and the costliest to close, so
+    three E groups are small, fixed and the costliest to build, so
     ``_exceptional_group`` keeps them for good: ``cache_clear()`` leaves
     them cached, and ``build_ade_group.__wrapped__`` skips only the A/D
     cache.

@@ -288,6 +288,14 @@ def _power_rows(m: int) -> tuple[list[int], ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=1)
+def _power_texts(m: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The terms "+ zm^i" and "- zm^i" ("+ zm" at i = 1) for i < phi(m),
+    kept for one conductor at a time; place 0 holds no power."""
+    powers = ["", f"z{m}"] + [f"z{m}^{i}" for i in range(2, euler_phi(m))]
+    return tuple(f"+ {p}" for p in powers), tuple(f"- {p}" for p in powers)
+
+
 # ----------------------------------------------------------------------
 # the general inversion: half-extended Euclid over the integers
 
@@ -694,15 +702,19 @@ class CycloScalar:
         return hash((self.conductor, self.den, self.row))
 
     def __str__(self) -> str:
-        """Terms "c*zm^i" in power order, joined by their signs; "0" for zero."""
+        """Terms "c*zm^i" in power order, joined by their signs; "0" for zero.
+        A term c = +-1 past the constant is read off ``_power_texts``."""
         terms = []
-        row, den, zm = self.row, self.den, f"z{self.conductor}"
+        row, den = self.row, self.den
+        plus, minus = _power_texts(self.conductor)
         for i in itertools.compress(range(len(row)), row):
             num = row[i]
+            if i and (num == den or num == -den):
+                terms.append(plus[i] if num > 0 else minus[i])
+                continue
             g = gcd(num, den) if den != 1 else 1  # |num|/den in lowest terms
             c = str(abs(num) // g) if den == g else f"{abs(num) // g}/{den // g}"
-            sym = f"{zm}^{i}" if i > 1 else zm
-            body = c if i == 0 else sym if c == "1" else f"{c}*{sym}"
+            body = f"{c}*{plus[i][2:]}" if i else c
             terms.append(f"- {body}" if num < 0 else f"+ {body}")
         if not terms:
             return "0"

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbichern import contributions, scalars
+from orbichern import cli, contributions, scalars
 from orbichern.ade import AdeLabel
 from orbichern.contributions import (
     assemble_type_d_contribution,
@@ -35,7 +35,7 @@ from orbichern.contributions import (
 )
 from orbichern.errors import IdentityFailure, NonRationalTotal, ZeroInversion
 from orbichern.groups import ConjugacyClass, FiniteSubgroup, Word, build_ade_group
-from orbichern.scalars import CycloScalar, euler_phi
+from orbichern.scalars import CycloScalar, cyclo_trace, euler_phi
 
 F = Fraction
 
@@ -119,6 +119,14 @@ def test_conjugate_pair_inverse_is_an_inverse():
     for d in range(2, 31):
         z = CycloScalar.zeta_pow(d)
         assert conjugate_pair_inverse(d) * (2 - z - z ** -1) == 1
+
+
+def test_pair_inverse_cache_holds_at_most_64_orders():
+    for d in range(2, 200):
+        assert cyclo_trace(conjugate_pair_inverse(d)) == primitive_orbit_sum(d)
+    info = conjugate_pair_inverse.cache_info()
+    assert info.maxsize == 64
+    assert info.currsize <= 64
 
 
 def test_conjugate_pair_inverse_matches_euclid_inversion():
@@ -322,9 +330,7 @@ def test_report_rejects_corrupted_class_data():
     doctored = []
     for c in group.classes:
         if c.trace != 2 and len(doctored) < len(group.classes):
-            doctored.append(
-                ConjugacyClass(c.representative, c.size, c.centralizer_order * 2, c.trace)
-            )
+            doctored.append(c._replace(centralizer_order=c.centralizer_order * 2))
         else:
             doctored.append(c)
     corrupt = FiniteSubgroup(
@@ -332,6 +338,24 @@ def test_report_rejects_corrupted_class_data():
     )
     with pytest.raises(IdentityFailure):
         build_contribution_report(corrupt)
+
+
+def test_group_routes_disagree_or_raise_on_a_doctored_class_label(monkeypatch, capsys):
+    # the class rows read each class's stored label, the element sum its own:
+    # a wrong label on any one class must not print a result
+    for text in ("A5", "D5", "E6", "E7", "E8"):
+        group = build_ade_group(AdeLabel.from_string(text))
+        labels = {c.rotation for c in group.classes}
+        for index, c in enumerate(group.classes):
+            for wrong in labels - {c.rotation}:
+                classes = list(group.classes)
+                classes[index] = c._replace(rotation=wrong)
+                corrupt = FiniteSubgroup(
+                    group.label, group.order, group.elements, tuple(classes), group.generators
+                )
+                monkeypatch.setattr(cli, "build_ade_group", lambda label: corrupt)
+                assert cli.main(["group", text]) == 2, (text, c, wrong)
+                assert capsys.readouterr().out == ""
 
 
 def test_unpaired_irrational_trace_is_rejected():
@@ -354,8 +378,8 @@ def test_incomplete_rotation_orbit_is_rejected():
         20,
         (identity, rep),
         (
-            ConjugacyClass(identity, 1, 20, F(2)),
-            ConjugacyClass(rep, 2, 10, rep.trace()),
+            ConjugacyClass(identity, 1, 20, F(2), identity.rotation()),
+            ConjugacyClass(rep, 2, 10, rep.trace(), rep.rotation()),
         ),
         (rep,),
     )

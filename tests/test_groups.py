@@ -148,6 +148,36 @@ def test_word_enumeration_matches_closure_for_dicyclic():
         assert len(closed) == (4 if label.kind == "D" else 1) * label.parameter, label
 
 
+def test_exceptional_enumeration_matches_closure():
+    # E6..E8 are listed from explicit coordinates; the closure of the
+    # generators the orbit walk conjugates by is the oracle
+    for k, order in ((6, 24), (7, 48), (8, 120)):
+        elements = groups._exceptional_elements(k)
+        assert len(elements) == len(set(elements)) == order, k
+        group = build_ade_group(AdeLabel("E", k))
+        closed = generate_group(group.generators)
+        assert set(elements) == closed, k
+        assert group.elements == tuple(sorted(closed, key=element_key)), k
+
+
+def test_cold_exceptional_builds_take_no_quaternion_product(monkeypatch):
+    products = []
+    multiply = Quaternion.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    build_ade_group.cache_clear()
+    groups._exceptional_group.cache_clear()
+    for k in (6, 7, 8):
+        build_ade_group(AdeLabel("E", k))
+    assert products == []
+    i = rational_quaternion(0, 1, 0, 0)
+    assert (i * i).trace() == -2 and len(products) == 1  # the wrapper counts
+
+
 def test_cyclic_groups_are_the_rotations_of_binary_dihedral_groups():
     # A_(2n-1) and D_(n+2) share one presentation: the same words of period 2n
     for n in range(2, 41):
@@ -315,17 +345,23 @@ def test_products_and_inverses_equal_validated_words():
 
 
 def test_conjugated_by_equals_the_product_with_the_inverse():
-    # the one-step rule, for every g (not only the generators) and every w
+    # the one-step rule, for every g (not only the generators) and every w:
+    # a word reads the conjugate off the normal forms, and a quaternion keeps
+    # x and turns (y, z, w) by g's rotation matrix
     labels = [AdeLabel("A", n) for n in range(1, 13)] + [AdeLabel("D", n) for n in range(2, 13)]
-    for label in labels:
+    for label in labels + [AdeLabel("E", k) for k in (6, 7, 8)]:
         elements = build_ade_group(label).elements
         period = 2 * label.parameter if label.kind == "D" else label.parameter
         for g in elements:
             g_inv = g.inverse()
+            given = g.rotation_matrix() if label.kind == "E" else g_inv
             for w in elements:
-                conj = w.conjugated_by(g, g_inv)
+                conj = w.conjugated_by(g, given)
                 expected = g * w * g_inv
                 assert conj == expected and hash(conj) == hash(expected), (label, g, w)
+                if label.kind == "E":
+                    assert conj.x is w.x, (label, g, w)
+                    continue
                 assert 0 <= conj.exp < period
                 if not (g.flip or w.flip):
                     assert conj is w  # a^i fixes a^k: nothing is built
@@ -361,9 +397,9 @@ def test_fused_quaternion_product_equals_the_operator_formula():
     for g, h in pairs:
         product, expected = g * h, operator_product(g, h)
         assert product == expected and hash(product) == hash(expected), (g, h)
-    for group in (e6, e7, e8):  # a quaternion conjugates by the same products
+    for group in (e6, e7, e8):  # turning by the rotation matrix equals the two products
         g, h = group[5], group[11]
-        assert g.conjugated_by(h, h.inverse()) == h * g * h.inverse()
+        assert g.conjugated_by(h, h.rotation_matrix()) == h * g * h.inverse()
 
 
 @st.composite
@@ -598,8 +634,8 @@ def test_trace_two_imposter_is_rejected():
         order=2,
         elements=(fake.identity(), fake),
         classes=(
-            ConjugacyClass(fake.identity(), 1, 2, F(2)),
-            ConjugacyClass(fake, 1, 2, F(2)),
+            ConjugacyClass(fake.identity(), 1, 2, F(2), (1, 0)),
+            ConjugacyClass(fake, 1, 2, F(2), fake.rotation()),
         ),
         generators=(fake,),
     )
@@ -624,6 +660,14 @@ def test_orbit_walk_checks_the_trace_two_class():
     minus_one = rational_quaternion(-1, 0, 0, 0)
     with pytest.raises(ArithmeticError, match="exactly one identity"):
         conjugacy_classes([minus_one], [minus_one])
+
+
+def test_orbit_walk_stops_when_an_orbit_outgrows_the_group():
+    # (3 + 4i)/5 is a unit of infinite order: its conjugates of j never close
+    turn = rational_quaternion(F(3, 5), F(4, 5), 0, 0)
+    e6 = build_ade_group(AdeLabel("E", 6))
+    with pytest.raises(ArithmeticError, match="outgrew"):
+        conjugacy_classes(e6.elements, [turn])
 
 
 def test_classes_are_sorted_deterministically():

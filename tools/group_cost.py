@@ -1,0 +1,80 @@
+"""Print what one ``group`` command costs, stage by stage, per label.
+
+One line per label (E6, E7, E8, A299, D152): its order, its number of
+classes, and the best of 3 in-process times, in ms, of five stages:
+
+* build: ``build_ade_group``, which lists the elements and runs the class walk;
+* class walk: the orbit partition alone, on the built group's elements;
+* report: ``build_contribution_report``, the class rows and the check
+  against the closed form;
+* element sum: ``element_sum_contribution``;
+* render: each distinct class label's trace text, as ``group`` prints it.
+
+Each timed run starts cold: the group caches, the label and quadratic-part
+caches of ``groups``, the orbit-sum and pair-inverse caches of
+``contributions`` and the term texts of ``CycloScalar.__str__`` are
+emptied first.  One untimed pass per label builds the field tables
+(Phi_m, the power rows) before its stages are timed.  Print only: the exit
+status is 0 whenever the script runs.
+
+Run from anywhere: ``python3 tools/group_cost.py``.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from orbichern import contributions, groups, scalars  # noqa: E402
+from orbichern.ade import AdeLabel  # noqa: E402
+
+RUNS = 3
+LABELS = ("E6", "E7", "E8", "A299", "D152")
+CACHES = (
+    groups.build_ade_group,
+    groups._exceptional_group,
+    groups._trace_rotation,
+    groups._quadratic_parts,
+    contributions.primitive_orbit_sum,
+    contributions.conjugate_pair_inverse,
+    scalars._power_texts,
+)
+STAGES = {
+    "build": lambda label, group: groups.build_ade_group(label),
+    "class walk": lambda label, group: groups.conjugacy_classes(group.elements, group.generators),
+    "report": lambda label, group: contributions.build_contribution_report(group),
+    "element sum": lambda label, group: contributions.element_sum_contribution(group),
+    "render": lambda label, group: {c.rotation: c.trace_str() for c in group.classes},
+}
+
+
+def best_ms(stage, label, group) -> float:
+    """Best of RUNS timings of one stage, each run from empty caches."""
+    best = float("inf")
+    for _ in range(RUNS):
+        for cache in CACHES:
+            cache.cache_clear()
+        start = time.perf_counter()
+        stage(label, group)
+        best = min(best, time.perf_counter() - start)
+    return best * 1000
+
+
+def main() -> int:
+    header = "".join(f" {name + ' ms':>14}" for name in STAGES)
+    print(f"{'label':<6} {'order':>6} {'classes':>8}{header}")
+    for text in LABELS:
+        label = AdeLabel.from_string(text)
+        group = groups.build_ade_group(label)
+        for stage in STAGES.values():  # the untimed pass: field tables
+            stage(label, group)
+        times = "".join(f" {best_ms(stage, label, group):>14.2f}" for stage in STAGES.values())
+        print(f"{text:<6} {group.order:>6} {len(group.classes):>8}{times}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
