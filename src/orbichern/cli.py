@@ -275,20 +275,29 @@ def cmd_check(path: str, fmt: str) -> int:
     return 3 if report.verdict is Verdict.FAILS else 0
 
 
+def _class_lines(group) -> list[str]:
+    """The class table's lines; a line depends only on the class's label and
+    size (its centralizer is the order over its size), so each distinct
+    (label, size) is formatted once: a^e and a^-e print one line."""
+    lines: dict = {}
+    out = []
+    for c in group.classes:
+        line = lines.get((c.rotation, c.size))
+        if line is None:
+            line = lines[c.rotation, c.size] = (
+                f"  size {c.size:>4}  centralizer {c.centralizer_order:>4}  trace {c.trace_str()}"
+            )
+        out.append(line)
+    return out
+
+
 def cmd_group(label: str) -> int:
     label = AdeLabel.from_string(label)
     group = build_ade_group(label)
     data = resolution_data(label)
     out = [f"label {label}: {data.group_name}, order {data.group_order}"]
     out.append("conjugacy classes (size, centralizer, trace):")
-    texts: dict = {}  # rotation label -> trace text, printed once per distinct trace
-    for c in group.classes:
-        if c.rotation not in texts:
-            texts[c.rotation] = c.trace_str()
-        out.append(
-            f"  size {c.size:>4}  centralizer {c.centralizer_order:>4}  "
-            f"trace {texts[c.rotation]}"
-        )
+    out += _class_lines(group)
     report = build_contribution_report(group)
     if report.per_class_terms:
         out.append("per-orbit contribution terms:")

@@ -80,20 +80,26 @@ def closed_form_contribution(label: AdeLabel) -> Fraction:
 # Galois orbits of traces
 
 
+@functools.lru_cache(maxsize=64)
+def _half_residues(d: int) -> frozenset:
+    """The residues 1 <= j <= d/2 prime to d: one label (d, j) per Galois
+    conjugate pair.  Kept for the 64 orders asked last."""
+    return frozenset(j for j in range(1, d // 2 + 1) if gcd(j, d) == 1)
+
+
 def _orbit_sum(d: int, points: list) -> Fraction:
     """Sum of the terms 1/(2 - zeta_d^j - zeta_d^-j) over a bucket of labels (d, j).
 
     The bucket is Galois-stable when its j's cover the residues j <= d/2
-    prime to d with uniform multiplicity; then its N terms sum to
-    N * S(d) / phi(d).  A rational trace (phi(d) <= 2) is an orbit of one
-    label.  Any other bucket raises NonRationalTotal, and a bucket of
-    order 1, trace 2, raises TraceTwoNonIdentity.
+    prime to d (``_half_residues``) with uniform multiplicity; then its N
+    terms sum to N * S(d) / phi(d).  A rational trace (phi(d) <= 2) is an
+    orbit of one label.  Any other bucket raises NonRationalTotal, and a
+    bucket of order 1, trace 2, raises TraceTwoNonIdentity.
     """
     if d == 1:
         raise TraceTwoNonIdentity(f"{len(points)} non-identity elements have trace 2")
     counts = Counter(points)
-    orbit = {j for j in range(1, d // 2 + 1) if gcd(j, d) == 1}
-    if counts.keys() != orbit or len(set(counts.values())) != 1:
+    if counts.keys() != _half_residues(d) or len(set(counts.values())) != 1:
         raise NonRationalTotal(f"traces did not cover a Galois orbit in Q(zeta_{d}) uniformly")
     return len(points) * primitive_orbit_sum(d) / euler_phi(d)
 

@@ -43,7 +43,10 @@ is ``CycloScalar.zeta_pair_sum``, rational or not, and 0 for a flip
 x*a^k: a copy or a sum of zeta-power rows built once per conductor.  A
 trace sorts as ``scalar_key`` orders it: a rational value as (0, num,
 den), an irrational word trace as its integer row, (1, m, row), which
-orders exactly as (1, m, c0, 1, c1, 1, ...).  ``Word(...)`` validates
+orders exactly as (1, m, c0, 1, c1, 1, ...).  Those keys are built and
+sorted once per distinct label, and the classes are sorted on (size, the
+rank of their label's key), two small integers: two classes share a
+trace exactly when they share a label.  ``Word(...)`` validates
 every field; the elements of an A or D group, and products and inverses
 of words, are built by ``Word._word`` as one tuple that reuses the
 period of a validated word and skips the checks.
@@ -59,9 +62,11 @@ Conjugacy classes are computed by a plain orbit partition under
 conjugation by the generators, and centralizer orders come from the
 orbit-stabilizer relation.  The partition walks the elements in
 ``element_key`` order, so each orbit is first met at its least member,
-which is its representative.  ``conjugated_by`` reads a word's conjugate
-off the two normal forms in one step; a quaternion keeps x and turns
-(y, z, w) by the generator's 3x3 rotation matrix, built once per walk.
+which is its representative.  The A and D words are listed in that
+order and the E coordinates sorted once, so no group is sorted twice.
+``conjugated_by`` reads a word's conjugate off the two normal forms in
+one step; a quaternion keeps x and turns (y, z, w) by the generator's
+3x3 rotation matrix, built once per walk.
 
 ``build_ade_group`` is an ``lru_cache`` of one group: the one it built
 last, so a CLI command, each ``table`` row or any loop over labels holds
@@ -74,7 +79,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -276,12 +280,16 @@ class Word(namedtuple("Word", "period flip exp")):
         """g * self * g^-1 off the normal forms: a^i sends x*a^k to x*a^(k-2i), x*a^i
         sends a^k to a^-k and x*a^k to x*a^(2i-k); a word it fixes comes back as is.
         The second argument, a quaternion's rotation matrix, has no use here."""
-        self._check(g)
+        period = self.period
+        if period != g.period:
+            raise ValueError("words of different periods do not multiply")
         if g.flip:
-            return self._word(self.flip, 2 * g.exp - self.exp if self.flip else -self.exp)
-        if self.flip:
-            return self._word(True, self.exp - 2 * g.exp)
-        return self
+            exp = 2 * g.exp - self.exp if self.flip else -self.exp
+        elif self.flip:
+            exp = self.exp - 2 * g.exp
+        else:
+            return self
+        return tuple.__new__(Word, (period, self.flip, exp % period))
 
     def inverse(self) -> "Word":
         if not self.flip:
@@ -421,8 +429,11 @@ def _classes_of_sorted(members, generators) -> tuple:
 
     Walking the members in that order meets each orbit first at its least
     member, which becomes the representative, and classes are appended in
-    representative order, so a stable sort on (size, trace key) finishes
-    the class order.  An orbit whose label has d = 1 (trace 2) must be
+    representative order.  The trace and its sort key are built once per
+    distinct label and the keys ranked once; a stable sort on (size, rank
+    of the label) then finishes the class order, which is the (size,
+    trace) order, since two classes share a trace exactly when they share
+    a label.  An orbit whose label has d = 1 (trace 2) must be
     {identity}, or TraceTwoNonIdentity is raised, and there must be
     exactly one.  Each class record keeps its representative's label.  A
     quaternion generator's rotation matrix is built once per walk.  An
@@ -432,8 +443,8 @@ def _classes_of_sorted(members, generators) -> tuple:
     order = len(members)
     gens = [(g, g.rotation_matrix() if isinstance(g, Quaternion) else None) for g in generators]
     seen: set = set()
-    traces: dict = {}  # rotation label -> (trace, its sort key)
-    keyed = []
+    traces: dict = {}  # rotation label -> trace
+    records = []
     covered = identities = 0
     for rep in members:
         if rep in seen:
@@ -462,27 +473,29 @@ def _classes_of_sorted(members, generators) -> tuple:
             if not rep.is_identity():
                 raise TraceTwoNonIdentity(f"non-identity element {rep} has trace 2")
             identities += 1
-        entry = traces.get(label)
-        if entry is None:
-            t = rep.trace()
-            entry = traces[label] = t, rep.value_key(t)
-        t, t_key = entry
-        record = tuple.__new__(ConjugacyClass, (rep, size, order // size, t, label))
-        keyed.append(((size, t_key), record))
+        t = traces.get(label)
+        if t is None:
+            t = traces[label] = rep.trace()
+        records.append(tuple.__new__(ConjugacyClass, (rep, size, order // size, t, label)))
     if covered != order:
         raise IdentityFailure("class sizes do not sum to the group order")
     if identities != 1:
         raise IdentityFailure("group does not contain exactly one identity")
-    keyed.sort(key=operator.itemgetter(0))  # stable: ties stay in representative order
-    return tuple(c for _, c in keyed)
+    value_key = members[0].value_key
+    ranked = sorted(traces, key=lambda label: value_key(traces[label]))
+    rank = dict(zip(ranked, range(len(ranked))))
+    # stable: ties stay in representative order
+    records.sort(key=lambda c: (c.size, rank[c.rotation]))
+    return tuple(records)
 
 
 def _finite_subgroup(
-    elements: Iterable[GroupElement],
+    members: Iterable[GroupElement],
     generators: Iterable[GroupElement],
     label: AdeLabel | None = None,
 ) -> FiniteSubgroup:
-    members = tuple(sorted(elements, key=element_key))
+    """A group from its members, already in ``element_key`` order, and its generators."""
+    members = tuple(members)
     gens = tuple(generators)
     return FiniteSubgroup(label, len(members), members, _classes_of_sorted(members, gens), gens)
 
@@ -566,7 +579,8 @@ def _exceptional_group(label: AdeLabel) -> FiniteSubgroup:
         7: _binary_octahedral_generators,
         8: _binary_icosahedral_generators,
     }[label.parameter]()
-    return _finite_subgroup(_exceptional_elements(label.parameter), gens, label)
+    members = sorted(_exceptional_elements(label.parameter), key=element_key)
+    return _finite_subgroup(members, gens, label)
 
 
 @functools.lru_cache(maxsize=1)
@@ -576,10 +590,11 @@ def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     Type A and D groups are enumerated directly from their normal forms
     in one branch: A_(n-1) is the words a^k of period n, generated by a,
     and D_(n+2) the words a^k and x*a^k of period 2n, generated by a and
-    x.  Each element is copied from the validated generator's period (the
-    closure of the same generators agrees; tests verify).  The E groups
-    are listed from explicit coordinates by ``_exceptional_elements``
-    (again, tests verify the closure).  The order of every returned group
+    x, listed in ``element_key`` order.  Each element is copied from the
+    validated generator's period (the closure of the same generators
+    agrees; tests verify).  The E groups are listed from explicit
+    coordinates by ``_exceptional_elements`` and sorted once (again,
+    tests verify the closure).  The order of every returned group
     is checked against the catalog.
 
     The group built last is cached, so a build followed by its report

@@ -494,7 +494,9 @@ class CycloScalar:
         places, one copy of a power row plus 1 at a unit place, or one
         ``map(add)`` of two power rows."""
         deg = euler_phi(_conductor(conductor))
-        low, high = sorted((exponent % conductor, -exponent % conductor))
+        low, high = exponent % conductor, -exponent % conductor
+        if low > high:
+            low, high = high, low
         if high < deg:
             row = [0] * deg
             row[low] += 1
@@ -673,7 +675,8 @@ class CycloScalar:
         return self if conductor == m else self._placed(conductor, conductor // m)
 
     def is_rational(self) -> bool:
-        return not any(self.row[1:])
+        row = self.row  # rational when every place past the constant is 0
+        return row.count(0) + bool(row[0]) == len(row)
 
     def to_rational(self) -> Fraction | None:
         return Fraction(self.row[0], self.den) if self.is_rational() else None

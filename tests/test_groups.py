@@ -671,14 +671,22 @@ def test_orbit_walk_stops_when_an_orbit_outgrows_the_group():
 
 
 def test_classes_are_sorted_deterministically():
-    group = build_ade_group(AdeLabel("E", 8))
-    sizes = [c.size for c in group.classes]
-    assert sizes == sorted(sizes) or sizes == [1, 1, 12, 12, 12, 12, 20, 20, 30]
-    # rebuilding from shuffled elements gives the identical tuple
+    sizes = [c.size for c in build_ade_group(AdeLabel("E", 8)).classes]
+    assert sizes == [1, 1, 12, 12, 12, 12, 20, 20, 30]
     rng = random.Random(99)
-    shuffled = list(group.elements)
-    rng.shuffle(shuffled)
-    assert conjugacy_classes(shuffled, group.generators) == group.classes
+    for text in ("E6", "E7", "E8", "A1", "A2", "A30", "A299", "D4", "D5", "D37", "D152"):
+        group = build_ade_group(AdeLabel.from_string(text))
+        # conjugacy_classes sorts shuffled elements itself and gives the
+        # identical tuple, in (size, trace key, representative) order
+        shuffled = list(group.elements)
+        rng.shuffle(shuffled)
+        classes = conjugacy_classes(shuffled, group.generators)
+        assert classes == group.classes, text
+        keys = [
+            (c.size, c.representative.value_key(c.trace), element_key(c.representative))
+            for c in classes
+        ]
+        assert keys == sorted(keys), text
 
 
 def catalog_labels():

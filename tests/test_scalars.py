@@ -587,6 +587,20 @@ def test_to_rational():
     assert CycloScalar.zeta_pow(5).to_rational() is None
     z6 = CycloScalar.zeta_pow(6)
     assert (z6 + z6 ** -1).to_rational() == 1
+    # a zero constant place, a value past it, and the one-place rows of
+    # conductors 1 and 2
+    z5 = CycloScalar.zeta_pow(5)
+    for x, value in (
+        (CycloScalar.zero(5), 0),
+        (CycloScalar.from_rational(3, 5), 3),
+        (z5, None),
+        (z5 + z5 ** -1, None),
+        (CycloScalar.zero(1), 0),
+        (CycloScalar.from_rational(F(-5, 2), 1), F(-5, 2)),
+        (CycloScalar.zeta_pow(2), -1),
+        (CycloScalar.zero(2), 0),
+    ):
+        assert x.is_rational() == (value is not None) and x.to_rational() == value, x
 
 
 def test_conductor_mixing_is_an_error():

@@ -4,15 +4,15 @@ One line per label (E6, E7, E8, A299, D152): its order, its number of
 classes, and the best of 3 in-process times, in ms, of five stages:
 
 * build: ``build_ade_group``, which lists the elements and runs the class walk;
-* class walk: the orbit partition alone, on the built group's elements;
+* class walk: the orbit partition alone, on the built group's sorted elements;
 * report: ``build_contribution_report``, the class rows and the check
   against the closed form;
 * element sum: ``element_sum_contribution``;
-* render: each distinct class label's trace text, as ``group`` prints it.
+* class lines: the class table's lines, as ``group`` formats them.
 
 Each timed run starts cold: the group caches, the label and quadratic-part
-caches of ``groups``, the orbit-sum and pair-inverse caches of
-``contributions`` and the term texts of ``CycloScalar.__str__`` are
+caches of ``groups``, the orbit-sum, pair-inverse and half-residue caches
+of ``contributions`` and the term texts of ``CycloScalar.__str__`` are
 emptied first.  One untimed pass per label builds the field tables
 (Phi_m, the power rows) before its stages are timed.  Print only: the exit
 status is 0 whenever the script runs.
@@ -28,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from orbichern import contributions, groups, scalars  # noqa: E402
+from orbichern import cli, contributions, groups, scalars  # noqa: E402
 from orbichern.ade import AdeLabel  # noqa: E402
 
 RUNS = 3
@@ -40,14 +40,15 @@ CACHES = (
     groups._quadratic_parts,
     contributions.primitive_orbit_sum,
     contributions.conjugate_pair_inverse,
+    contributions._half_residues,
     scalars._power_texts,
 )
 STAGES = {
     "build": lambda label, group: groups.build_ade_group(label),
-    "class walk": lambda label, group: groups.conjugacy_classes(group.elements, group.generators),
+    "class walk": lambda label, group: groups._classes_of_sorted(group.elements, group.generators),
     "report": lambda label, group: contributions.build_contribution_report(group),
     "element sum": lambda label, group: contributions.element_sum_contribution(group),
-    "render": lambda label, group: {c.rotation: c.trace_str() for c in group.classes},
+    "class lines": lambda label, group: cli._class_lines(group),
 }
 
 
