@@ -43,32 +43,30 @@ row zeta^e + zeta^-e is made in C-level passes: two unit places, one
 1/(2 - zeta - zeta^-1) (``pair_inverse``) is one pass over Phi_m's
 expansion about 1, and its exact check u (1 - zeta)^2 = -zeta one more,
 a polynomial identity with a linear multiple of Phi_m: an identity that
-needs only these inverses builds no ``_reduce`` table.  A negative power
-k of a row with one nonzero place, c zeta^e with e < phi(m), is
-c^k zeta^ek read off ``zeta_pow``, checked by zeta^-e zeta^e = 1.  Every
-other inversion, and every other negative power, ends in one
+needs only these inverses builds no ``_reduce`` table.  Every other
+inversion takes one path: a negative power k is ``invert`` raised to -k,
+and ``invert`` is one call of ``_descent_row``, which ends in one
 half-extended Euclid over the integers with primitive remainders
 (``_inverse_row``); its pseudo-division is the one polynomial remainder
-besides ``_reduce``.  While 4 | m and the value is not rational, the
-Euclid runs at half the degree (``_descent_row``, the field-norm descent
-of Pornin and Prest): Phi_m(x) = Phi_(m/2)(x^2), so zeta -> -zeta
-negates the odd places and fixes Q(zeta_(m/2)), the even places, the
-norm z sigma(z) lies there, and 1/z = sigma(z) (1/N(z)), two products
-per level on integer rows, none for a row with no odd places.  The
-descent stops at the first m with 4 not dividing it, where the Euclid
-runs.  Every level below the top goes through ``_subfield_inverse``, an
-``lru_cache`` of at most 256 (conductor, row) entries holding tuples: for
-odd k the norm of 2 - zeta^k - zeta^-k is 2 - zeta^2k - zeta^-2k one
-level down, so the terms of one literal sum share their chains.  The top
-level is not cached, since its rows do not repeat.  The inverse is
-returned only after one exact check s z = lam at the top, one more
-product, which a wrong cached entry fails.  For 4 not dividing m, and for
-rational values, the Euclid on Phi_m runs alone, exact by construction,
-with no product and no check.  ``cyclo_trace`` takes a trace by
-Ramanujan sums, one slice sum per divisor of m.  No polynomial code
-works on Fractions.  ``scalar_key`` is the reference order of values:
-a rational, in any field, before every irrational value.  Every value
-is immutable and hashable.
+besides ``_reduce``.  While 4 | m, the Euclid runs at half the degree
+(the field-norm descent of Pornin and Prest): Phi_m(x) = Phi_(m/2)(x^2),
+so zeta -> -zeta negates the odd places and fixes Q(zeta_(m/2)), the
+even places, the norm z sigma(z) lies there, and 1/z = sigma(z) (1/N(z)),
+two products per level on integer rows, none for a row with no odd
+places.  The descent stops at the first m with 4 not dividing it, where
+the Euclid runs.  Every level below the top goes through
+``_subfield_inverse``, an ``lru_cache`` of at most 256 (conductor, row)
+entries holding tuples: for odd k the norm of 2 - zeta^k - zeta^-k is
+2 - zeta^2k - zeta^-2k one level down, so the terms of one literal sum
+share their chains.  The top level is not cached, since its rows do not
+repeat.  The inverse is returned only after one exact check s z = lam at
+the top, one more product, which a wrong cached entry fails.  For 4 not dividing m the
+Euclid on Phi_m runs alone, exact by construction, with no product and
+no check.  ``cyclo_trace`` takes a trace by Ramanujan sums, one slice
+sum per divisor of m.  No polynomial code works on Fractions.
+``scalar_key`` is the reference order of values: a rational, in any
+field, before every irrational value.  Every value is immutable and
+hashable.
 
 There are no floating-point code paths here: every operation is exact, and
 anything that cannot be represented exactly raises instead of approximating.
@@ -405,7 +403,7 @@ def _descent_row(m: int, row) -> tuple[tuple[int, ...], int]:
     return tuple(_product_row(m, s, conj)), lam
 
 
-# the literal half-angle sum at n = 120 leaves 191 entries
+# the literal half-angle sum at n = 120 leaves 257 entries and loses no hit to the bound
 _subfield_inverse = functools.lru_cache(maxsize=256)(_descent_row)
 
 
@@ -593,27 +591,11 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CycloScalar":
-        """self ** k for any integer k.
-
-        For k < 0, a row with one nonzero place, c zeta^e (e < phi(m)), gives
-        c^k zeta^ek read off ``zeta_pow`` once zeta^-e zeta^e = 1 is checked
-        by one remainder mod Phi_m; any other row is inverted by ``invert``
-        and raised to -k.
-        """
+        """self ** k for any integer k: for k < 0, ``invert`` raised to -k."""
         if exponent == 1:
             return self
         if exponent < 0:
-            m, row = self.conductor, self.row
-            if len(row) - row.count(0) != 1:
-                return self.invert() ** -exponent
-            e = next(itertools.compress(range(len(row)), row))
-            base = CycloScalar.zeta_pow(m, -e)
-            check = _reduce(m, [0] * e + list(base.row))
-            if check[0] != 1 or any(check[1:]):
-                raise IdentityFailure(f"zeta^-{e} * zeta^{e} in Q(zeta_{m}) is not 1")
-            scale = Fraction(row[e], self.den) ** exponent
-            unit = base.row if exponent == -1 else CycloScalar.zeta_pow(m, e * exponent).row
-            return CycloScalar._new(m, [scale.numerator * c for c in unit], scale.denominator)
+            return self.invert() ** -exponent
         result = CycloScalar.one(self.conductor)
         base = self
         while exponent:
@@ -627,22 +609,19 @@ class CycloScalar:
     def invert(self) -> "CycloScalar":
         """1/self, or ZeroInversion for zero.
 
-        While 4 | m and self is not rational, through Q(zeta_(m/2)) by the
-        norm under zeta -> -zeta (``_descent_row``) down to the first
-        conductor with 4 not dividing it, where the Euclid runs, each level
-        below this one read from or kept in the bounded cache
-        ``_subfield_inverse`` (this level is not: its rows do not repeat);
-        then one exact check s*row = lam modulo Phi_m (one product, one
-        ``_reduce``), IdentityFailure otherwise, so a wrong cached entry is
-        never returned.  For 4 not dividing m,
-        and for a rational value, one Euclid on Phi_m (``_inverse_row``),
-        with no product and no check.
+        One call of ``_descent_row``: while 4 | m, through Q(zeta_(m/2)) by
+        the norm under zeta -> -zeta down to the first conductor with 4 not
+        dividing it, where the Euclid runs, each level below this one read
+        from or kept in the bounded cache ``_subfield_inverse`` (this level
+        is not: its rows do not repeat); then one exact check s*row = lam
+        modulo Phi_m (one product, one ``_reduce``), IdentityFailure
+        otherwise, so a wrong cached entry is never returned.  For 4 not
+        dividing m, the Euclid on Phi_m runs alone (``_inverse_row``),
+        exact by construction, with no product and no check.
         """
         m, row = self.conductor, self.row
-        if m % 4 or not any(row[1:]):
-            s, lam = _inverse_row(row, cyclotomic_polynomial(m))
-        else:
-            s, lam = _descent_row(m, row)
+        s, lam = _descent_row(m, row)
+        if m % 4 == 0:
             check = _product_row(m, row, s)
             if check[0] != lam or any(check[1:]):
                 raise IdentityFailure(f"an inverse in Q(zeta_{m}) fails u*z = 1")

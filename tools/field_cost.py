@@ -2,13 +2,15 @@
 
 One line per value set: the conductor m, phi(m), how many values, and the
 best of 3 in-process times, per value, of ``invert`` and of one product
-z * z.  The sets are the terms 2 - zeta^k - zeta^-k (k = 1 .. m/2 - 1) of
+z * z; a literal set also gets the time per value of ``z ** -1`` for its
+powers z = zeta^k, which take the same path as every other inverse.  The
+sets are the terms 2 - zeta^k - zeta^-k (k = 1 .. m/2 - 1) of
 the literal half-angle sums at m = 60, 120, 180 and 240; dense values
 with integer coefficients in [-9, 9] at m = 240 and 480, where inversion
 descends through Q(zeta_(m/2)); and dense values at the odd conductor
 105, where it is one Euclid.  The tables each set needs are built before
 it is timed.  The cache of subfield inverses is emptied before each timed
-run of ``invert``, so its time is the cold cost; each literal set gets one
+run, so every time is the cold cost; each literal set gets one
 more line with the hits and misses of that cache over one cold pass.
 Print only: the exit status is 0 whenever the script runs.
 
@@ -64,13 +66,18 @@ def best_ms_per_value(step, values) -> float:
 def main() -> int:
     sets = [(m, "literal-sum terms", literal_terms(m)) for m in (60, 120, 180, 240)]
     sets += [(m, "dense", dense_values(m)) for m in (240, 480, 105)]
-    print(f"{'m':>5} {'phi':>5}  {'values':<24} {'invert ms':>10} {'product ms':>11}")
+    head = f"{'m':>5} {'phi':>5}  {'values':<24} {'invert ms':>10} {'product ms':>11}"
+    print(f"{head} {'z**-1 ms':>9}")
     for m, kind, values in sets:
         values[0] * values[0]  # the remainder table of Phi_m, outside the timing
         invert = best_ms_per_value(CycloScalar.invert, values)
         product = best_ms_per_value(lambda z: z * z, values)
+        power = "-"
+        if kind.startswith("literal"):
+            powers = [CycloScalar.zeta_pow(m, k) for k in range(1, m // 2)]
+            power = f"{best_ms_per_value(lambda z: z ** -1, powers):.3f}"
         label = f"{len(values)} {kind}"
-        print(f"{m:>5} {euler_phi(m):>5}  {label:<24} {invert:>10.3f} {product:>11.3f}")
+        print(f"{m:>5} {euler_phi(m):>5}  {label:<24} {invert:>10.3f} {product:>11.3f} {power:>9}")
         if kind.startswith("literal"):
             _subfield_inverse.cache_clear()
             for z in values:
