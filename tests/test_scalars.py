@@ -376,9 +376,17 @@ def test_negative_powers_of_zeta_powers(m):
         assert z ** -1 == CycloScalar.zeta_pow(m, -e) == z.invert(), (m, e)
         w = 3 * z
         assert w ** -2 == CycloScalar.zeta_pow(m, -2 * e) * F(1, 9) == (w * w).invert(), (m, e)
-        c = F(-2, 3) * z
-        assert c ** -3 == CycloScalar.zeta_pow(m, -3 * e) * F(-27, 8), (m, e)
-        assert (c ** -1) * c == 1, (m, e)
+
+
+def test_negative_powers_of_monomials_skip_the_euclid():
+    """c = -2/3 zeta^e: c ** -3 and (c ** -1) c = 1.  The name is kept from
+    the one-place rule that read these off ``zeta_pow``; they now take the
+    one ``invert`` path like any other value."""
+    for m in (5, 12, 240, 4000):
+        for e in range(0, euler_phi(m), max(1, euler_phi(m) // 7)):
+            c = F(-2, 3) * CycloScalar.zeta_pow(m, e)
+            assert c ** -3 == CycloScalar.zeta_pow(m, -3 * e) * F(-27, 8), (m, e)
+            assert (c ** -1) * c == 1, (m, e)
 
 
 def count_calls(monkeypatch, *names) -> dict:
