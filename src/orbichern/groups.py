@@ -73,6 +73,9 @@ last, so a CLI command, each ``table`` row or any loop over labels holds
 one A or D group at a time.  The three E groups are listed from explicit
 coordinates, the Hurwitz units and the icosians, with no quaternion
 product; they sit in a cache of their own and are built once per process.
+One coordinate block, ``_exceptional_parts``, gives both an E group's
+elements and the generators its orbit walk conjugates by, from one set of
+values.
 """
 
 from __future__ import annotations
@@ -500,39 +503,6 @@ def _finite_subgroup(
     return FiniteSubgroup(label, len(members), members, _classes_of_sorted(members, gens), gens)
 
 
-def _binary_tetrahedral_generators() -> tuple:
-    lift = functools.partial(CycloScalar.from_rational, conductor=1)  # Q is Q(zeta_1)
-
-    i = Quaternion(lift(0), lift(1), lift(0), lift(0))
-    omega = Quaternion(*(lift(Fraction(1, 2)) for _ in range(4)))
-    return (i, omega)
-
-
-def _binary_octahedral_generators() -> tuple:
-    lift = functools.partial(_quadratic, 8)
-
-    i = Quaternion(lift(0), lift(1), lift(0), lift(0))
-    omega = Quaternion(*(lift(Fraction(1, 2)) for _ in range(4)))
-    # (1 + i) / sqrt(2) = sqrt(2)/2 * (1 + i)
-    s = lift(0, Fraction(1, 2))
-    extra = Quaternion(s, s, lift(0), lift(0))
-    return (i, omega, extra)
-
-
-def _binary_icosahedral_generators() -> tuple:
-    lift = functools.partial(_quadratic, 5)
-
-    omega = Quaternion(*(lift(Fraction(1, 2)) for _ in range(4)))
-    # (1/phi + i + phi*j) / 2 with phi the golden ratio
-    psi = Quaternion(
-        lift(Fraction(-1, 4), Fraction(1, 4)),
-        lift(Fraction(1, 2)),
-        lift(Fraction(1, 4), Fraction(1, 4)),
-        lift(0),
-    )
-    return (omega, psi)
-
-
 _PERMUTATIONS = tuple(itertools.permutations(range(4)))
 # even: the product of p[j] - p[i] over i < j, the permutation's sign, is positive
 _EVEN = tuple(p for p in _PERMUTATIONS if prod(b - a for a, b in itertools.combinations(p, 2)) > 0)
@@ -549,38 +519,52 @@ def _signed_arrangements(values, pattern, perms=_PERMUTATIONS) -> list:
     return elements
 
 
-def _exceptional_elements(parameter: int) -> list:
+def _exceptional_parts(parameter: int) -> tuple[list, tuple]:
     """The elements of E6, E7 or E8 from explicit coordinates (Conway &
-    Smith, *On Quaternions and Octonions*, 2003, ch. 3).
+    Smith, *On Quaternions and Octonions*, 2003, ch. 3), and the generators
+    the orbit walk conjugates by, both from one set of values.
 
-    E6 is the 24 Hurwitz units +-1, +-i, +-j, +-k and (+-1 +-i +-j +-k)/2.
-    E7 adds the 24 units (+-e +-e')/sqrt2 for two of e, e' in {1, i, j, k},
-    and E8 adds the even permutations of (0, +-1, +-1/phi, +-phi)/2, the
-    ones that hold the generator (1/phi + i + phi*j)/2.
+    E6 is the 24 Hurwitz units +-1, +-i, +-j, +-k and (+-1 +-i +-j +-k)/2,
+    generated by i and omega = (1 + i + j + k)/2.  E7 adds the 24 units
+    (+-e +-e')/sqrt2 for two of e, e' in {1, i, j, k}, and the generator
+    (1 + i)/sqrt2.  E8 adds the even permutations of (0, +-1, +-1/phi,
+    +-phi)/2, the ones that hold psi = (1/phi + i + phi*j)/2, and is
+    generated by omega and psi.
     """
     conductor = {6: 1, 7: 8, 8: 5}[parameter]
     zero, one, half = (CycloScalar.from_rational(v, conductor) for v in (0, 1, Fraction(1, 2)))
+    i, omega = Quaternion(zero, one, zero, zero), Quaternion(half, half, half, half)
     elements = _signed_arrangements((zero, one), (1, 0, 0, 0))
     elements += _signed_arrangements((zero, half), (1, 1, 1, 1))
+    if parameter == 6:
+        return elements, (i, omega)
     if parameter == 7:
-        elements += _signed_arrangements((zero, _quadratic(8, 0, Fraction(1, 2))), (1, 1, 0, 0))
-    if parameter == 8:
-        quarter = Fraction(1, 4)  # 1/(2 phi) = (sqrt5 - 1)/4 and phi/2 = (sqrt5 + 1)/4
-        golden = (zero, half, _quadratic(5, -quarter, quarter), _quadratic(5, quarter, quarter))
-        elements += _signed_arrangements(golden, (0, 1, 2, 3), _EVEN)
-    return elements
+        s = _quadratic(8, 0, Fraction(1, 2))  # sqrt2/2
+        elements += _signed_arrangements((zero, s), (1, 1, 0, 0))
+        return elements, (i, omega, Quaternion(s, s, zero, zero))
+    quarter = Fraction(1, 4)  # 1/(2 phi) = (sqrt5 - 1)/4 and phi/2 = (sqrt5 + 1)/4
+    golden = (zero, half, _quadratic(5, -quarter, quarter), _quadratic(5, quarter, quarter))
+    elements += _signed_arrangements(golden, (0, 1, 2, 3), _EVEN)
+    return elements, (omega, Quaternion(golden[2], half, golden[3], zero))
+
+
+def _binary_tetrahedral_generators() -> tuple:
+    return _exceptional_parts(6)[1]
+
+
+def _binary_octahedral_generators() -> tuple:
+    return _exceptional_parts(7)[1]
+
+
+def _binary_icosahedral_generators() -> tuple:
+    return _exceptional_parts(8)[1]
 
 
 @functools.cache
 def _exceptional_group(label: AdeLabel) -> FiniteSubgroup:
-    """E6, E7 or E8 from its explicit elements; cached for good."""
-    gens = {
-        6: _binary_tetrahedral_generators,
-        7: _binary_octahedral_generators,
-        8: _binary_icosahedral_generators,
-    }[label.parameter]()
-    members = sorted(_exceptional_elements(label.parameter), key=element_key)
-    return _finite_subgroup(members, gens, label)
+    """E6, E7 or E8 from its explicit elements and generators; cached for good."""
+    members, gens = _exceptional_parts(label.parameter)
+    return _finite_subgroup(sorted(members, key=element_key), gens, label)
 
 
 @functools.lru_cache(maxsize=1)
@@ -593,7 +577,7 @@ def build_ade_group(label: AdeLabel) -> FiniteSubgroup:
     x, listed in ``element_key`` order.  Each element is copied from the
     validated generator's period (the closure of the same generators
     agrees; tests verify).  The E groups are listed from explicit
-    coordinates by ``_exceptional_elements`` and sorted once (again,
+    coordinates by ``_exceptional_parts`` and sorted once (again,
     tests verify the closure).  The order of every returned group
     is checked against the catalog.
 

@@ -47,6 +47,20 @@ def _fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is an int and not a bool, else DescriptionError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DescriptionError(f"{name} must be an integer, got {value!a}")
+    return value
+
+
+def _flag(value) -> bool:
+    """``canonical_nef_asserted`` if it is a bool: a truthy string asserts nothing."""
+    if not isinstance(value, bool):
+        raise DescriptionError(f"canonical_nef_asserted must be a bool, got {value!a}")
+    return value
+
+
 class Verdict(str, enum.Enum):
     HOLDS = "Holds"
     HOLDS_WITH_EQUALITY = "HoldsWithEquality"
@@ -64,8 +78,9 @@ class DivisorEntry(namedtuple("DivisorEntry", "ramification chi_divisor k_dot se
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, ramification: int, chi_divisor: int, k_dot, self_int) -> "DivisorEntry":
-        if not isinstance(ramification, int) or ramification < 2:
+        if _integer(ramification, "ramification") < 2:
             raise DescriptionError("ramification must be >= 2")
+        chi_divisor = _integer(chi_divisor, "chi_divisor")
         return tuple.__new__(cls, (ramification, chi_divisor, _fraction(k_dot), _fraction(self_int)))
 
 
@@ -76,9 +91,9 @@ class Crossing(namedtuple("Crossing", "i j count")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, i: int, j: int, count: int) -> "Crossing":
-        if i < 0 or j < 0 or i >= j:
+        if _integer(i, "i") < 0 or _integer(j, "j") < 0 or i >= j:
             raise DescriptionError("crossing indices must satisfy 0 <= i < j")
-        if count < 0:
+        if _integer(count, "count") < 0:
             raise DescriptionError("crossing count must be >= 0")
         return tuple.__new__(cls, (i, j, count))
 
@@ -94,6 +109,7 @@ class SncPairDescription(
     def __new__(
         cls, chi_coarse: int, k_squared, divisors, crossings, canonical_nef_asserted: bool
     ) -> "SncPairDescription":
+        chi_coarse = _integer(chi_coarse, "chi_coarse")
         k_squared, divisors, crossings = _fraction(k_squared), tuple(divisors), tuple(crossings)
         for crossing in crossings:
             if crossing.j >= len(divisors):
@@ -101,7 +117,7 @@ class SncPairDescription(
                     f"crossing ({crossing.i}, {crossing.j}) names a missing divisor"
                 )
         return tuple.__new__(
-            cls, (chi_coarse, k_squared, divisors, crossings, canonical_nef_asserted)
+            cls, (chi_coarse, k_squared, divisors, crossings, _flag(canonical_nef_asserted))
         )
 
 
@@ -116,9 +132,9 @@ class IsolatedPointsDescription(
     def __new__(
         cls, chi_structure_sheaf: int, c1_squared, points, canonical_nef_asserted: bool
     ) -> "IsolatedPointsDescription":
-        return tuple.__new__(
-            cls, (chi_structure_sheaf, _fraction(c1_squared), tuple(points), canonical_nef_asserted)
-        )
+        chi = _integer(chi_structure_sheaf, "chi_structure_sheaf")
+        nef = _flag(canonical_nef_asserted)
+        return tuple.__new__(cls, (chi, _fraction(c1_squared), tuple(points), nef))
 
 
 class InvariantReport(
@@ -241,7 +257,7 @@ def gerbe_scale(report: InvariantReport, gerbe_order: int) -> InvariantReport:
     Positive scaling preserves the margin's sign, so the verdict is
     copied unchanged.
     """
-    if not isinstance(gerbe_order, int) or gerbe_order < 1:
+    if _integer(gerbe_order, "gerbe_order") < 1:
         raise DescriptionError("gerbe_order must be >= 1")
     if gerbe_order == 1:
         return report

@@ -150,14 +150,23 @@ def test_word_enumeration_matches_closure_for_dicyclic():
 
 def test_exceptional_enumeration_matches_closure():
     # E6..E8 are listed from explicit coordinates; the closure of the
-    # generators the orbit walk conjugates by is the oracle
+    # generators the orbit walk conjugates by is the oracle; each generator
+    # is a member, and its coordinates are pinned, so a wrong one fails by name
+    omega = "(1/2) + (1/2)i + (1/2)j + (1/2)k"
+    pinned = {
+        6: ["(0) + (1)i + (0)j + (0)k", omega],
+        7: ["(0) + (1)i + (0)j + (0)k", omega, "(1/2*sqrt2) + (1/2*sqrt2)i + (0)j + (0)k"],
+        8: [omega, "(-1/4 + 1/4*sqrt5) + (1/2)i + (1/4 + 1/4*sqrt5)j + (0)k"],
+    }
     for k, order in ((6, 24), (7, 48), (8, 120)):
-        elements = groups._exceptional_elements(k)
+        elements = groups._exceptional_parts(k)[0]
         assert len(elements) == len(set(elements)) == order, k
         group = build_ade_group(AdeLabel("E", k))
         closed = generate_group(group.generators)
         assert set(elements) == closed, k
         assert group.elements == tuple(sorted(closed, key=element_key)), k
+        assert set(group.generators) <= set(group.elements), k
+        assert [str(g) for g in group.generators] == pinned[k], k
 
 
 def test_cold_exceptional_builds_take_no_quaternion_product(monkeypatch):
@@ -899,6 +908,17 @@ def test_make_and_replace_run_the_constructor_checks():
         (DescriptionError, lambda: Crossing(0, 1, 1)._replace(i=1)),
         (DescriptionError, lambda: SncPairDescription(3, 9, (DIVISOR,), (), False)._replace(
             crossings=(Crossing(0, 1, 1),))),
+        # integer fields take an int that is not a bool, the nef flag only a bool
+        (DescriptionError, lambda: Crossing(0, 1, 1.5)),
+        (DescriptionError, lambda: Crossing(0, 1, 1)._replace(j=True)),
+        (DescriptionError, lambda: DIVISOR._replace(ramification=2.0)),
+        (DescriptionError, lambda: DIVISOR._replace(chi_divisor=2.0)),
+        (DescriptionError, lambda: SncPairDescription(3.0, 9, (DIVISOR,), (), False)),
+        (DescriptionError, lambda: SncPairDescription(3, 9, (DIVISOR,), (), False)._replace(
+            canonical_nef_asserted=1)),
+        (DescriptionError, lambda: IsolatedPointsDescription(2, 0, (), "no")),
+        (DescriptionError, lambda: IsolatedPointsDescription(2, 0, (), True)._replace(
+            chi_structure_sheaf=F(2))),
     ]
     for error, build in bad:
         with pytest.raises(error):

@@ -369,7 +369,7 @@ def test_gerbe_scaling_returns_a_report():
 
 def test_gerbe_scaling_rejects_bad_orders():
     report = bmy_verdict(F(0), F(0), True)
-    for bad in (0, -1, 2.0, "2"):
+    for bad in (0, -1, 2.0, "2", True):
         with pytest.raises(DescriptionError):
             gerbe_scale(report, bad)
 

@@ -1,7 +1,7 @@
 """Surfaces from the literature, generated from finite data and run through ``check``.
 
-Two families whose Chern numbers are known in closed form, each built by a
-small generator from its combinatorial data alone:
+Four families whose Chern numbers are known in closed form, each built by
+a small generator from its combinatorial data alone:
 
 - Hirzebruch's line arrangements (Hirzebruch 1983, *Arrangements of lines
   and algebraic surfaces*): the plane blown up at the points where three or
@@ -15,11 +15,17 @@ small generator from its combinatorial data alone:
   type A over the branch pairs, as ``isolated_points``.  The engine's c2,
   12 chi(O) - K^2 - sum of point terms (Kawasaki), must equal the
   orbifold Euler number e(C1) e(C2)/n.
+- Toric surfaces (Fulton 1993, *Introduction to Toric Varieties*): the fan
+  over the faces of a reflexive polygon, its points of type A read off the
+  edges, as ``isolated_points``; and smooth fans whose boundary curves carry
+  ramification r_i, as ``snc_pair``.  c2 is the Gauss-Bonnet sum over the
+  torus-fixed points.
 """
 
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -246,3 +252,153 @@ def test_classic_product_quotients(tmp_path, capsys, n, vector, k_squared, chi, 
     out = check(tmp_path, capsys, payload)
     assert out["c2"] == c2 == str(e_orb)
     assert out["verdict"] == "Holds"
+
+
+# ----------------------------------------------------------------------
+# toric surfaces
+
+
+GRID = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+
+
+def det(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def turn(o, a, b) -> int:
+    """det(a - o, b - o): positive when o, a, b turn counterclockwise."""
+    return det((a[0] - o[0], a[1] - o[1]), (b[0] - o[0], b[1] - o[1]))
+
+
+def lattice_hull(points) -> list:
+    """The vertices of the convex hull, counterclockwise (monotone chain)."""
+    points = sorted(set(points))
+
+    def chain(ordered):
+        out = []
+        for p in ordered:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(points) + chain(points[::-1])
+
+
+def reflexive_hulls() -> list:
+    """The distinct hulls, from 3000 seeded draws of 3 to 6 points of
+    [-1, 1]^2 and 0 to 2 of its ring in [-2, 2]^2, whose only interior
+    lattice point is the origin."""
+    inner = [p for p in GRID if max(map(abs, p)) <= 1]
+    ring = [p for p in GRID if max(map(abs, p)) == 2]
+    rng = random.Random(2011)
+    hulls = set()
+    for _ in range(3000):
+        drawn = rng.sample(inner, rng.randint(3, 6)) + rng.sample(ring, rng.randint(0, 2))
+        vertices = lattice_hull(drawn)
+        edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+        interior = [p for p in GRID if all(turn(a, b, p) > 0 for a, b in edges)]
+        if len(vertices) >= 3 and interior == [(0, 0)]:
+            hulls.add(tuple(vertices))
+    return sorted(hulls)
+
+
+def reflexive_payload(vertices) -> tuple:
+    """The ``isolated_points`` description of the toric surface of the fan over
+    the faces of a reflexive polygon P, its edge lengths, and c2.
+
+    An edge (a, b) of lattice length l lies at height 1, det(a, b) = l, so
+    its cone is the point A_(l-1) (A0, a smooth point, when l = 1).  The
+    surface is rational, chi(O) = 1; K^2 = (-K)^2 is twice the area of the
+    dual polygon P*, whose vertices are the edges' primitive normals, and
+    equals 12 - #boundary points of P.  Gauss-Bonnet: c2 = sum of 1/l."""
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    lengths = [math.gcd(b[0] - a[0], b[1] - a[1]) for a, b in edges]
+    assert [det(a, b) for a, b in edges] == lengths  # every edge at height 1
+    normals = [((b[1] - a[1]) // l, (a[0] - b[0]) // l) for (a, b), l in zip(edges, lengths)]
+    k_squared = sum(det(u, v) for u, v in zip(normals, normals[1:] + normals[:1]))
+    assert k_squared == 12 - sum(lengths)
+    payload = {
+        "kind": "isolated_points",
+        "chi_structure_sheaf": 1,
+        "c1_squared": str(k_squared),
+        "points": [f"A{l - 1}" for l in lengths],
+        "canonical_nef_asserted": False,  # -K is ample
+    }
+    return payload, lengths, sum(F(1, l) for l in lengths)
+
+
+def test_reflexive_polygons_give_the_sum_of_inverse_edge_lengths(tmp_path, capsys):
+    """The 16 reflexive polygons have 15 signatures (#boundary points, edge
+    lengths): P^1 x P^1 and F_1 share (4, (1, 1, 1, 1)).  The sample covers
+    all 15."""
+    signatures = set()
+    hulls = reflexive_hulls()
+    assert len(hulls) == 174
+    for vertices in hulls:
+        payload, lengths, c2 = reflexive_payload(vertices)
+        out = check(tmp_path, capsys, payload)
+        assert F(out["c2"]) == c2 and out["c1_squared"] == payload["c1_squared"], vertices
+        assert out["verdict"] == "NotApplicable", vertices
+        signatures.add((sum(lengths), tuple(sorted(lengths))))
+    assert len(signatures) == 15
+
+
+def smooth_fan(rng) -> list:
+    """The rays of P^2 or of F_a (a <= 4), blown up at random torus-fixed
+    points: each blow-up puts v + w between neighbouring rays v and w."""
+    a = rng.randint(-1, 4)  # -1 stands for P^2
+    rays = [(1, 0), (0, 1), (-1, -1)] if a < 0 else [(1, 0), (0, 1), (-1, a), (0, -1)]
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randrange(len(rays))
+        v, w = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (v[0] + w[0], v[1] + w[1]))
+    return rays
+
+
+def smooth_fan_payload(rays, ramifications) -> tuple:
+    """The ``snc_pair`` of a smooth toric surface and its boundary cycle D_i,
+    D_i with ramification r_i, and its c1^2 and c2.
+
+    With v_(i-1) + v_(i+1) = a_i v_i, D_i^2 = -a_i; each D_i is a P^1, so
+    chi(D_i) = 2 and K.D_i = -2 - D_i^2; e = k and K^2 = 12 - k for k rays.
+    K = -sum D_i, so c1^2 = (sum D_i/r_i)^2 = sum D_i^2/r_i^2 + 2 sum
+    1/(r_i r_(i+1)); Gauss-Bonnet gives c2 = sum 1/(r_i r_(i+1))."""
+    k = len(rays)
+    self_ints = []
+    for i, v in enumerate(rays):
+        assert det(v, rays[(i + 1) % k]) == 1  # smooth
+        u, w = rays[i - 1], rays[(i + 1) % k]
+        a = det(u, w)  # u + w = a v, as det(v, w) = det(u, v) = 1
+        assert (u[0] + w[0], u[1] + w[1]) == (a * v[0], a * v[1])
+        self_ints.append(-a)
+    assert sum(self_ints) == 12 - 3 * k  # K^2 = (sum D_i)^2 = sum D_i^2 + 2k
+    payload = {
+        "kind": "snc_pair",
+        "chi_coarse": k,
+        "k_squared": 12 - k,
+        "divisors": [
+            {"ramification": r, "chi_divisor": 2, "k_dot": -2 - s, "self_int": s}
+            for r, s in zip(ramifications, self_ints)
+        ],
+        "crossings": [{"i": i, "j": i + 1, "count": 1} for i in range(k - 1)]
+        + [{"i": 0, "j": k - 1, "count": 1}],
+        "canonical_nef_asserted": False,
+    }
+    pairs = sum(F(1, r * ramifications[(i + 1) % k]) for i, r in enumerate(ramifications))
+    c1_squared = sum(F(s, r * r) for r, s in zip(ramifications, self_ints)) + 2 * pairs
+    return payload, c1_squared, pairs
+
+
+def test_smooth_fans_with_stacky_multiplicities(tmp_path, capsys):
+    rng = random.Random(1993)
+    sizes = set()
+    for _ in range(400):
+        rays = smooth_fan(rng)
+        ramifications = [rng.randint(2, 7) for _ in rays]
+        payload, c1_squared, c2 = smooth_fan_payload(rays, ramifications)
+        out = check(tmp_path, capsys, payload)
+        assert (F(out["c1_squared"]), F(out["c2"])) == (c1_squared, c2), (rays, ramifications)
+        assert out["verdict"] == "NotApplicable", rays
+        sizes.add(len(rays))
+    assert sizes == set(range(3, 11))

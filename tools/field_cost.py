@@ -1,4 +1,5 @@
-"""Print what ``CycloScalar.invert`` and one product cost, per conductor.
+"""Print what ``CycloScalar.invert``, one product and the ``identity`` path
+cost, per conductor.
 
 One line per value set: the conductor m, phi(m), how many values, and the
 best of 3 in-process times, per value, of ``invert`` and of one product
@@ -12,6 +13,15 @@ descends through Q(zeta_(m/2)); and dense values at the odd conductor
 it is timed.  The cache of subfield inverses is emptied before each timed
 run, so every time is the cold cost; each literal set gets one
 more line with the hits and misses of that cache over one cold pass.
+
+A second table times the path every ``identity`` command runs, at the
+largest conductors the field-identities benchmark reaches (1980, 1999,
+3960 and 3990): ``cyclotomic_polynomial(d)``, then
+``CycloScalar.pair_inverse(d)`` with Phi_d warm, then ``cyclo_trace`` of
+that inverse, best of 3 each.  Before each of the 3 runs the caches of
+``cyclotomic_polynomial`` and of the number-theory helpers it and the
+trace read (``_factorization``, ``divisors``, ``euler_phi`` and
+``moebius``) are emptied, so each run is as cold as a fresh process.
 Print only: the exit status is 0 whenever the script runs.
 
 Run from anywhere: ``python3 tools/field_cost.py``.
@@ -27,10 +37,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from orbichern.scalars import CycloScalar, _subfield_inverse, euler_phi  # noqa: E402
+from orbichern.scalars import (  # noqa: E402
+    CycloScalar,
+    _factorization,
+    _subfield_inverse,
+    cyclo_trace,
+    cyclotomic_polynomial,
+    divisors,
+    euler_phi,
+    moebius,
+)
 
 RUNS = 3
 DENSE = 3  # dense values per conductor
+IDENTITY_CONDUCTORS = (1980, 1999, 3960, 3990)
+COLD = (cyclotomic_polynomial, _factorization, divisors, euler_phi, moebius)
 
 
 def literal_terms(m: int) -> list[CycloScalar]:
@@ -63,6 +84,24 @@ def best_ms_per_value(step, values) -> float:
     return best * 1000 / len(values)
 
 
+def identity_path_ms(d: int) -> tuple[float, float, float]:
+    """Best of RUNS cold times, in ms, of Phi_d, its pair inverse and the
+    inverse's trace, each run from emptied caches (``COLD``)."""
+    best = [float("inf")] * 3
+    for _ in range(RUNS):
+        for cached in COLD:
+            cached.cache_clear()
+        times = [time.perf_counter()]
+        cyclotomic_polynomial(d)
+        times.append(time.perf_counter())
+        inverse = CycloScalar.pair_inverse(d)
+        times.append(time.perf_counter())
+        cyclo_trace(inverse)
+        times.append(time.perf_counter())
+        best = [min(b, (t1 - t0) * 1000) for b, t0, t1 in zip(best, times, times[1:])]
+    return best[0], best[1], best[2]
+
+
 def main() -> int:
     sets = [(m, "literal-sum terms", literal_terms(m)) for m in (60, 120, 180, 240)]
     sets += [(m, "dense", dense_values(m)) for m in (240, 480, 105)]
@@ -84,6 +123,11 @@ def main() -> int:
                 z.invert()
             info = _subfield_inverse.cache_info()
             print(f"{'':>13}one cold pass: {info.hits} subfield-inverse hits, {info.misses} misses")
+    print()
+    print(f"{'d':>5} {'phi':>5}  {'Phi_d ms':>9} {'pair_inverse ms':>16} {'trace ms':>9}")
+    for d in IDENTITY_CONDUCTORS:
+        phi, inverse, trace = identity_path_ms(d)
+        print(f"{d:>5} {euler_phi(d):>5}  {phi:>9.3f} {inverse:>16.3f} {trace:>9.3f}")
     return 0
 
 
