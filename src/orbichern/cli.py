@@ -24,6 +24,17 @@ loaded on first use, so help, usage errors and every other spelling
 argparse accepts keep argparse's output.  ``_order`` and the ``_one_of``
 checks are each value's one validity rule on both paths.
 
+Imports: ``check`` loads only this module, ``ade``, ``errors`` and
+``invariants``; its rationals are read here (``parse_rational``, the
+wire form).  ``group``, ``identity`` and ``table`` also run the group and
+field layers: their first call of ``_bind_deferred`` imports
+``contributions``, which imports ``scalars`` and then ``groups``, and
+binds the five entry points in ``_DEFERRED`` as attributes of this
+module.  The commands read those names as module globals when they run,
+never through a local import, so a wrapper set on this module by name
+(``perfbench/worker.py --trace 1``, the tests' monkeypatches) is what
+they call; ``__getattr__`` binds them for a caller that reads one first.
+
 Exit codes: 0 success (including NotApplicable), 1 input error (a usage
 error, ``DescriptionError`` or ``InvalidLabel``), 2 any other package
 error (an internal cross-check failed), 3 inequality fails.  ``main``
@@ -35,18 +46,12 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .ade import AdeLabel, resolution_data
-from .contributions import (
-    build_contribution_report,
-    element_sum_contribution,
-    verify_type_a_identity,
-    verify_type_d_half_angle_identity,
-)
 from .errors import DescriptionError, IdentityFailure, InvalidLabel, OrbichernError
-from .groups import build_ade_group
 from .invariants import (
     Crossing,
     DivisorEntry,
@@ -58,7 +63,32 @@ from .invariants import (
     isolated_points_report,
     snc_report,
 )
-from .scalars import parse_rational
+
+# the group and field layers' entry points, bound on first use (see "Imports" above)
+_DEFERRED = (
+    "build_ade_group",
+    "build_contribution_report",
+    "element_sum_contribution",
+    "verify_type_a_identity",
+    "verify_type_d_half_angle_identity",
+)
+
+
+def _bind_deferred() -> None:
+    """Bind each deferred name not bound yet; a wrapper already set stays."""
+    from . import contributions  # ``build_ade_group`` is ``groups``'s, imported there
+
+    names = globals()
+    for name in _DEFERRED:
+        names.setdefault(name, getattr(contributions, name))
+
+
+def __getattr__(name: str):
+    if name in _DEFERRED:
+        _bind_deferred()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # ----------------------------------------------------------------------
 # description files: one schema table
@@ -67,6 +97,21 @@ from .scalars import parse_rational
 # with its own part of the message (" must be an integer"); each enclosing reader
 # adds its part as the error passes up ("[index]", ".key", "PATH: kind"), so no
 # path is built on the happy path.  Range checks live in ``invariants``.
+
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the wire form "p/q" or "p": ASCII digits, a sign on the
+    numerator only, nothing before or after."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!a}")
+    if "/" in text:
+        num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!a}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
 
 
 def _integer(value) -> int:
@@ -117,8 +162,10 @@ def _list_of(read):
     return read_list
 
 
-def _record(cls, **fields):
-    """Reader of a JSON object whose keys are exactly ``cls``'s field names."""
+def _record(build, **fields):
+    """Reader of a JSON object whose keys are exactly ``fields``; ``build`` takes
+    the values read and makes the record (a record's ``_typed``: the readers
+    have checked each value's type, so only its range checks run)."""
 
     def read_record(value):
         if not isinstance(value, dict):
@@ -134,8 +181,8 @@ def _record(cls, **fields):
         try:
             for key, read in fields.items():
                 values[key] = read(value[key])
-            return cls(**values)
-        except DescriptionError as exc:  # from a field's reader, or a range check of cls
+            return build(**values)
+        except DescriptionError as exc:  # from a field's reader, or a range check of build
             where = f".{key}" if len(values) < len(fields) else ": "
             raise DescriptionError(f"{where}{exc}") from None
 
@@ -144,21 +191,21 @@ def _record(cls, **fields):
 
 _KINDS = {
     "snc_pair": _record(
-        SncPairDescription,
+        SncPairDescription._typed,
         chi_coarse=_integer,
         k_squared=_rational,
         divisors=_list_of(_record(
-            DivisorEntry,
+            DivisorEntry._typed,
             ramification=_integer,
             chi_divisor=_integer,
             k_dot=_rational,
             self_int=_rational,
         )),
-        crossings=_list_of(_record(Crossing, i=_integer, j=_integer, count=_integer)),
+        crossings=_list_of(_record(Crossing._typed, i=_integer, j=_integer, count=_integer)),
         canonical_nef_asserted=_flag,
     ),
     "isolated_points": _record(
-        IsolatedPointsDescription,
+        IsolatedPointsDescription._typed,
         chi_structure_sheaf=_integer,
         c1_squared=_rational,
         points=_list_of(_label),
@@ -292,6 +339,7 @@ def _class_lines(group) -> list[str]:
 
 
 def cmd_group(label: str) -> int:
+    _bind_deferred()
     label = AdeLabel.from_string(label)
     group = build_ade_group(label)
     data = resolution_data(label)
@@ -320,6 +368,7 @@ def cmd_group(label: str) -> int:
 def cmd_identity(n: int, which: str) -> int:
     """Both sides of the identity are the one value its verifier returns,
     which it returns only when they are equal."""
+    _bind_deferred()
     if which == "type_a":
         header, verify = f"rotation-sum identity, type A, n = {n}", verify_type_a_identity
     else:
@@ -360,6 +409,7 @@ def _table_rows(max_n: int, oracle: bool) -> list[dict]:
 
 
 def cmd_table(max_n: int, oracle: bool, fmt: str) -> int:
+    _bind_deferred()
     rows = _table_rows(max_n, oracle)
     if fmt == "structured":
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")

@@ -41,8 +41,10 @@ from math import gcd
 
 from .ade import AdeLabel, resolution_data
 from .errors import IdentityFailure, NonRationalTotal, TraceTwoNonIdentity
-from .groups import FiniteSubgroup, Word, build_ade_group
+# ``scalars`` before ``groups``: ``cli`` loads both through this module, and
+# compiling ``groups`` first raises a benchmark worker's peak RSS
 from .scalars import CycloScalar, cyclo_trace, divisors, euler_phi
+from .groups import FiniteSubgroup, Word, build_ade_group
 
 _F0 = Fraction(0)
 

@@ -23,6 +23,14 @@ second route on plain ``Fraction`` arithmetic, as an independent
 restatement.  ``point_term`` is cached per label, so a process scores
 each distinct point type once.
 
+Each description record checks its fields' types in ``__new__`` (an
+integer field takes an int that is not a bool, ``canonical_nef_asserted``
+only a bool) and hands the typed values to its ``_typed``, which runs the
+range checks and builds the record.  The ``cli`` schema reader checks the
+type of every value it reads itself, with the file's path in the message,
+and builds records through ``_typed``, so ``check`` tests each value's
+type once.
+
 Whether the inequality applies at all depends on the canonical class
 being nef, which no formula here can see; it is a user-asserted flag and
 verdicts report NotApplicable when it is absent.
@@ -78,10 +86,16 @@ class DivisorEntry(namedtuple("DivisorEntry", "ramification chi_divisor k_dot se
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, ramification: int, chi_divisor: int, k_dot, self_int) -> "DivisorEntry":
-        if _integer(ramification, "ramification") < 2:
+        return cls._typed(
+            _integer(ramification, "ramification"), _integer(chi_divisor, "chi_divisor"),
+            _fraction(k_dot), _fraction(self_int),
+        )
+
+    @classmethod
+    def _typed(cls, ramification, chi_divisor, k_dot, self_int):
+        if ramification < 2:
             raise DescriptionError("ramification must be >= 2")
-        chi_divisor = _integer(chi_divisor, "chi_divisor")
-        return tuple.__new__(cls, (ramification, chi_divisor, _fraction(k_dot), _fraction(self_int)))
+        return tuple.__new__(cls, (ramification, chi_divisor, k_dot, self_int))
 
 
 class Crossing(namedtuple("Crossing", "i j count")):
@@ -91,9 +105,13 @@ class Crossing(namedtuple("Crossing", "i j count")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
 
     def __new__(cls, i: int, j: int, count: int) -> "Crossing":
-        if _integer(i, "i") < 0 or _integer(j, "j") < 0 or i >= j:
+        return cls._typed(_integer(i, "i"), _integer(j, "j"), _integer(count, "count"))
+
+    @classmethod
+    def _typed(cls, i, j, count):
+        if i < 0 or j < 0 or i >= j:
             raise DescriptionError("crossing indices must satisfy 0 <= i < j")
-        if _integer(count, "count") < 0:
+        if count < 0:
             raise DescriptionError("crossing count must be >= 0")
         return tuple.__new__(cls, (i, j, count))
 
@@ -109,16 +127,19 @@ class SncPairDescription(
     def __new__(
         cls, chi_coarse: int, k_squared, divisors, crossings, canonical_nef_asserted: bool
     ) -> "SncPairDescription":
-        chi_coarse = _integer(chi_coarse, "chi_coarse")
-        k_squared, divisors, crossings = _fraction(k_squared), tuple(divisors), tuple(crossings)
+        return cls._typed(
+            _integer(chi_coarse, "chi_coarse"), _fraction(k_squared), tuple(divisors),
+            tuple(crossings), _flag(canonical_nef_asserted),
+        )
+
+    @classmethod
+    def _typed(cls, chi_coarse, k_squared, divisors, crossings, canonical_nef_asserted):
         for crossing in crossings:
             if crossing.j >= len(divisors):
                 raise DescriptionError(
                     f"crossing ({crossing.i}, {crossing.j}) names a missing divisor"
                 )
-        return tuple.__new__(
-            cls, (chi_coarse, k_squared, divisors, crossings, _flag(canonical_nef_asserted))
-        )
+        return tuple.__new__(cls, (chi_coarse, k_squared, divisors, crossings, canonical_nef_asserted))
 
 
 class IsolatedPointsDescription(
@@ -134,7 +155,11 @@ class IsolatedPointsDescription(
     ) -> "IsolatedPointsDescription":
         chi = _integer(chi_structure_sheaf, "chi_structure_sheaf")
         nef = _flag(canonical_nef_asserted)
-        return tuple.__new__(cls, (chi, _fraction(c1_squared), tuple(points), nef))
+        return cls._typed(chi, _fraction(c1_squared), tuple(points), nef)
+
+    @classmethod
+    def _typed(cls, chi_structure_sheaf, c1_squared, points, canonical_nef_asserted):
+        return tuple.__new__(cls, (chi_structure_sheaf, c1_squared, points, canonical_nef_asserted))
 
 
 class InvariantReport(

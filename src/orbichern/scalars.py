@@ -7,10 +7,12 @@ positive denominator in lowest terms (FLINT's fmpq_poly layout).  It is
 the one field type: Q itself is Q(zeta_1), a row of one place, and the
 real quadratic fields the exceptional groups need sit inside it,
 Q(sqrt 2) in Q(zeta_8) and Q(sqrt 5) in Q(zeta_5).  ``fractions.Fraction``
-appears only at the edges: the wire form (``parse_rational``), constructor
-inputs (an int other than a bool, or a Fraction; anything else raises
-TypeError), and results that are rational numbers (traces down to Q, the
-``coeffs`` view).
+appears only at the edges: constructor inputs (an int other than a bool,
+or a Fraction; anything else raises TypeError), and results that are
+rational numbers (traces down to Q, the ``coeffs`` view).  The wire form
+of a rational, ``parse_rational``, lives with the description reader in
+``cli``, so ``check`` compiles nothing here; ``orbichern.scalars`` still
+resolves the name, through the module ``__getattr__``.
 
 ``divisors``, ``euler_phi`` and ``moebius`` read one cached prime
 factorization of m (``_factorization``), the one trial division here,
@@ -77,26 +79,20 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import FieldMismatch, IdentityFailure, ZeroInversion
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+def __getattr__(name: str):
+    """``parse_rational``, the wire form, which lives with the description
+    reader in ``cli``; this module loads ``cli`` only when the name is read."""
+    if name == "parse_rational":
+        from .cli import parse_rational
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the wire form "p/q" or "p": ASCII digits, a sign on the
-    numerator only, nothing before or after."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!a}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!a}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return parse_rational
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _exact(value: Fraction | int) -> Fraction | int:
