@@ -10,10 +10,11 @@ The package computes, in exact rational arithmetic throughout:
 
 See the ``orbichern`` command-line tool for the file-driven interface.
 
-The package root imports no submodule.  Each public name in ``__all__``
-is looked up in its home module (``_HOMES``) on first access (PEP 562
-``__getattr__``) and then bound here; the submodules (``orbichern.groups``
-and the rest) resolve as attributes too, imported on first access.
+The package root imports no submodule.  ``_HOMES`` is the one list of
+public names, by home module, and ``__all__`` is read off it.  Each name
+is looked up in its home module on first access (PEP 562 ``__getattr__``)
+and then bound here; the submodules (``orbichern.groups`` and the rest)
+resolve as attributes too, imported on first access.
 So ``python -m orbichern check`` loads ``cli``, ``ade``, ``errors`` and
 ``invariants`` only, and ``group``, ``identity`` and ``table`` add
 ``contributions``, ``scalars`` and ``groups`` (see ``cli``).
@@ -49,20 +50,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "AdeLabel", "AdeResolutionData", "BoundExceeded", "ConjugacyClass", "ContributionReport",
-    "Crossing", "CycloScalar", "DescriptionError", "DivisorEntry", "FieldMismatch",
-    "FiniteSubgroup", "IdentityFailure", "InvalidLabel", "InvariantReport",
-    "IsolatedPointsDescription", "NonRationalTotal", "OrbichernError", "Quaternion",
-    "SncPairDescription", "TraceTwoNonIdentity", "Verdict", "Word", "ZeroInversion",
-    "assemble_type_d_contribution", "bmy_verdict", "build_ade_group",
-    "build_contribution_report", "class_sum_contribution", "closed_form_contribution",
-    "codim2_c2", "codim2_equivalence_check", "conjugacy_classes", "contribution_for_label",
-    "cyclo_trace", "cyclotomic_polynomial", "element_sum_contribution", "gerbe_scale",
-    "generate_group", "isolated_points_report", "pair_c1_squared", "pair_orbifold_euler",
-    "parse_rational", "resolution_data", "snc_report", "verify_type_a_identity",
-    "verify_type_d_half_angle_identity",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

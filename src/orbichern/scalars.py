@@ -11,8 +11,8 @@ appears only at the edges: constructor inputs (an int other than a bool,
 or a Fraction; anything else raises TypeError), and results that are
 rational numbers (traces down to Q, the ``coeffs`` view).  The wire form
 of a rational, ``parse_rational``, lives with the description reader in
-``cli``, so ``check`` compiles nothing here; ``orbichern.scalars`` still
-resolves the name, through the module ``__getattr__``.
+``cli`` only (and ``orbichern`` exports it from there), so ``check``
+compiles nothing here.
 
 ``divisors``, ``euler_phi`` and ``moebius`` read one cached prime
 factorization of m (``_factorization``), the one trial division here,
@@ -83,16 +83,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import FieldMismatch, IdentityFailure, ZeroInversion
-
-
-def __getattr__(name: str):
-    """``parse_rational``, the wire form, which lives with the description
-    reader in ``cli``; this module loads ``cli`` only when the name is read."""
-    if name == "parse_rational":
-        from .cli import parse_rational
-
-        return parse_rational
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _exact(value: Fraction | int) -> Fraction | int:

@@ -377,9 +377,8 @@ ERROR_PATHS = [
 ]
 
 
-@pytest.mark.parametrize("make, where, value, message", ERROR_PATHS, ids=[case[-1] for case in ERROR_PATHS])
-def test_check_error_paths_are_exact(tmp_path, capsys, make, where, value, message):
-    payload = make()
+def edit(payload, where, value):
+    """Put value at the path ``where`` in payload, or delete the field for DROP."""
     *parents, last = where
     container = payload
     for key in parents:
@@ -388,7 +387,42 @@ def test_check_error_paths_are_exact(tmp_path, capsys, make, where, value, messa
         del container[last]
     else:
         container[last] = value
+
+
+@pytest.mark.parametrize("make, where, value, message", ERROR_PATHS, ids=[case[-1] for case in ERROR_PATHS])
+def test_check_error_paths_are_exact(tmp_path, capsys, make, where, value, message):
+    payload = make()
+    edit(payload, where, value)
     path = write_json(tmp_path, "bad.json", payload)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+# (payload, several faults {where: value}, the error line after "error: PATH: "):
+# the one line names the first fault in reading order, gerbe_order before the
+# kind's record, a record's keys before its values, and fields in schema order
+MULTI_ERRORS = [
+    (triangle_payload, {("gerbe_order",): "2", ("chi_coarse",): "3", ("k_squared",): 1.5,
+                        ("divisors", 0, "ramification"): 1, ("canonical_nef_asserted",): "yes"},
+     "gerbe_order must be an integer"),
+    (triangle_payload, {("k_squared",): 1.5, ("divisors", 0, "ramification"): 1,
+                        ("divisors", 1, "chi_divisor"): True, ("divisors", 2, "k_dot"): "1/0",
+                        ("crossings", 2, "j"): 5, ("canonical_nef_asserted",): "yes"},
+     "snc_pair.k_squared: not a rational literal: 1.5"),
+    (kummer_payload, {("points", 3): "D3", ("points", 5): "E9", ("canonical_nef_asserted",): "no",
+                      ("colour",): "blue"},
+     "isolated_points: unknown field 'colour'"),
+    (triangle_payload, {("divisors", 0, "ramification"): 1, ("crossings", 0): {"i": 0, "j": 5, "count": -1}},
+     "snc_pair.divisors[0]: ramification must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("make, faults, message", MULTI_ERRORS, ids=[case[-1] for case in MULTI_ERRORS])
+def test_check_reports_the_first_of_several_faults(tmp_path, capsys, make, faults, message):
+    payload = make()
+    for where, value in faults.items():
+        edit(payload, where, value)
+    path = write_json(tmp_path, "faults.json", payload)
     assert main(["check", path]) == 1
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 

@@ -23,7 +23,7 @@ import orbichern.groups as groups
 from orbichern.ade import AdeLabel, resolution_data
 from orbichern.cli import main
 from orbichern.contributions import build_contribution_report
-from orbichern.errors import BoundExceeded, DescriptionError, InvalidLabel, TraceTwoNonIdentity
+from orbichern.errors import BoundExceeded, DescriptionError, IdentityFailure, InvalidLabel, TraceTwoNonIdentity
 from orbichern.groups import (
     ConjugacyClass,
     FiniteSubgroup,
@@ -136,6 +136,22 @@ def test_closure_is_idempotent():
     group = build_ade_group(AdeLabel("D", 3))
     again = generate_group(group.elements)
     assert set(again) == set(group.elements)
+
+
+def test_real_quadratic_fields_are_only_those_of_the_exceptional_groups():
+    with pytest.raises(ValueError, match=r"^no real quadratic field is set up in Q\(zeta_7\)$"):
+        groups._square_root(7)
+    with pytest.raises(IdentityFailure, match=r"^z8 is not in Q\(sqrt2\)$"):
+        groups._quadratic_parts(CycloScalar.zeta_pow(8, 1))
+
+
+def test_class_walk_checks_the_class_equation():
+    group = build_ade_group(AdeLabel("D", 6))
+    without_identity = [e for e in group.elements if not e.is_identity()]
+    with pytest.raises(IdentityFailure, match="^orbit size does not divide the group order$"):
+        conjugacy_classes(without_identity, group.generators)
+    with pytest.raises(IdentityFailure, match="^class sizes do not sum to the group order$"):
+        conjugacy_classes([Word(4, False, 0), Word(4, False, 1)], [Word(4, True, 0)])
 
 
 def test_word_enumeration_matches_closure_for_dicyclic():

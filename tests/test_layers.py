@@ -49,7 +49,6 @@ def test_group_and_identity_processes_load_the_layers_they_run(argv):
 
 
 def test_every_public_name_is_its_home_module_object():
-    assert sorted(orbichern.__all__) == sorted(orbichern._HOME)  # what __getattr__ resolves
     for name in orbichern.__all__:
         value = getattr(orbichern, name)
         home = importlib.import_module(value.__module__)
@@ -64,11 +63,18 @@ def test_deferred_cli_names_are_the_contribution_layer_objects():
         cli.no_such_name  # noqa: B018
 
 
+def test_a_deferred_name_read_before_any_command_is_bound_on_first_read(monkeypatch):
+    # as ``perfbench/worker.py --trace 1`` reads it, before a command has bound it
+    cli.element_sum_contribution  # noqa: B018
+    monkeypatch.delitem(vars(cli), "element_sum_contribution")
+    assert cli.element_sum_contribution is contributions.element_sum_contribution
+    assert vars(cli)["element_sum_contribution"] is contributions.element_sum_contribution
+
+
 def test_parse_rational_is_the_description_reader_one():
-    assert scalars.parse_rational is cli.parse_rational is orbichern.parse_rational
+    assert cli.parse_rational is orbichern.parse_rational
     assert cli.parse_rational.__module__ == "orbichern.cli"
-    with pytest.raises(AttributeError):
-        scalars.no_such_name  # noqa: B018
+    assert not hasattr(scalars, "parse_rational")
 
 
 def test_check_tests_each_record_field_type_once(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichern import scalars
+from orbichern.cli import parse_rational
 from orbichern.errors import FieldMismatch, IdentityFailure, ZeroInversion
 from orbichern.contributions import conjugate_pair_inverse
 from orbichern.groups import Quaternion
@@ -25,7 +26,6 @@ from orbichern.scalars import (
     divisors,
     euler_phi,
     moebius,
-    parse_rational,
     scalar_key,
     signed_dot,
 )
@@ -298,6 +298,22 @@ def test_constructors_take_only_ints_and_fractions():
     assert CycloScalar(5, (1, F(1, 2), 0, -3)).coeffs == (1, F(1, 2), 0, -3)
     assert CycloScalar.from_rational(-7, 5) == -7
     assert CycloScalar.from_rational(F(3, 4), 1).to_rational() == F(3, 4)
+
+
+def test_wrong_rows_and_foreign_operands_are_refused():
+    with pytest.raises(ValueError, match=r"^conductor 5 needs 4 coefficients, got 2$"):
+        CycloScalar(5, (1, 2))
+    with pytest.raises(TypeError, match=r"^not a scalar: 'x'$"):
+        scalar_key("x")
+    zeta = CycloScalar.zeta_pow(5, 1)
+    assert not CycloScalar.zero(5) and zeta
+    assert repr(zeta) == "CycloScalar(5, (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)))"
+    # each operator returns NotImplemented, so Python raises (or answers False)
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+: 'CycloScalar' and 'str'$"):
+        zeta + "x"  # noqa: B018
+    with pytest.raises(TypeError, match=r"^can't multiply sequence by non-int of type 'CycloScalar'$"):
+        zeta * [1]  # noqa: B018
+    assert (zeta == "x") is False
 
 
 def test_entry_points_take_only_positive_int_conductors():

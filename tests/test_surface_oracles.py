@@ -20,6 +20,11 @@ a small generator from its combinatorial data alone:
   edges, as ``isolated_points``; and smooth fans whose boundary curves carry
   ramification r_i, as ``snc_pair``.  c2 is the Gauss-Bonnet sum over the
   torus-fixed points.
+
+The ``snc_pair`` files of the first and third families are also read by
+stacky Riemann-Roch (Kawasaki 1979): chi(O) of the root stack is chi(O_Y)
+of its coarse space, so c2 = 12 chi(O_Y) - c1^2 - 12 (sum of the twisted
+sectors' terms), one term per curve and one per crossing.
 """
 
 import itertools
@@ -390,15 +395,53 @@ def smooth_fan_payload(rays, ramifications) -> tuple:
     return payload, c1_squared, pairs
 
 
-def test_smooth_fans_with_stacky_multiplicities(tmp_path, capsys):
+def smooth_fans():
+    """400 seeded smooth fans, each with ramifications r_i in 2..7."""
     rng = random.Random(1993)
-    sizes = set()
     for _ in range(400):
         rays = smooth_fan(rng)
-        ramifications = [rng.randint(2, 7) for _ in rays]
+        yield rays, [rng.randint(2, 7) for _ in rays]
+
+
+def test_smooth_fans_with_stacky_multiplicities(tmp_path, capsys):
+    sizes = set()
+    for rays, ramifications in smooth_fans():
         payload, c1_squared, c2 = smooth_fan_payload(rays, ramifications)
         out = check(tmp_path, capsys, payload)
         assert (F(out["c1_squared"]), F(out["c2"])) == (c1_squared, c2), (rays, ramifications)
         assert out["verdict"] == "NotApplicable", rays
         sizes.add(len(rays))
     assert sizes == set(range(3, 11))
+
+
+# ----------------------------------------------------------------------
+# stacky Riemann-Roch on the snc_pair files
+
+
+def riemann_roch_c2(payload: dict, c1_squared: Fraction) -> Fraction:
+    """c2 = 12 chi(O_Y) - c1^2 - 12 sum, with 12 chi(O_Y) = K_Y^2 + e(Y) by
+    Noether.  Curve D_i adds (r_i - 1)/(4 r_i) chi_orb(D_i) + (r_i^2 - 1)/
+    (12 r_i^2) D_i^2, with chi_orb(D_i) = chi(D_i) - sum_j count_ij (1 -
+    1/r_j); a crossing adds count (r_i - 1)(r_j - 1)/(4 r_i r_j)."""
+    divisors = payload["divisors"]
+    r = [d["ramification"] for d in divisors]
+    chi_orb = [F(d["chi_divisor"]) for d in divisors]
+    total = F(0)
+    for c in payload["crossings"]:
+        i, j, count = c["i"], c["j"], c["count"]
+        chi_orb[i] -= count * (1 - F(1, r[j]))
+        chi_orb[j] -= count * (1 - F(1, r[i]))
+        total += count * F((r[i] - 1) * (r[j] - 1), 4 * r[i] * r[j])
+    for d, ri, chi in zip(divisors, r, chi_orb):
+        assert d["chi_divisor"] == -d["k_dot"] - d["self_int"], d  # adjunction
+        total += F(ri - 1, 4 * ri) * chi + F(ri * ri - 1, 12 * ri * ri) * d["self_int"]
+    return payload["k_squared"] + payload["chi_coarse"] - c1_squared - 12 * total
+
+
+def test_stacky_riemann_roch_gives_the_c2_of_check(tmp_path, capsys):
+    payloads = [arrangement_payload(build(), n) for build, _, _ in ARRANGEMENTS.values() for n in range(2, 9)]
+    payloads += [smooth_fan_payload(rays, ramifications)[0] for rays, ramifications in smooth_fans()]
+    assert len(payloads) == 421
+    for payload in payloads:
+        out = check(tmp_path, capsys, payload)
+        assert riemann_roch_c2(payload, F(out["c1_squared"])) == F(out["c2"]), payload
