@@ -93,12 +93,30 @@ def __getattr__(name: str):
 # ----------------------------------------------------------------------
 # description files: one schema table
 #
-# A reader takes a value and returns it converted, or raises DescriptionError
-# with its own part of the message (" must be an integer"); each enclosing reader
-# adds its part as the error passes up ("[index]", ".key", "PATH: kind"), so no
-# path is built on the happy path.  Range checks live in ``invariants``.
+# ``load_description`` reads the file's bytes and decodes them once
+# (``_read_text``), one reused JSON decoder parses the text, and the kind's
+# reader in ``_KINDS`` reads the object.  A reader takes a value and returns it
+# converted, or raises DescriptionError with its own part of the message
+# (" must be an integer"); each enclosing reader adds its part as the error
+# passes up ("[index]", ".key", "PATH: kind"), so no path is built on the happy
+# path.  Range checks live in ``invariants``.
+#
+# Three per-process caches hold pure conversions of immutable values, so a
+# process that checks many files converts each distinct value once: a string
+# rational of at most 40 characters (``_cached_rational``, 1024 entries, at most
+# about 0.3 MB; a JSON integer is ``Fraction(value)``), a label text
+# (``_cached_label``, 128 entries) and, for both renders, a point label's text
+# (``_label_text``, 128 entries).  An lru_cache keeps no exception, so a value
+# rejected once is rejected again.
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _wire_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's digit limit, worded differently by version
+        raise ValueError(f"rational literal has too many digits ({len(digits.lstrip('-'))})") from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -106,12 +124,13 @@ def parse_rational(text: str) -> Fraction:
     numerator only, nothing before or after."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!a}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!a}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    if not den:
+        return Fraction(_wire_int(num))
+    q = _wire_int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator: {text!a}")
+    return Fraction(_wire_int(num), q)
 
 
 def _integer(value) -> int:
@@ -126,10 +145,20 @@ def _flag(value) -> bool:
     return value
 
 
+_CACHED_LITERAL_CHARS = 40  # a longer literal parses uncached, so no entry outgrows this
+
+
+@functools.lru_cache(maxsize=1024)  # an entry: a short str, a Fraction and a link, under 300 bytes
+def _cached_rational(text: str) -> Fraction:
+    return parse_rational(text)
+
+
 def _rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     try:
+        if isinstance(value, str) and len(value) <= _CACHED_LITERAL_CHARS:
+            return _cached_rational(value)
         return parse_rational(value)
     except ValueError as exc:
         raise DescriptionError(f": {exc}") from None
@@ -138,6 +167,11 @@ def _rational(value) -> Fraction:
 @functools.lru_cache  # one parse per distinct label text; ``_label`` passes only str
 def _cached_label(text: str) -> AdeLabel:
     return AdeLabel.from_string(text)
+
+
+@functools.lru_cache  # one text per distinct point label, for both renders
+def _label_text(label: AdeLabel) -> str:
+    return str(label)
 
 
 def _label(value) -> AdeLabel:
@@ -227,6 +261,16 @@ def _unique_keys(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # one decoder, reused per file
 
 
+def _read_text(path: str) -> str:
+    """The file's bytes decoded once; "\\r\\n" and a lone "\\r" end a line each,
+    as in text mode, so a JSON error names the line an editor shows."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load_description(path: str):
     """Parse a surface-description file; returns (description, gerbe_order).
 
@@ -234,8 +278,7 @@ def load_description(path: str):
     the fields of the kind's record in ``_KINDS``.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(path)
         if text.startswith("\ufeff"):  # the check json.loads makes before decoding
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         obj = _DECODER.decode(text)
@@ -279,7 +322,7 @@ def _render_report_text(report: InvariantReport) -> str:
     if report.per_point:
         lines.append("per-point terms (chi(E) - 1/|G|):")
         for label, term in report.per_point:
-            lines.append(f"  {label}  {term}")
+            lines.append(f"  {_label_text(label)}  {term}")
     if report.notes:
         lines.append(f"notes: {report.notes}")
     return "\n".join(lines) + "\n"
@@ -289,7 +332,7 @@ def _render_report_structured(report: InvariantReport) -> str:
     # json.dumps(payload, indent=2) + "\n" from C-encoded leaves (an indent is pure Python)
     leaf = json.encoder.encode_basestring_ascii
     rows = ",\n".join(
-        f"    [\n      {leaf(str(label))},\n      {leaf(str(term))}\n    ]"
+        f"    [\n      {leaf(_label_text(label))},\n      {leaf(str(term))}\n    ]"
         for label, term in report.per_point
     )
     per_point = f"[\n{rows}\n  ]" if rows else "[]"

@@ -25,6 +25,7 @@ from orbichern.ade import AdeLabel
 from orbichern.cli import main
 from orbichern.errors import (
     BoundExceeded,
+    DescriptionError,
     FieldMismatch,
     IdentityFailure,
     NonRationalTotal,
@@ -321,6 +322,61 @@ def test_check_rejects_duplicate_keys(tmp_path, capsys):
     assert "duplicate field 'canonical_nef_asserted'" in captured.err
 
 
+def _kummer_bytes(ends):
+    """The Kummer payload on four lines, with a syntax error (",,") on the
+    third; ``ends`` is one line end for all three breaks, or three of them."""
+    if isinstance(ends, bytes):
+        ends = (ends,) * 3
+    lines = [b'{"kind": "isolated_points",', b'"chi_structure_sheaf": 2,', b'"c1_squared": "0",,',
+             b'"points": [], "canonical_nef_asserted": true}']
+    return b"".join(line + end for line, end in zip(lines, (*ends, b"")))
+
+
+def _invalid_utf8_at(offset):
+    """Kummer bytes padded with spaces so that an 0xff byte sits at ``offset``."""
+    text = json.dumps(kummer_payload()).encode()
+    return text[:1] + b" " * (offset - 1) + b"\xff" + text[1:]
+
+
+# (file bytes, or "dir" for a directory and None for a missing path; the
+# stderr after "error: PATH"): text mode read "\r\n" and a lone "\r" as
+# one line end each, and a decode error names its offset in the whole file
+READ_ERRORS = {
+    "cr only": (_kummer_bytes(b"\r"), ":3: Expecting property name enclosed in double quotes"),
+    "crlf": (_kummer_bytes(b"\r\n"), ":3: Expecting property name enclosed in double quotes"),
+    "mixed": (_kummer_bytes((b"\r\r\n", b"\r", b"\n")), ":4: Expecting property name enclosed in double quotes"),
+    "utf-8 at byte 10": (_invalid_utf8_at(10), ": not UTF-8 (invalid start byte at byte 10)"),
+    "utf-8 past 8 KiB": (_invalid_utf8_at(9000), ": not UTF-8 (invalid start byte at byte 9000)"),
+    "bom": (b"\xef\xbb\xbf" + json.dumps(kummer_payload()).encode(),
+            ":1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "directory": ("dir", ": Is a directory"),
+    "missing": (None, ": No such file or directory"),
+    "duplicate key": (json.dumps(kummer_payload())[:-1].encode() + b', "points": []}',
+                      ": duplicate field 'points'"),
+}
+
+
+@pytest.mark.parametrize("content, message", READ_ERRORS.values(), ids=READ_ERRORS)
+def test_check_read_errors_are_exact(tmp_path, capsys, content, message):
+    path = tmp_path / "read.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}{message}\n")
+
+
+def test_check_reads_every_line_ending_alike(tmp_path, capsys):
+    outputs = set()
+    for index, newline in enumerate((b"\n", b"\r", b"\r\n", (b"\r\r\n", b"\r", b"\n"))):
+        path = tmp_path / f"{index}.json"
+        path.write_bytes(_kummer_bytes(newline).replace(b",,", b","))
+        assert main(["check", str(path)]) == 0
+        outputs.add(capsys.readouterr())
+    assert len(outputs) == 1
+
+
 def assert_input_error(out, err):
     """Exit-1 output: empty stdout and exactly one ``error: `` line on stderr."""
     assert out == ""
@@ -449,6 +505,105 @@ def test_label_and_point_term_caches_change_no_output(tmp_path, capsys):
     fresh, cached = run(clear=True), run(clear=False)
     assert cached == fresh
     assert [code for code, _, _ in cached] == [0, 1, 1, 1, 1, 0]
+
+
+CHECK_CACHES = (cli._cached_label, cli._cached_rational, cli._label_text, invariants.point_term)
+
+
+def test_per_process_caches_change_no_output(tmp_path, monkeypatch):
+    """Every file gives the same (exit, stdout, stderr) from empty caches as
+    from caches warmed by all the files before it, valid or not."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(4711)
+    names = []
+    for index in range(240):
+        payload = random_check_payload(rng)
+        if index % 6 == 0:  # a bad literal or label besides the generator's own faults
+            field = "k_squared" if payload["kind"] == "snc_pair" else "c1_squared"
+            payload[field] = rng.choice(("3/0", "1.5", "٣", " 3", 1.5, ["1"], None))
+        elif index % 6 == 1 and payload["kind"] == "isolated_points":
+            payload["points"].append(rng.choice(("D3", "E9", "A-1", 7, "A1 ")))
+        names.append(f"{index:03d}.json")
+        (tmp_path / names[-1]).write_text(json.dumps(payload))
+
+    def run(clear):
+        results = []
+        for name in names:
+            for fmt in ("text", "structured"):
+                if clear:
+                    for cache in CHECK_CACHES:
+                        cache.cache_clear()
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    results.append((main(["check", name, "--format", fmt]), out.getvalue(), err.getvalue()))
+        return results
+
+    cold = run(clear=True)
+    warm = run(clear=False)
+    assert warm == cold
+    assert {0, 1, 3} <= {code for code, _, _ in warm}
+    assert cli._cached_rational.cache_info().hits and cli._label_text.cache_info().hits
+
+
+@pytest.mark.parametrize("bad", ["3/0", "1.5", "٣", " 3"])
+def test_a_bad_literal_is_rejected_after_a_good_one_is_cached(bad):
+    cli._cached_rational.cache_clear()
+    for _ in range(2):
+        assert cli._rational("3/4") == F(3, 4)
+        with pytest.raises(DescriptionError):
+            cli._rational(bad)
+    assert cli._cached_rational.cache_info().currsize == 1
+
+
+def test_string_and_integer_literals_read_alike():
+    for text, value in (("2", 2), ("-7", -7), ("0", 0)):
+        assert cli._rational(text) == cli._rational(value) == F(value)
+        assert type(cli._rational(text)) is type(cli._rational(value)) is F
+
+
+def test_a_long_literal_is_read_but_not_cached():
+    cli._cached_rational.cache_clear()
+    long_literal = "1" * (cli._CACHED_LITERAL_CHARS + 1)
+    assert cli._rational(long_literal) == int(long_literal)
+    assert cli._cached_rational.cache_info().currsize == 0
+
+
+WIRE_LITERALS = st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=WIRE_LITERALS | st.text(max_size=12))
+def test_cached_parse_is_fraction_on_the_wire_grammar(text):
+    """The cached parse is Fraction(p, q) on -?[0-9]+(/[0-9]+)?, and a
+    ValueError on everything else, each time it is asked."""
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text, re.ASCII)
+    for _ in range(2):
+        if match and int(match[2] or 1):
+            assert cli._cached_rational(text) == F(int(match[1]), int(match[2] or 1))
+        else:
+            with pytest.raises(ValueError):
+                cli._cached_rational(text)
+
+
+# id: (where, a literal past CPython's default limit of 4300 digits, the
+# value's path in the error line, the digits of the part int() refuses)
+LONG_LITERALS = {
+    "numerator": (("c1_squared",), "1" * 5000, "isolated_points.c1_squared", 5000),
+    "signed numerator": (("c1_squared",), "-" + "2" * 4400, "isolated_points.c1_squared", 4400),
+    "denominator": (("c1_squared",), "1/" + "7" * 5000, "isolated_points.c1_squared", 5000),
+    "k_squared denominator": (("k_squared",), "3/" + "7" * 5000, "snc_pair.k_squared", 5000),
+    "self_int numerator": (("divisors", 1, "self_int"), "9" * 4301 + "/2", "snc_pair.divisors[1].self_int", 4301),
+}
+
+
+@pytest.mark.parametrize("where, literal, field, digits", LONG_LITERALS.values(), ids=LONG_LITERALS)
+def test_an_over_long_rational_is_reported_in_orbichern_words(tmp_path, capsys, where, literal, field, digits):
+    payload = kummer_payload() if where == ("c1_squared",) else triangle_payload()
+    edit(payload, where, literal)
+    path = write_json(tmp_path, "long.json", payload)
+    assert main(["check", path]) == 1
+    message = f"rational literal has too many digits ({digits})"
+    assert capsys.readouterr() == ("", f"error: {path}: {field}: {message}\n")
 
 
 FRACTIONS = st.fractions(max_denominator=10**6) | st.fractions()
