@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``check <file> [--format text|structured]``: read a surface description
-  (strict JSON schema, the ``_KINDS`` table), compute the invariant
+  (strict JSON, one record schema per kind: ``_KINDS``), compute the invariant
   report, exit 0 unless the inequality fails (exit 3) or the file is
   invalid (exit 1, with the offending value's path in the message).
 * ``group <label>``: conjugacy table and the three contribution routes
@@ -53,8 +53,6 @@ from fractions import Fraction
 from .ade import AdeLabel, resolution_data
 from .errors import DescriptionError, IdentityFailure, InvalidLabel, OrbichernError
 from .invariants import (
-    Crossing,
-    DivisorEntry,
     InvariantReport,
     IsolatedPointsDescription,
     SncPairDescription,
@@ -99,7 +97,9 @@ def __getattr__(name: str):
 # converted, or raises DescriptionError with its own part of the message
 # (" must be an integer"); each enclosing reader adds its part as the error
 # passes up ("[index]", ".key", "PATH: kind"), so no path is built on the happy
-# path.  Range checks live in ``invariants``.
+# path.  A kind's reader is derived from its record's schema in ``invariants``
+# (``_record``; ``_READERS`` maps each field type to its reader), so field names
+# and types are written there alone; so are the range checks.
 #
 # Three per-process caches hold pure conversions of immutable values, so a
 # process that checks many files converts each distinct value once: a string
@@ -196,10 +196,13 @@ def _list_of(read):
     return read_list
 
 
-def _record(build, **fields):
-    """Reader of a JSON object whose keys are exactly ``fields``; ``build`` takes
-    the values read and makes the record (a record's ``_typed``: the readers
-    have checked each value's type, so only its range checks run)."""
+def _record(cls):
+    """Reader of a JSON object whose keys are exactly the fields of the record
+    class ``cls``, each read by the reader of its type in ``cls._schema``;
+    ``cls._typed`` makes the record from the values read (the readers have
+    checked each value's type, so only its range checks run)."""
+    fields = {name: _reader(kind) for name, kind in cls._schema.items()}
+    build = cls._typed
 
     def read_record(value):
         if not isinstance(value, dict):
@@ -223,29 +226,19 @@ def _record(build, **fields):
     return read_record
 
 
-_KINDS = {
-    "snc_pair": _record(
-        SncPairDescription._typed,
-        chi_coarse=_integer,
-        k_squared=_rational,
-        divisors=_list_of(_record(
-            DivisorEntry._typed,
-            ramification=_integer,
-            chi_divisor=_integer,
-            k_dot=_rational,
-            self_int=_rational,
-        )),
-        crossings=_list_of(_record(Crossing._typed, i=_integer, j=_integer, count=_integer)),
-        canonical_nef_asserted=_flag,
-    ),
-    "isolated_points": _record(
-        IsolatedPointsDescription._typed,
-        chi_structure_sheaf=_integer,
-        c1_squared=_rational,
-        points=_list_of(_label),
-        canonical_nef_asserted=_flag,
-    ),
-}
+_READERS = {int: _integer, bool: _flag, Fraction: _rational, AdeLabel: _label}
+
+
+def _reader(kind):
+    """The reader of one schema type: a one-item tuple ``(cls,)`` is a list of
+    ``cls``, a label or a record."""
+    if isinstance(kind, tuple):
+        return _list_of(_READERS.get(kind[0]) or _record(kind[0]))
+    return _READERS[kind]
+
+
+_KINDS = {"snc_pair": _record(SncPairDescription), "isolated_points": _record(IsolatedPointsDescription)}
+_KIND_NAMES = " or ".join(f'"{kind}"' for kind in _KINDS)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -296,9 +289,7 @@ def load_description(path: str):
         raise DescriptionError(f"{path}: top level must be an object")
     kind = obj.pop("kind", None)
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise DescriptionError(
-            f"{path}: kind must be \"snc_pair\" or \"isolated_points\", got {kind!a}"
-        )
+        raise DescriptionError(f"{path}: kind must be {_KIND_NAMES}, got {kind!a}")
     where = "gerbe_order"
     try:
         gerbe_order = _integer(obj.pop("gerbe_order", 1))

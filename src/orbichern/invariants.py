@@ -23,13 +23,18 @@ second route on plain ``Fraction`` arithmetic, as an independent
 restatement.  ``point_term`` is cached per label, so a process scores
 each distinct point type once.
 
-Each description record checks its fields' types in ``__new__`` (an
-integer field takes an int that is not a bool, ``canonical_nef_asserted``
-only a bool) and hands the typed values to its ``_typed``, which runs the
-range checks and builds the record.  The ``cli`` schema reader checks the
-type of every value it reads itself, with the file's path in the message,
-and builds records through ``_typed``, so ``check`` tests each value's
-type once.
+Each description record's field names and types are written once, as the
+keyword arguments of its ``_schema`` base, a namedtuple of those fields.  A
+type is ``int`` (an int that is not a bool), ``bool``, ``Fraction`` (a
+``Fraction``, an int that is not a bool or a ``Fraction(str)`` text; never a
+float) or ``(cls,)``, a sequence of ``cls`` instances (``AdeLabel`` or a
+record) kept as a tuple.  ``_Record.__new__``, and so ``_make`` and
+``_replace``, checks each value against the schema, with the field's name in
+any DescriptionError, and hands the typed values to the record's ``_typed``,
+which runs the range checks and builds the record.  The ``cli`` reader
+derives its field readers from the same schema, checks the type of every
+value it reads itself, with the file's path in the message, and builds
+records through ``_typed``, so ``check`` tests each value's type once.
 
 Whether the inequality applies at all depends on the canonical class
 being nef, which no formula here can see; it is a user-asserted flag and
@@ -50,11 +55,6 @@ from .errors import DescriptionError
 _F0 = Fraction(0)
 
 
-def _fraction(value) -> Fraction:
-    """``Fraction(value)``, without re-wrapping a value that already is one."""
-    return value if type(value) is Fraction else Fraction(value)
-
-
 def _integer(value, name: str) -> int:
     """``value`` if it is an int and not a bool, else DescriptionError."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -69,6 +69,61 @@ def _flag(value) -> bool:
     return value
 
 
+def _rational(value, name: str) -> Fraction:
+    """A ``Fraction``, an int that is not a bool, or a ``Fraction(str)`` text, as a Fraction."""
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return value if type(value) is Fraction else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DescriptionError(f"{name} must be a rational, got {value!a}")
+
+
+def _checked(kind, value, name: str):
+    """``value`` checked against one schema type: int, bool, Fraction, or a
+    one-item tuple ``(cls,)`` for a sequence of ``cls`` instances."""
+    if kind is int:
+        return _integer(value, name)
+    if kind is bool:
+        return _flag(value)
+    if kind is Fraction:
+        return _rational(value, name)
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise DescriptionError(f"{name} must be a sequence, got {value!a}") from None
+    for index, item in enumerate(items):
+        if not isinstance(item, kind[0]):
+            raise DescriptionError(f"{name}[{index}] must be {kind[0].__name__}, got {item!a}")
+    return items
+
+
+def _schema(name: str, **types):
+    """The namedtuple base of a description record: one field per entry of
+    ``types``, in order, ``types`` itself as the record's ``_schema``, and the
+    namedtuple's own constructor as the ``_typed`` of a record without range checks."""
+    base = namedtuple(name, types)
+    base._schema = types
+    base._typed = classmethod(base.__new__)
+    return base
+
+
+class _Record:
+    """The constructor of a description record (a ``_Record`` and a ``_schema``
+    base): it checks each value against the schema and hands the typed values
+    to ``_typed``, whose range checks build the record.  ``_typed`` takes the
+    values by name and in schema order, as ``cli``'s reader passes them too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
+
+    def __new__(cls, *args, **kwargs):
+        bound = super().__new__(cls, *args, **kwargs)  # the namedtuple's argument binding
+        return cls._typed(**{
+            name: _checked(kind, value, name) for (name, kind), value in zip(cls._schema.items(), bound)
+        })
+
+
 class Verdict(str, enum.Enum):
     HOLDS = "Holds"
     HOLDS_WITH_EQUALITY = "HoldsWithEquality"
@@ -79,87 +134,59 @@ class Verdict(str, enum.Enum):
         return self.value
 
 
-class DivisorEntry(namedtuple("DivisorEntry", "ramification chi_divisor k_dot self_int")):
+class DivisorEntry(
+    _Record, _schema("DivisorEntry", ramification=int, chi_divisor=int, k_dot=Fraction, self_int=Fraction)
+):
     """One boundary curve: ramification r >= 2 and its intersection data."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
-
-    def __new__(cls, ramification: int, chi_divisor: int, k_dot, self_int) -> "DivisorEntry":
-        return cls._typed(
-            _integer(ramification, "ramification"), _integer(chi_divisor, "chi_divisor"),
-            _fraction(k_dot), _fraction(self_int),
-        )
 
     @classmethod
-    def _typed(cls, ramification, chi_divisor, k_dot, self_int):
-        if ramification < 2:
+    def _typed(cls, **values):
+        if values["ramification"] < 2:
             raise DescriptionError("ramification must be >= 2")
-        return tuple.__new__(cls, (ramification, chi_divisor, k_dot, self_int))
+        return tuple.__new__(cls, values.values())
 
 
-class Crossing(namedtuple("Crossing", "i j count")):
+class Crossing(_Record, _schema("Crossing", i=int, j=int, count=int)):
     """count transverse intersection points of divisors i and j (i < j)."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
-
-    def __new__(cls, i: int, j: int, count: int) -> "Crossing":
-        return cls._typed(_integer(i, "i"), _integer(j, "j"), _integer(count, "count"))
 
     @classmethod
-    def _typed(cls, i, j, count):
-        if i < 0 or j < 0 or i >= j:
+    def _typed(cls, **values):
+        if not 0 <= values["i"] < values["j"]:
             raise DescriptionError("crossing indices must satisfy 0 <= i < j")
-        if count < 0:
+        if values["count"] < 0:
             raise DescriptionError("crossing count must be >= 0")
-        return tuple.__new__(cls, (i, j, count))
+        return tuple.__new__(cls, values.values())
 
 
 class SncPairDescription(
-    namedtuple(
-        "SncPairDescription", "chi_coarse k_squared divisors crossings canonical_nef_asserted"
-    )
+    _Record,
+    _schema(
+        "SncPairDescription", chi_coarse=int, k_squared=Fraction, divisors=(DivisorEntry,),
+        crossings=(Crossing,), canonical_nef_asserted=bool,
+    ),
 ):
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
-
-    def __new__(
-        cls, chi_coarse: int, k_squared, divisors, crossings, canonical_nef_asserted: bool
-    ) -> "SncPairDescription":
-        return cls._typed(
-            _integer(chi_coarse, "chi_coarse"), _fraction(k_squared), tuple(divisors),
-            tuple(crossings), _flag(canonical_nef_asserted),
-        )
 
     @classmethod
-    def _typed(cls, chi_coarse, k_squared, divisors, crossings, canonical_nef_asserted):
-        for crossing in crossings:
-            if crossing.j >= len(divisors):
-                raise DescriptionError(
-                    f"crossing ({crossing.i}, {crossing.j}) names a missing divisor"
-                )
-        return tuple.__new__(cls, (chi_coarse, k_squared, divisors, crossings, canonical_nef_asserted))
+    def _typed(cls, **values):
+        for crossing in values["crossings"]:
+            if crossing.j >= len(values["divisors"]):
+                raise DescriptionError(f"crossing ({crossing.i}, {crossing.j}) names a missing divisor")
+        return tuple.__new__(cls, values.values())
 
 
 class IsolatedPointsDescription(
-    namedtuple(
-        "IsolatedPointsDescription", "chi_structure_sheaf c1_squared points canonical_nef_asserted"
-    )
+    _Record,
+    _schema(
+        "IsolatedPointsDescription", chi_structure_sheaf=int, c1_squared=Fraction, points=(AdeLabel,),
+        canonical_nef_asserted=bool,
+    ),
 ):
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__ too
-
-    def __new__(
-        cls, chi_structure_sheaf: int, c1_squared, points, canonical_nef_asserted: bool
-    ) -> "IsolatedPointsDescription":
-        chi = _integer(chi_structure_sheaf, "chi_structure_sheaf")
-        nef = _flag(canonical_nef_asserted)
-        return cls._typed(chi, _fraction(c1_squared), tuple(points), nef)
-
-    @classmethod
-    def _typed(cls, chi_structure_sheaf, c1_squared, points, canonical_nef_asserted):
-        return tuple.__new__(cls, (chi_structure_sheaf, c1_squared, points, canonical_nef_asserted))
 
 
 class InvariantReport(

@@ -33,7 +33,14 @@ from orbichern.errors import (
     TraceTwoNonIdentity,
     ZeroInversion,
 )
-from orbichern.invariants import InvariantReport, Verdict
+from orbichern.invariants import (
+    Crossing,
+    DivisorEntry,
+    InvariantReport,
+    IsolatedPointsDescription,
+    SncPairDescription,
+    Verdict,
+)
 
 F = Fraction
 
@@ -801,6 +808,43 @@ def test_check_output_digest(tmp_path, monkeypatch):
             digest.update(repr((code, out.getvalue(), err.getvalue())).encode())
     assert {0, 1, 3} <= set(codes)
     assert digest.hexdigest() == CHECK_DIGEST
+
+
+def shape(value):
+    """The types of a value and, in a tuple or record, of each item in turn;
+    ``Fraction(1) == 1``, so equal records may still differ here."""
+    return (type(value), [shape(item) for item in value]) if isinstance(value, tuple) else type(value)
+
+
+def constructed(payload):
+    """The description record of a payload, built by the records' constructors."""
+    fields = {key: value for key, value in payload.items() if key not in ("kind", "gerbe_order")}
+    if payload["kind"] == "snc_pair":
+        fields["divisors"] = [DivisorEntry(**entry) for entry in fields["divisors"]]
+        fields["crossings"] = [Crossing(**crossing) for crossing in fields["crossings"]]
+        return SncPairDescription(**fields)
+    fields["points"] = [AdeLabel.from_string(label) for label in fields["points"]]
+    return IsolatedPointsDescription(**fields)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_constructors_build_what_check_reads(seed):
+    rng = random.Random(seed)
+    payload = random_check_payload(rng)
+    for record in [payload, *payload.get("divisors", ())]:  # half the rationals as JSON integers
+        for key in ("k_squared", "c1_squared", "k_dot", "self_int"):
+            if key in record and rng.random() < 0.5:
+                record[key] = rng.randint(-12, 12)
+    fields = json.loads(json.dumps({k: v for k, v in payload.items() if k != "gerbe_order"}))
+    try:
+        built = constructed(payload)
+    except DescriptionError:  # the seeded ramification 1
+        with pytest.raises(DescriptionError):
+            cli._KINDS[fields.pop("kind")](fields)
+        return
+    read = cli._KINDS[fields.pop("kind")](fields)
+    assert read == built and shape(read) == shape(built)
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,61 @@ def test_description_validation():
         SncPairDescription(4, F(0), (entry,), (Crossing(0, 1, 1),), True)
 
 
+# (the field the error must name, a constructor call with a value of the wrong
+# type there): a float or bool rational, a text Fraction() refuses, and a
+# sequence item that is not the record or label its field holds
+WRONG_TYPES = {
+    "float k_dot": ("k_dot", lambda: DivisorEntry(2, 0, 0.5, 1)),
+    "bool k_dot": ("k_dot", lambda: DivisorEntry(2, 0, True, 1)),
+    "float k_squared": ("k_squared", lambda: SncPairDescription(1, 0.5, [], [], True)),
+    "bool k_squared": ("k_squared", lambda: SncPairDescription(1, False, [], [], True)),
+    "float c1_squared": ("c1_squared", lambda: IsolatedPointsDescription(1, 0.1, [], True)),
+    "bool c1_squared": ("c1_squared", lambda: IsolatedPointsDescription(1, True, [], True)),
+    "text rational": ("k_dot", lambda: DivisorEntry(2, 0, "x", 1)),
+    "str point": ("points", lambda: IsolatedPointsDescription(1, 0, ["A1"], True)),
+    "dict divisor": ("divisors", lambda: SncPairDescription(1, 0, [{"ramification": 2}], [], True)),
+    "tuple crossing": ("crossings", lambda: SncPairDescription(1, 0, [], [(0, 1, 1)], True)),
+}
+
+
+@pytest.mark.parametrize("field, build", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_constructors_refuse_values_of_the_wrong_type(field, build):
+    with pytest.raises(DescriptionError, match=field):
+        build()
+
+
+RECORDS = (DivisorEntry, Crossing, SncPairDescription, IsolatedPointsDescription)
+ANY_SCALAR = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.fractions(max_denominator=12),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from((AdeLabel("A", 2), AdeLabel("D", 4), AdeLabel("E", 8))),
+)
+ANY_VALUE = ANY_SCALAR | st.lists(
+    ANY_SCALAR | st.sampled_from((DivisorEntry(2, 0, F(1), F(-1)), Crossing(0, 1, 2))), max_size=3
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(cls=st.sampled_from(RECORDS), data=st.data())
+def test_a_constructor_returns_a_typed_record_or_a_description_error(cls, data):
+    values = [data.draw(ANY_VALUE) for _ in cls._fields]
+    try:
+        record = cls(*values)
+    except DescriptionError:
+        return
+    assert type(record) is cls
+    for value, kind in zip(record, cls._schema.values()):
+        if isinstance(kind, tuple):
+            assert type(value) is tuple and all(isinstance(item, kind[0]) for item in value)
+        else:
+            assert type(value) is kind
+
+
 # ----------------------------------------------------------------------
 # c2 from isolated points
 

@@ -1,8 +1,10 @@
 """Print what one ``check`` command costs, stage by stage, per file.
 
-``check`` on a fixed seeded set of valid description files (half SNC
-pairs, half isolated points, a quarter with a gerbe order), one line per
-stage: the best of 3 mean per-file times, in microseconds, of
+``check`` on a fixed seeded set of valid description files, drawn by the
+benchmark's own ``surface-checks`` generators (``perfbench.workloads``,
+imported read-only: ``snc_description`` and ``points_description``, one
+of the two per file), one line per stage: the best of 3 mean per-file
+times, in microseconds, of
 
 * read: ``cli._read_text``, the byte read and its one decode;
 * json: the one reused JSON decoder on that text;
@@ -32,12 +34,13 @@ import random
 import sys
 import tempfile
 import time
-from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from orbichern import cli, invariants  # noqa: E402
+from perfbench.workloads import points_description, snc_description  # noqa: E402
 
 RUNS = 3
 FILES = 300
@@ -48,45 +51,6 @@ CACHES = {
     "label texts": cli._label_text,
     "point terms": invariants.point_term,
 }
-
-
-def _rational(rng: random.Random):
-    if rng.random() < 0.5:
-        return rng.randint(-12, 12)
-    return str(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
-
-
-def description(rng: random.Random) -> dict:
-    """One valid description; the mix of ``perfbench``'s surface files."""
-    if rng.random() < 0.5:
-        count = rng.randint(1, 12)
-        pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-        desc = {
-            "kind": "snc_pair",
-            "chi_coarse": rng.randint(-10, 20),
-            "k_squared": _rational(rng),
-            "divisors": [
-                {"ramification": rng.randint(2, 7), "chi_divisor": rng.randint(-4, 4),
-                 "k_dot": _rational(rng), "self_int": _rational(rng)}
-                for _ in range(count)
-            ],
-            "crossings": [
-                {"i": i, "j": j, "count": rng.randint(0, 3)}
-                for i, j in sorted(rng.sample(pairs, min(len(pairs), rng.randint(0, 15))))
-            ],
-        }
-    else:
-        labels = [f"A{n}" for n in range(31)] + [f"D{n}" for n in range(4, 25)] + ["E6", "E7", "E8"]
-        desc = {
-            "kind": "isolated_points",
-            "chi_structure_sheaf": rng.randint(-2, 12),
-            "c1_squared": _rational(rng),
-            "points": [rng.choice(labels) for _ in range(rng.randint(0, 40))],
-        }
-    desc["canonical_nef_asserted"] = rng.random() < 0.7
-    if rng.random() < 0.25:
-        desc["gerbe_order"] = rng.randint(2, 6)
-    return desc
 
 
 def stages(paths: list) -> dict:
@@ -145,7 +109,8 @@ def main() -> int:
         paths = []
         for index in range(FILES):
             path = Path(folder) / f"{index:03d}.json"
-            path.write_text(json.dumps(description(rng), indent=rng.choice((None, 2))))
+            desc = rng.choice((snc_description, points_description))(rng)
+            path.write_text(json.dumps(desc, indent=rng.choice((None, 2))))
             paths.append(str(path))
         timed = stages(paths)
         print(f"{FILES} files, seed {SEED}; best of {RUNS} mean per-file times")
