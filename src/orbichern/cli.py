@@ -25,9 +25,11 @@ argparse accepts keep argparse's output.  ``_order`` and the ``_one_of``
 checks are each value's one validity rule on both paths.
 
 Imports: ``check`` loads only this module, ``ade``, ``errors`` and
-``invariants``; its rationals are read here (``parse_rational``, the
-wire form).  ``group``, ``identity`` and ``table`` also run the group and
-field layers: their first call of ``_bind_deferred`` imports
+``invariants``; its rationals are read by ``parse_rational``, the wire
+form, whose grammar lives in ``invariants`` (``_wire_rational``) so that
+the record constructors take the same texts.  ``group``, ``identity`` and
+``table`` also run the group and field layers: their first call of
+``_bind_deferred`` imports
 ``contributions``, which imports ``scalars`` and then ``groups``, and
 binds the five entry points in ``_DEFERRED`` as attributes of this
 module.  The commands read those names as module globals when they run,
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -57,6 +58,7 @@ from .invariants import (
     IsolatedPointsDescription,
     SncPairDescription,
     Verdict,
+    _wire_rational,
     gerbe_scale,
     isolated_points_report,
     snc_report,
@@ -109,28 +111,11 @@ def __getattr__(name: str):
 # (``_label_text``, 128 entries).  An lru_cache keeps no exception, so a value
 # rejected once is rejected again.
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def _wire_int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # past the interpreter's digit limit, worded differently by version
-        raise ValueError(f"rational literal has too many digits ({len(digits.lstrip('-'))})") from None
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse the wire form "p/q" or "p": ASCII digits, a sign on the
-    numerator only, nothing before or after."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!a}")
-    num, _, den = text.partition("/")
-    if not den:
-        return Fraction(_wire_int(num))
-    q = _wire_int(den)
-    if q == 0:
-        raise ValueError(f"zero denominator: {text!a}")
-    return Fraction(_wire_int(num), q)
+    numerator only, nothing before or after.  The grammar has one home,
+    ``invariants._wire_rational``, which the record constructors read too."""
+    return _wire_rational(text)
 
 
 def _integer(value) -> int:

@@ -23,8 +23,9 @@ j <= d/2 prime to d with uniform multiplicity sums to N * S(d) / phi(d)
 holds one label, so it takes the same rule.  Here S(d) is the sum over
 primitive residues j mod d of 1/(2 - zeta_d^j - zeta_d^-j), evaluated
 as the field trace of ``conjugate_pair_inverse(d)`` and cached per
-order.  That inverse is read off Phi_d at 1 (``CycloScalar.pair_inverse``),
-not found by a Euclid, and checked exactly by u (1 - zeta)^2 = -zeta; it
+order.  That inverse is one exact division of a linear multiple of Phi_d
+by (1 - x)^2 (``CycloScalar.pair_inverse``), not a Euclid, and the
+division's zero remainders are its exact check u (1 - zeta)^2 = -zeta; it
 serves every group and every identity check, and no Galois image of a
 trace is computed here.
 Both rotation-sum identities are one divisor sum of S(d)
@@ -51,8 +52,10 @@ _F0 = Fraction(0)
 
 @functools.lru_cache(maxsize=64)
 def conjugate_pair_inverse(d: int) -> CycloScalar:
-    """1/(2 - zeta_d - zeta_d^(-1)) as an element of Q(zeta_d), d >= 2,
-    read off Phi_d at 1 and checked by u*(1 - zeta_d)^2 = -zeta_d.
+    """1/(2 - zeta_d - zeta_d^(-1)) as an element of Q(zeta_d), d >= 2: the
+    exact quotient of (b + (a - b) x) Phi_d - a^2 x by (1 - x)^2, over a^2
+    (a = Phi_d(1), b = Phi_d'(1)), whose zero remainders certify
+    u*(1 - zeta_d)^2 = -zeta_d.
 
     The cache holds the 64 orders asked last, more than any one identity
     with n <= 2000 asks for (46 at n = 1980, the divisors d >= 3 of 2n);

@@ -26,9 +26,11 @@ each distinct point type once.
 Each description record's field names and types are written once, as the
 keyword arguments of its ``_schema`` base, a namedtuple of those fields.  A
 type is ``int`` (an int that is not a bool), ``bool``, ``Fraction`` (a
-``Fraction``, an int that is not a bool or a ``Fraction(str)`` text; never a
-float) or ``(cls,)``, a sequence of ``cls`` instances (``AdeLabel`` or a
-record) kept as a tuple.  ``_Record.__new__``, and so ``_make`` and
+``Fraction``, an int that is not a bool or a wire-form text "p/q" or "p",
+read by ``_wire_rational``, the grammar's one home, which ``cli.parse_rational``
+reads too; never a float) or ``(cls,)``, a list or tuple of ``cls`` instances
+(``AdeLabel`` or a record) kept as a tuple; a str, dict, set or iterator is
+refused there, not taken apart.  ``_Record.__new__``, and so ``_make`` and
 ``_replace``, checks each value against the schema, with the field's name in
 any DescriptionError, and hands the typed values to the record's ``_typed``,
 which runs the range checks and builds the record.  The ``cli`` reader
@@ -44,6 +46,7 @@ verdicts report NotApplicable when it is absent.
 from __future__ import annotations
 
 import enum
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -69,33 +72,59 @@ def _flag(value) -> bool:
     return value
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _wire_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's digit limit, worded differently by version
+        raise ValueError(f"rational literal has too many digits ({len(digits.lstrip('-'))})") from None
+
+
+def _wire_rational(text: str) -> Fraction:
+    """The wire form of a rational, "p/q" or "p" (ASCII digits, a sign on the
+    numerator only, nothing before or after), as a Fraction; ValueError for
+    any other text.  The one home of that grammar: ``cli.parse_rational``
+    reads it, and so does ``_rational``."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!a}")
+    num, _, den = text.partition("/")
+    if not den:
+        return Fraction(_wire_int(num))
+    q = _wire_int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator: {text!a}")
+    return Fraction(_wire_int(num), q)
+
+
 def _rational(value, name: str) -> Fraction:
-    """A ``Fraction``, an int that is not a bool, or a ``Fraction(str)`` text, as a Fraction."""
-    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
-        try:
-            return value if type(value) is Fraction else Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise DescriptionError(f"{name} must be a rational, got {value!a}")
+    """A ``Fraction``, an int that is not a bool, or a wire-form text (``_wire_rational``), as a Fraction."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    try:
+        return _wire_rational(value)
+    except ValueError:
+        raise DescriptionError(f"{name} must be a rational, got {value!a}") from None
 
 
 def _checked(kind, value, name: str):
     """``value`` checked against one schema type: int, bool, Fraction, or a
-    one-item tuple ``(cls,)`` for a sequence of ``cls`` instances."""
+    one-item tuple ``(cls,)`` for a list or tuple of ``cls`` instances."""
     if kind is int:
         return _integer(value, name)
     if kind is bool:
         return _flag(value)
     if kind is Fraction:
         return _rational(value, name)
-    try:
-        items = tuple(value)
-    except TypeError:
-        raise DescriptionError(f"{name} must be a sequence, got {value!a}") from None
-    for index, item in enumerate(items):
+    if not isinstance(value, (list, tuple)):  # a str, dict, set or iterator is refused, not taken apart
+        raise DescriptionError(f"{name} must be a list or a tuple, got {value!a}")
+    for index, item in enumerate(value):
         if not isinstance(item, kind[0]):
             raise DescriptionError(f"{name}[{index}] must be {kind[0].__name__}, got {item!a}")
-    return items
+    return tuple(value)
 
 
 def _schema(name: str, **types):

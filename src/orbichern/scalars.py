@@ -42,12 +42,16 @@ skips it when it is 0, as it is for most steps of a sparse row.  A trace
 row zeta^e + zeta^-e is made in C-level passes: two unit places, one
 ``list()`` copy of a power row plus 1 at a unit place, or one
 ``map(operator.add)`` of two power rows.  The orbit-term inverse
-1/(2 - zeta - zeta^-1) (``pair_inverse``) is one pass over Phi_m's
-expansion about 1, and its exact check u (1 - zeta)^2 = -zeta one more,
-a polynomial identity with a linear multiple of Phi_m: an identity that
-needs only these inverses builds no ``_reduce`` table.  Every other
-inversion takes one path: a negative power k is ``invert`` raised to -k,
-and ``invert`` is one call of ``_descent_row``, which ends in one
+1/(2 - zeta - zeta^-1) (``pair_inverse``) is one exact division by
+(1 - x)^2: with a = Phi_m(1) and b = Phi_m'(1) read off the factorization
+of m (``_pair_constants``), L = (b + (a - b) x) Phi_m - a^2 x is (1 - x)^2 R,
+and R/a^2 is the inverse.  One pass builds that row and two running sums
+divide it; the division's two remainders are its certificate: when both
+are 0, L = (1 - x)^2 R holds as polynomials, so (1 - zeta)^2 u = -zeta
+holds exactly and no separate check pass runs.  An identity that needs
+only these inverses builds no ``_reduce`` table.  Every other inversion
+takes one path: a negative power k is ``invert`` raised to -k, and
+``invert`` is one call of ``_descent_row``, which ends in one
 half-extended Euclid over the integers with primitive remainders
 (``_inverse_row``); its pseudo-division is the one polynomial remainder
 besides ``_reduce``.  While 4 | m, the Euclid runs at half the degree
@@ -200,6 +204,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     if poly[-1] != 1 or len(poly) != euler_phi(m) + 1:
         raise IdentityFailure(f"Phi_{m} is not monic of degree phi({m})")
     return tuple(poly)
+
+
+def _pair_constants(m: int) -> tuple[int, int]:
+    """(Phi_m(1), Phi_m'(1)) for m >= 2, from the factorization of m: Phi_m(1)
+    is p for m = p^k and 1 otherwise, and Phi_m is palindromic of degree
+    phi(m), so Phi_m'(1) = Phi_m(1) phi(m)/2."""
+    factors = _factorization(m)
+    a = factors[0][0] if len(factors) == 1 else 1
+    return a, a * euler_phi(m) // 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,39 +508,32 @@ class CycloScalar:
 
     @classmethod
     def pair_inverse(cls, conductor: int) -> "CycloScalar":
-        """1/(2 - zeta_m - zeta_m^-1) for m >= 2, read off Phi_m at 1.
+        """1/(2 - zeta_m - zeta_m^-1) for m >= 2, by one exact division by (1 - x)^2.
 
-        Phi_m = (x - 1)^2 Q + a + b(x - 1) with a = Phi_m(1), b = Phi_m'(1):
-        two running-sum synthetic divisions by x - 1.  At zeta this gives
-        (1 - zeta)^2 Q(zeta) = -(a - b + b zeta), and with
-        2 - zeta - zeta^-1 = -(1 - zeta)^2/zeta the inverse is
-        u = zeta (Q(zeta)(a + b - b zeta) - b^2)/a^2.  Its place at x^phi is
-        -b, so adding b Phi_m, zero in the field, leaves
-        u a^2 = (a - b) x Q + b Q + b (a - b), of degree below phi: one pass
-        over Q and its shift, with no remainder to take, for every m >= 2
-        (Q = 0 when phi = 1).  u is checked before it is returned by the
-        polynomial identity (1 - x)^2 u + x = (t1 x + t0) Phi_m, with t1 and
-        t0 read off the two top places of the left side: one more pass.
+        With a = Phi_m(1) and b = Phi_m'(1) (``_pair_constants``), the row
+        L = (b + (a - b) x) Phi_m - a^2 x has L(1) = L'(1) = 0, so
+        L = (1 - x)^2 R with R of degree below phi(m).  At zeta, L = -a^2 zeta,
+        and 2 - zeta - zeta^-1 = -(1 - zeta)^2/zeta, so u = R/a^2.  R is two
+        running sums over L; their two totals past degree phi - 1,
+        (phi + 1) L(1) - L'(1) and (phi + 2) L(1) - L'(1), are the division's
+        remainders, and u is returned only when both are 0, IdentityFailure
+        otherwise: a zero remainder is the exact identity
+        (1 - zeta)^2 u = -zeta.  The value
+        built is compared with R/a^2, so the check holds for the value
+        returned.  No remainder modulo Phi_m is taken, for every m >= 2.
         """
         if _conductor(conductor) < 2:
             raise ZeroInversion("2 - zeta_1 - zeta_1^-1 is zero")
         phi = cyclotomic_polynomial(conductor)
-        once = list(itertools.accumulate(reversed(phi)))  # Phi_m/(x - 1), top first, then a
-        a = once.pop()
-        twice = list(itertools.accumulate(once))  # Q, top first, then b
-        b = twice.pop()
-        q = twice[::-1] + [0]
-        k = a - b
-        row = [b * c + k * p for c, p in zip(q, [0] + q)]  # Q (b + (a - b) x)
-        row[0] += b * k
-        value = cls._new(conductor, row, a * a)
-        # the exact check on den ((1 - x)^2 u + x) = row - 2 x row + x^2 row + den x
-        row, den = value.row, value.den
-        low, mid, high = row + (0, 0), (0,) + row + (0,), (0, den) + row
-        t1 = row[-1]
-        t0 = low[-2] - 2 * mid[-2] + high[-2] - t1 * phi[-2]
-        terms = zip(low, mid, high, (0,) + phi, phi + (0,))
-        if any([c - 2 * p + pp - t1 * f - t0 * g for c, p, pp, f, g in terms]):
+        a, b = _pair_constants(conductor)
+        k, den = a - b, a * a
+        row = [b * c + k * p for c, p in zip(phi + (0,), (0,) + phi)]  # (b + (a - b) x) Phi_m
+        row[1] -= den
+        *row, low, high = itertools.accumulate(itertools.accumulate(row))  # R, two remainders
+        value = cls._new(conductor, row, den)
+        scale, rest = divmod(den, value.den)
+        scaled = value.row if scale == 1 else tuple([c * scale for c in value.row])
+        if low or high or rest or scaled != tuple(row):
             raise IdentityFailure(
                 f"1/(2 - zeta - zeta^-1) in Q(zeta_{conductor}) fails u*(1 - zeta)^2 = -zeta"
             )

@@ -156,6 +156,46 @@ def test_pair_inverse_check_rejects_a_wrong_row(monkeypatch):
             CycloScalar.pair_inverse(d)
 
 
+WRONG_ROW_ORDERS = (2, 3, 4, 12, 30, 97, 210, 1024, 3990)
+
+
+@pytest.mark.parametrize("da, db", [(1, 0), (0, 1), (0, -1), (2, 3)])
+def test_pair_inverse_remainders_reject_a_wrong_a_or_b(monkeypatch, da, db):
+    """A wrong Phi_d(1) or Phi_d'(1) leaves a nonzero remainder in the
+    division by (1 - x)^2, at every order."""
+    constants = scalars._pair_constants
+    monkeypatch.setattr(scalars, "_pair_constants", lambda m: tuple(map(sum, zip(constants(m), (da, db)))))
+    for d in WRONG_ROW_ORDERS:
+        with pytest.raises(IdentityFailure):
+            CycloScalar.pair_inverse(d)
+
+
+def test_pair_inverse_remainders_reject_a_wrong_cyclotomic_row(monkeypatch):
+    """A Phi_d with one lower coefficient changed, at its bottom, middle or
+    top place, is no longer divisible as a, b and (1 - x)^2 require."""
+    phi_of = scalars.cyclotomic_polynomial
+    for d in WRONG_ROW_ORDERS:
+        deg = euler_phi(d)
+        for place in sorted({0, deg // 2, deg - 1}):
+            for delta in (1, -2):
+                row = list(phi_of(d))
+                row[place] += delta
+                monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda m, row=tuple(row): row)
+                with pytest.raises(IdentityFailure):
+                    CycloScalar.pair_inverse(d)
+                monkeypatch.undo()
+    assert CycloScalar.pair_inverse(3990) == conjugate_pair_inverse(3990)
+
+
+def test_pair_inverse_times_its_term_is_one():
+    """u (2 - zeta - zeta^(d-1)) = 1 by one field product, on a seeded sample
+    of orders up to 600, zeta^(d-1) built as a power, not as an inverse."""
+    for d in sorted(random.Random(3817).sample(range(2, 601), 24)) + [2, 600]:
+        z = CycloScalar.zeta_pow(d)
+        term = 2 - z - CycloScalar.zeta_pow(d, d - 1)
+        assert term * CycloScalar.pair_inverse(d) == 1, d
+
+
 def test_identities_build_no_division_table():
     """The orbit-term inverse takes no remainder, so the identities, which need
     nothing else from the field, leave ``_division_terms`` empty."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichern.ade import AdeLabel, resolution_data
+from orbichern.cli import parse_rational
 from orbichern.contributions import class_sum_contribution
 from orbichern.errors import DescriptionError
 from orbichern.groups import build_ade_group
@@ -144,6 +146,49 @@ WRONG_TYPES = {
 def test_constructors_refuse_values_of_the_wrong_type(field, build):
     with pytest.raises(DescriptionError, match=field):
         build()
+
+
+A1 = AdeLabel("A", 1)
+# a sequence field takes a list or a tuple only: any other iterable would be
+# read as no items (an empty dict) or taken apart (a str into characters)
+NOT_SEQUENCES = {
+    "dict points": ("points", lambda: IsolatedPointsDescription(1, 0, {}, True)),
+    "set points": ("points", lambda: IsolatedPointsDescription(1, 0, {A1}, True)),
+    "str points": ("points", lambda: IsolatedPointsDescription(1, 0, "A1", True)),
+    "generator points": ("points", lambda: IsolatedPointsDescription(1, 0, (A1 for _ in range(2)), True)),
+    "dict divisors": ("divisors", lambda: SncPairDescription(1, 0, {}, [], True)),
+    "empty str crossings": ("crossings", lambda: SncPairDescription(1, 0, [], "", True)),
+    "set crossings": ("crossings", lambda: SncPairDescription(1, 0, [], {Crossing(0, 1, 1)}, True)),
+}
+
+
+@pytest.mark.parametrize("field, build", NOT_SEQUENCES.values(), ids=NOT_SEQUENCES)
+def test_sequence_fields_take_only_a_list_or_a_tuple(field, build):
+    with pytest.raises(DescriptionError, match=f"^{field} must be a list or a tuple, got "):
+        build()
+
+
+def test_sequence_fields_keep_their_items_as_a_tuple():
+    for points in ([A1, A1], (A1, A1)):
+        assert IsolatedPointsDescription(1, 0, points, True).points == (A1, A1)
+
+
+# texts Fraction(str) reads but the wire form "p/q" or "p" does not; the
+# exponent text took time in proportion to its exponent under Fraction(str)
+NOT_WIRE_RATIONALS = ("1.5", " 1/2 ", "1e3", "\u0663", "1e1000000", "+1", "1/-2", "1/0", "")
+
+
+@pytest.mark.parametrize("text", NOT_WIRE_RATIONALS)
+def test_a_record_rational_text_follows_the_wire_grammar(text):
+    with pytest.raises(DescriptionError, match=f"^k_dot must be a rational, got {re.escape(ascii(text))}$"):
+        DivisorEntry(2, 0, text, 1)
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_a_record_reads_wire_rational_texts_as_check_does():
+    for text in ("1/2", "-3", "6/4", "0", "-0/5"):
+        assert DivisorEntry(2, 0, text, 1).k_dot == parse_rational(text)
 
 
 RECORDS = (DivisorEntry, Crossing, SncPairDescription, IsolatedPointsDescription)

@@ -14,8 +14,9 @@ it is timed.  The cache of subfield inverses is emptied before each timed
 run, so every time is the cold cost; each literal set gets one
 more line with the hits and misses of that cache over one cold pass.
 
-A second table times the path every ``identity`` command runs, at the
-largest conductors the field-identities benchmark reaches (1980, 1999,
+A second table times the path every ``identity`` command runs, at
+mid-size orders where a median field-identities request computes (97, 210
+and 997) and at the largest conductors that benchmark reaches (1980, 1999,
 3960 and 3990): ``cyclotomic_polynomial(d)``, then
 ``CycloScalar.pair_inverse(d)`` with Phi_d warm, then ``cyclo_trace`` of
 that inverse, best of 3 each.  Before each of the 3 runs the caches of
@@ -50,7 +51,7 @@ from orbichern.scalars import (  # noqa: E402
 
 RUNS = 3
 DENSE = 3  # dense values per conductor
-IDENTITY_CONDUCTORS = (1980, 1999, 3960, 3990)
+IDENTITY_CONDUCTORS = (97, 210, 997, 1980, 1999, 3960, 3990)
 COLD = (cyclotomic_polynomial, _factorization, divisors, euler_phi, moebius)
 
 
