@@ -17,7 +17,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InvalidLabel
+from .errors import InvalidLabel, quoted
 
 _LABEL_RE = re.compile(r"([ADE])([0-9]+)")
 
@@ -37,9 +37,9 @@ class AdeLabel(namedtuple("AdeLabel", "kind parameter")):
 
     def __new__(cls, kind: str, parameter: int) -> "AdeLabel":
         if kind not in ("A", "D", "E"):
-            raise InvalidLabel(f"unknown family {kind!a}")
+            raise InvalidLabel(f"unknown family {quoted(kind)}")
         if isinstance(parameter, bool) or not isinstance(parameter, int):
-            raise InvalidLabel(f"type {kind} parameter must be an integer, got {parameter!a}")
+            raise InvalidLabel(f"type {kind} parameter must be an integer, got {quoted(parameter)}")
         if kind == "A":
             if parameter < 1:
                 raise InvalidLabel(f"type A needs n >= 1, got n={parameter}")
@@ -63,7 +63,7 @@ class AdeLabel(namedtuple("AdeLabel", "kind parameter")):
     def from_string(cls, text: str) -> "AdeLabel":
         match = _LABEL_RE.fullmatch(text) if isinstance(text, str) else None
         if not match:
-            raise InvalidLabel(f"not an ADE label: {text!a}")
+            raise InvalidLabel(f"not an ADE label: {quoted(text)}")
         kind, digits = match.groups()
         try:
             sub = int(digits)

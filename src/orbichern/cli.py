@@ -52,7 +52,7 @@ import sys
 from fractions import Fraction
 
 from .ade import AdeLabel, resolution_data
-from .errors import DescriptionError, IdentityFailure, InvalidLabel, OrbichernError
+from .errors import DescriptionError, IdentityFailure, InvalidLabel, OrbichernError, clipped, quoted
 from .invariants import (
     InvariantReport,
     IsolatedPointsDescription,
@@ -195,10 +195,10 @@ def _record(cls):
         if value.keys() != fields.keys():
             for key in value:
                 if key not in fields:
-                    raise DescriptionError(f": unknown field {key!a}")
+                    raise DescriptionError(f": unknown field {quoted(key)}")
             for key in fields:
                 if key not in value:
-                    raise DescriptionError(f": missing field {key!a}")
+                    raise DescriptionError(f": missing field {quoted(key)}")
         values = {}
         try:
             for key, read in fields.items():
@@ -231,7 +231,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise DescriptionError(f"duplicate field {key!a}")
+            raise DescriptionError(f"duplicate field {quoted(key)}")
         obj[key] = value
     return obj
 
@@ -274,7 +274,7 @@ def load_description(path: str):
         raise DescriptionError(f"{path}: top level must be an object")
     kind = obj.pop("kind", None)
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise DescriptionError(f"{path}: kind must be {_KIND_NAMES}, got {kind!a}")
+        raise DescriptionError(f"{path}: kind must be {_KIND_NAMES}, got {quoted(kind)}")
     where = "gerbe_order"
     try:
         gerbe_order = _integer(obj.pop("gerbe_order", 1))
@@ -461,7 +461,7 @@ class _Invalid(ValueError):
 def _order(text: str) -> int:
     """The value of ``--n`` and ``--max-n``: ASCII digits, at least 2."""
     if not (text.isascii() and text.isdigit()):
-        raise _Invalid(f"invalid int value: {text!a}")
+        raise _Invalid(f"invalid int value: {quoted(text)}")
     try:
         value = int(text)
     except ValueError:  # past the interpreter's digit limit, worded differently by version
@@ -476,7 +476,7 @@ def _one_of(*names: str):
 
     def choose(text: str) -> str:
         if text not in names:
-            raise _Invalid(f"must be {' or '.join(names)}, got {text!a}")
+            raise _Invalid(f"must be {' or '.join(names)}, got {quoted(text)}")
         return text
 
     choose.metavar = "{" + ",".join(names) + "}"
@@ -526,7 +526,7 @@ def _build_parser():
             if rest and not head:  # argparse words this differently by version
                 # and quotes with repr: escaping it as ascii() does makes the bytes version-free
                 got = rest.rpartition(" (choose from ")[0].encode("ascii", "backslashreplace").decode()
-                message = f"argument command: must be check, group, identity or table, got {got}"
+                message = f"argument command: must be check, group, identity or table, got {clipped(got)}"
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 

@@ -21,13 +21,16 @@ and a bucket of N equally weighted terms whose j's cover the residues
 j <= d/2 prime to d with uniform multiplicity sums to N * S(d) / phi(d)
 (``_orbit_sum``).  A rational trace, phi(d) <= 2, is an orbit that
 holds one label, so it takes the same rule.  Here S(d) is the sum over
-primitive residues j mod d of 1/(2 - zeta_d^j - zeta_d^-j), evaluated
-as the field trace of ``conjugate_pair_inverse(d)`` and cached per
-order.  That inverse is one exact division of a linear multiple of Phi_d
-by (1 - x)^2 (``CycloScalar.pair_inverse``), not a Euclid, and the
-division's zero remainders are its exact check u (1 - zeta)^2 = -zeta; it
-serves every group and every identity check, and no Galois image of a
-trace is computed here.
+primitive residues j mod d of 1/(2 - zeta_d^j - zeta_d^-j), the field
+trace of 1/(2 - zeta_d - zeta_d^-1), cached per order.  That inverse is one
+exact division of a linear multiple of Phi_d by (1 - x)^2, not a Euclid,
+and the division's zero remainders are its exact check
+u (1 - zeta)^2 = -zeta; the trace is read off the division's running sums
+(``scalars.pair_inverse_trace``) once both remainders are checked, so no
+inverse row is built for an orbit sum.  ``conjugate_pair_inverse`` keeps
+the row itself, for a caller that needs the inverse and not its trace.
+S(d) serves every group and every identity check, and no Galois image of
+a trace is computed here.
 Both rotation-sum identities are one divisor sum of S(d)
 (``_divisor_orbit_sum``): type A over d | n, d >= 2, scaled by 1/n, and
 the half angle over d | 2n, d >= 3, scaled by 1/2.
@@ -44,7 +47,7 @@ from .ade import AdeLabel, resolution_data
 from .errors import IdentityFailure, NonRationalTotal, TraceTwoNonIdentity
 # ``scalars`` before ``groups``: ``cli`` loads both through this module, and
 # compiling ``groups`` first raises a benchmark worker's peak RSS
-from .scalars import CycloScalar, cyclo_trace, divisors, euler_phi
+from .scalars import CycloScalar, divisors, euler_phi, pair_inverse_trace
 from .groups import FiniteSubgroup, Word, build_ade_group
 
 _F0 = Fraction(0)
@@ -57,10 +60,10 @@ def conjugate_pair_inverse(d: int) -> CycloScalar:
     (a = Phi_d(1), b = Phi_d'(1)), whose zero remainders certify
     u*(1 - zeta_d)^2 = -zeta_d.
 
-    The cache holds the 64 orders asked last, more than any one identity
-    with n <= 2000 asks for (46 at n = 1980, the divisors d >= 3 of 2n);
-    ``primitive_orbit_sum`` keeps each order's S(d), so no inverse is
-    computed twice for it."""
+    No orbit sum reads this row: ``primitive_orbit_sum`` takes the trace off
+    the division's running sums.  The row is for a caller that needs the
+    inverse itself, such as a summand that multiplies it by a cyclotomic
+    unit.  The cache holds the 64 orders asked last."""
     if d < 2:
         raise ValueError("need d >= 2 so that the denominator is nonzero")
     return CycloScalar.pair_inverse(d)
@@ -70,10 +73,12 @@ def conjugate_pair_inverse(d: int) -> CycloScalar:
 def primitive_orbit_sum(d: int) -> Fraction:
     """S(d) = sum over 1 <= j < d, gcd(j, d) = 1, of 1/(2 - zeta_d^j - zeta_d^-j).
 
-    Equal to the field trace of ``conjugate_pair_inverse(d)`` because the
-    Galois group permutes the summands simply transitively.
+    Equal to the field trace of 1/(2 - zeta_d - zeta_d^-1) because the
+    Galois group permutes the summands simply transitively; read by
+    ``pair_inverse_trace`` off the certified division behind
+    ``conjugate_pair_inverse``, with no inverse row built, and kept per order.
     """
-    return cyclo_trace(conjugate_pair_inverse(d))
+    return pair_inverse_trace(d)
 
 
 def closed_form_contribution(label: AdeLabel) -> Fraction:

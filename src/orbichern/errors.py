@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a message
+quotes a refused value (``quoted``)."""
 
 
 class OrbichernError(Exception):
@@ -48,3 +49,61 @@ class DescriptionError(OrbichernError):
     """A surface description failed strict validation."""
 
     exit_code = 1
+
+
+QUOTE_LIMIT = 60  # the most characters of a refused value's text that a message quotes
+
+# the brackets ascii() puts around a nonempty value of each container type
+_BRACKETS = {list: ("[", "]"), tuple: ("(", ")"), dict: ("{", "}"), set: ("{", "}"), frozenset: ("frozenset({", "})")}
+
+
+def clipped(text: str) -> str:
+    """text itself if it has at most QUOTE_LIMIT characters, else its first
+    QUOTE_LIMIT - 3 and "..."."""
+    return text if len(text) <= QUOTE_LIMIT else f"{text[: QUOTE_LIMIT - 3]}..."
+
+
+def quoted(value) -> str:
+    """``ascii(value)`` for an error message, ``clipped``: a value whose text
+    has at most QUOTE_LIMIT characters is quoted exactly as ``{value!a}``
+    quotes it, and a longer one is cut, from a bounded part of the value
+    (``_ascii_head``), so a refused value of any size makes a short message."""
+    return clipped(_ascii_head(value, QUOTE_LIMIT + 1))
+
+
+def _ascii_head(value, budget: int) -> str:
+    """ascii(value) if it has at most ``budget`` characters, else a text of
+    more than ``budget`` characters that begins like it, built from about
+    ``budget`` characters of the value.
+
+    A str or bytes is cut to ``budget`` items before it is escaped (the cut
+    may take the other quote).  A list, tuple, dict, set or frozenset quotes
+    its items only until the text passes ``budget``, each with the budget
+    left at its start; at no budget left, "..." stands for the rest.  An int
+    of more than 1000 bits is named by its size, since its digits may be
+    past the interpreter's limit.  Any other value is ascii(value).
+    """
+    if budget <= 0:
+        return "..."
+    kind = type(value)
+    if kind in (str, bytes, bytearray):
+        return ascii(value[:budget])
+    if kind is int and value.bit_length() > 1000:  # past 301 digits
+        return f"<an int of {value.bit_length()} bits>"
+    if kind not in _BRACKETS or not value:
+        return ascii(value)
+    head, tail = _BRACKETS[kind]
+    if kind is tuple and len(value) == 1:
+        tail = ",)"
+    parts, size = [], len(head)
+    for item in value.items() if kind is dict else value:
+        if kind is dict:
+            key = _ascii_head(item[0], budget - size)
+            part = f"{key}: {_ascii_head(item[1], budget - size - len(key) - 2)}"
+        else:
+            part = _ascii_head(item, budget - size)
+        parts.append(part)
+        size += len(part) + 2
+        if size > budget:
+            break
+    return head + ", ".join(parts) + tail

@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import lcm
 
 from .ade import AdeLabel, resolution_data
-from .errors import DescriptionError
+from .errors import DescriptionError, quoted
 
 _F0 = Fraction(0)
 
@@ -61,14 +61,14 @@ _F0 = Fraction(0)
 def _integer(value, name: str) -> int:
     """``value`` if it is an int and not a bool, else DescriptionError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptionError(f"{name} must be an integer, got {value!a}")
+        raise DescriptionError(f"{name} must be an integer, got {quoted(value)}")
     return value
 
 
 def _flag(value) -> bool:
     """``canonical_nef_asserted`` if it is a bool: a truthy string asserts nothing."""
     if not isinstance(value, bool):
-        raise DescriptionError(f"canonical_nef_asserted must be a bool, got {value!a}")
+        raise DescriptionError(f"canonical_nef_asserted must be a bool, got {quoted(value)}")
     return value
 
 
@@ -88,13 +88,13 @@ def _wire_rational(text: str) -> Fraction:
     any other text.  The one home of that grammar: ``cli.parse_rational``
     reads it, and so does ``_rational``."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!a}")
+        raise ValueError(f"not a rational literal: {quoted(text)}")
     num, _, den = text.partition("/")
     if not den:
         return Fraction(_wire_int(num))
     q = _wire_int(den)
     if q == 0:
-        raise ValueError(f"zero denominator: {text!a}")
+        raise ValueError(f"zero denominator: {quoted(text)}")
     return Fraction(_wire_int(num), q)
 
 
@@ -107,7 +107,7 @@ def _rational(value, name: str) -> Fraction:
     try:
         return _wire_rational(value)
     except ValueError:
-        raise DescriptionError(f"{name} must be a rational, got {value!a}") from None
+        raise DescriptionError(f"{name} must be a rational, got {quoted(value)}") from None
 
 
 def _checked(kind, value, name: str):
@@ -120,10 +120,10 @@ def _checked(kind, value, name: str):
     if kind is Fraction:
         return _rational(value, name)
     if not isinstance(value, (list, tuple)):  # a str, dict, set or iterator is refused, not taken apart
-        raise DescriptionError(f"{name} must be a list or a tuple, got {value!a}")
+        raise DescriptionError(f"{name} must be a list or a tuple, got {quoted(value)}")
     for index, item in enumerate(value):
         if not isinstance(item, kind[0]):
-            raise DescriptionError(f"{name}[{index}] must be {kind[0].__name__}, got {item!a}")
+            raise DescriptionError(f"{name}[{index}] must be {kind[0].__name__}, got {quoted(item)}")
     return tuple(value)
 
 

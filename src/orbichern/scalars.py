@@ -42,14 +42,19 @@ skips it when it is 0, as it is for most steps of a sparse row.  A trace
 row zeta^e + zeta^-e is made in C-level passes: two unit places, one
 ``list()`` copy of a power row plus 1 at a unit place, or one
 ``map(operator.add)`` of two power rows.  The orbit-term inverse
-1/(2 - zeta - zeta^-1) (``pair_inverse``) is one exact division by
-(1 - x)^2: with a = Phi_m(1) and b = Phi_m'(1) read off the factorization
-of m (``_pair_constants``), L = (b + (a - b) x) Phi_m - a^2 x is (1 - x)^2 R,
-and R/a^2 is the inverse.  One pass builds that row and two running sums
-divide it; the division's two remainders are its certificate: when both
-are 0, L = (1 - x)^2 R holds as polynomials, so (1 - zeta)^2 u = -zeta
-holds exactly and no separate check pass runs.  An identity that needs
-only these inverses builds no ``_reduce`` table.  Every other inversion
+1/(2 - zeta - zeta^-1) is one exact division by (1 - x)^2
+(``_pair_division``): with a = Phi_m(1) and b = Phi_m'(1) read off the
+factorization of m (``_pair_constants``), L = (b + (a - b) x) Phi_m - a^2 x
+is (1 - x)^2 R, and R/a^2 is the inverse.  The division is two running
+sums, which are linear, so two C-level ``accumulate`` passes over Phi_m
+give A, and R_i = b A_i + (a - b) A_(i-1) - a^2 i; the same rule at the
+two places past R gives the division's remainders, its certificate: when
+both are 0, L = (1 - x)^2 R holds as polynomials, so (1 - zeta)^2 u = -zeta
+holds exactly, and nothing is read off A before they are checked.  Two
+readers share it: ``pair_inverse`` builds the row R, and
+``pair_inverse_trace`` reads Tr(R)/a^2 off A by the Ramanujan rule, slice
+sums of A only, with no row built.  An identity, which needs only
+these traces, builds no ``_reduce`` table.  Every other inversion
 takes one path: a negative power k is ``invert`` raised to -k, and
 ``invert`` is one call of ``_descent_row``, which ends in one
 half-extended Euclid over the integers with primitive remainders
@@ -68,8 +73,9 @@ share their chains.  The top level is not cached, since its rows do not
 repeat.  The inverse is returned only after one exact check s z = lam at
 the top, one more product, which a wrong cached entry fails.  For 4 not dividing m the
 Euclid on Phi_m runs alone, exact by construction, with no product and
-no check.  ``cyclo_trace`` takes a trace by Ramanujan sums, one slice
-sum per divisor of m.  No polynomial code works on Fractions.
+no check.  ``cyclo_trace`` takes a trace by Ramanujan sums
+(``_ramanujan_weights``), one slice sum per squarefree cofactor m/g.  No
+polynomial code works on Fractions.
 ``scalar_key`` is the reference order of values: a rational, in any
 field, before every irrational value.  Every value is immutable and
 hashable.
@@ -293,6 +299,35 @@ def _power_texts(m: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(f"+ {p}" for p in powers), tuple(f"- {p}" for p in powers)
 
 
+_PAIR_FAILURE = "1/(2 - zeta - zeta^-1) in Q(zeta_{}) fails u*(1 - zeta)^2 = -zeta"
+
+
+def _pair_division(m: int) -> tuple[int, int, list[int]]:
+    """(a, b, A) for m >= 2, once the division by (1 - x)^2 behind
+    1/(2 - zeta_m - zeta_m^-1) is checked exact.
+
+    With a = Phi_m(1) and b = Phi_m'(1) (``_pair_constants``), the row
+    L = (b + (a - b) x) Phi_m - a^2 x has L(1) = L'(1) = 0, so
+    L = (1 - x)^2 R with R of degree below phi(m).  At zeta, L = -a^2 zeta,
+    and 2 - zeta - zeta^-1 = -(1 - zeta)^2/zeta, so the inverse is R/a^2.
+    Dividing by (1 - x)^2 is two running sums, and they are linear: with
+    A = acc(acc(Phi_m)) over phi(m) + 2 places (two C-level ``accumulate``
+    passes, one zero place past the top), R_i = b A_i + (a - b) A_(i-1) - a^2 i.
+    The same rule at places phi and phi + 1 gives the division's two
+    remainders; both must be 0, IdentityFailure otherwise, and when they
+    are, (1 - zeta)^2 R/a^2 = -zeta holds exactly.
+    """
+    if _conductor(m) < 2:
+        raise ZeroInversion("2 - zeta_1 - zeta_1^-1 is zero")
+    a, b = _pair_constants(m)
+    k, den = a - b, a * a
+    acc = list(itertools.accumulate(itertools.accumulate(cyclotomic_polynomial(m) + (0,))))
+    deg = len(acc) - 2
+    if b * acc[deg] + k * acc[deg - 1] - den * deg or b * acc[deg + 1] + k * acc[deg] - den * (deg + 1):
+        raise IdentityFailure(_PAIR_FAILURE.format(m))
+    return a, b, acc
+
+
 # ----------------------------------------------------------------------
 # the general inversion: half-extended Euclid over the integers
 
@@ -508,35 +543,26 @@ class CycloScalar:
 
     @classmethod
     def pair_inverse(cls, conductor: int) -> "CycloScalar":
-        """1/(2 - zeta_m - zeta_m^-1) for m >= 2, by one exact division by (1 - x)^2.
+        """1/(2 - zeta_m - zeta_m^-1) for m >= 2, as R/a^2 off ``_pair_division``.
 
-        With a = Phi_m(1) and b = Phi_m'(1) (``_pair_constants``), the row
-        L = (b + (a - b) x) Phi_m - a^2 x has L(1) = L'(1) = 0, so
-        L = (1 - x)^2 R with R of degree below phi(m).  At zeta, L = -a^2 zeta,
-        and 2 - zeta - zeta^-1 = -(1 - zeta)^2/zeta, so u = R/a^2.  R is two
-        running sums over L; their two totals past degree phi - 1,
-        (phi + 1) L(1) - L'(1) and (phi + 2) L(1) - L'(1), are the division's
-        remainders, and u is returned only when both are 0, IdentityFailure
-        otherwise: a zero remainder is the exact identity
-        (1 - zeta)^2 u = -zeta.  The value
-        built is compared with R/a^2, so the check holds for the value
-        returned.  No remainder modulo Phi_m is taken, for every m >= 2.
+        The row R_i = b A_i + (a - b) A_(i-1) - a^2 i (i < phi(m)) is the
+        quotient of L = (b + (a - b) x) Phi_m - a^2 x by (1 - x)^2, and
+        ``_pair_division`` has checked that division's two remainders are 0,
+        the exact identity (1 - zeta)^2 u = -zeta.  The value built is
+        compared with R/a^2, so the check holds for the value returned,
+        IdentityFailure otherwise.  No remainder modulo Phi_m is taken, for
+        every m >= 2.  ``pair_inverse_trace`` reads the trace of the same
+        quotient without building this row.
         """
-        if _conductor(conductor) < 2:
-            raise ZeroInversion("2 - zeta_1 - zeta_1^-1 is zero")
-        phi = cyclotomic_polynomial(conductor)
-        a, b = _pair_constants(conductor)
+        a, b, acc = _pair_division(conductor)
         k, den = a - b, a * a
-        row = [b * c + k * p for c, p in zip(phi + (0,), (0,) + phi)]  # (b + (a - b) x) Phi_m
-        row[1] -= den
-        *row, low, high = itertools.accumulate(itertools.accumulate(row))  # R, two remainders
+        minus = range(0, -den * (len(acc) - 2), -den)  # -a^2 i for i < phi(m)
+        row = [b * c + k * p + q for c, p, q in zip(acc, [0, *acc], minus)]
         value = cls._new(conductor, row, den)
         scale, rest = divmod(den, value.den)
         scaled = value.row if scale == 1 else tuple([c * scale for c in value.row])
-        if low or high or rest or scaled != tuple(row):
-            raise IdentityFailure(
-                f"1/(2 - zeta - zeta^-1) in Q(zeta_{conductor}) fails u*(1 - zeta)^2 = -zeta"
-            )
+        if rest or scaled != tuple(row):
+            raise IdentityFailure(_PAIR_FAILURE.format(conductor))
         return value
 
     def _coerce(self, other: object) -> "CycloScalar":
@@ -717,22 +743,43 @@ def signed_dot(lefts, rights, signs) -> CycloScalar:
     return CycloScalar._new(m, _reduce(m, conv), den)
 
 
+def _ramanujan_weights(m: int) -> list[tuple[int, int]]:
+    """(g, g * mu(m/g)) for the divisors g of m with mu(m/g) != 0: Ramanujan's
+    sum c_m(i), Tr(zeta_m^i), is the sum of the weights of the g dividing i,
+    so a trace is the sum over these g of the weight times one slice sum
+    over the places i = 0, g, 2g, ...  The one home of that rule."""
+    return [(g, g * mu) for g in divisors(m) if (mu := moebius(m // g))]
+
+
 def cyclo_trace(value: CycloScalar) -> Fraction:
     """Trace down to Q: sum of all Galois images, by Ramanujan sums.
 
-    Tr(zeta_m^i) is Ramanujan's sum c_m(i), the sum of g * mu(m/g) over
-    the divisors g of gcd(i, m), so the trace is the sum over g | m of
-    g * mu(m/g) times the numerators at the multiples of g: one slice sum
-    per divisor, as integers over the one denominator, and no
-    automorphism image is materialized.
+    One slice sum of the numerators per weight of ``_ramanujan_weights``,
+    as integers over the one denominator, and no automorphism image is
+    materialized.
     """
-    m, row = value.conductor, value.row
+    row = value.row
+    return Fraction(sum(w * sum(row[::g]) for g, w in _ramanujan_weights(value.conductor)), value.den)
+
+
+def pair_inverse_trace(m: int) -> Fraction:
+    """Tr(1/(2 - zeta_m - zeta_m^-1)) for m >= 2, with no inverse row built.
+
+    The trace of ``CycloScalar.pair_inverse(m)`` = R/a^2, read off the
+    running sums A of ``_pair_division``, which has checked both remainders
+    of the division first.  By linearity, with T the trace rule of
+    ``_ramanujan_weights`` over the phi(m) places,
+    Tr(R) = b T(A) + (a - b) T(x A) - a^2 T(0, 1, 2, ...): per weight, two
+    C-level slice sums of A and one closed form, g (1 + 2 + ... + t) for the
+    t = (phi - 1) // g nonzero multiples of g below phi.
+    """
+    a, b, acc = _pair_division(m)
+    k, den, deg = a - b, a * a, len(acc) - 2
     total = 0
-    for g in divisors(m):
-        mu = moebius(m // g)
-        if mu:
-            total += g * mu * sum(row[::g])
-    return Fraction(total, value.den)
+    for g, w in _ramanujan_weights(m):
+        t = (deg - 1) // g
+        total += w * (b * sum(acc[:deg:g]) + k * sum(acc[g - 1 : deg - 1 : g]) - den * g * t * (t + 1) // 2)
+    return Fraction(total, den)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbichern.cli as cli
-from orbichern import contributions, groups, invariants
+from orbichern import contributions, groups, invariants, scalars
 from orbichern.ade import AdeLabel
 from orbichern.cli import main
 from orbichern.errors import (
@@ -437,6 +437,11 @@ ERROR_PATHS = [
     (kummer_payload, ("points",), "A1", "isolated_points.points must be a list"),
     (kummer_payload, ("gerbe_order",), "2", "gerbe_order must be an integer"),
     (kummer_payload, ("gerbe_order",), 0, "gerbe_order must be >= 1"),
+    # a long refused value is quoted by its first QUOTE_LIMIT - 4 characters and "..."
+    (kummer_payload, ("c1_squared",), "x" * 100000,
+     f"isolated_points.c1_squared: not a rational literal: '{'x' * 56}..."),
+    (kummer_payload, ("points", 1), "L" * 50000, f"isolated_points.points[1]: not an ADE label: '{'L' * 56}..."),
+    (kummer_payload, ("k" * 50000,), 1, f"isolated_points: unknown field '{'k' * 56}..."),
 ]
 
 
@@ -459,6 +464,36 @@ def test_check_error_paths_are_exact(tmp_path, capsys, make, where, value, messa
     path = write_json(tmp_path, "bad.json", payload)
     assert main(["check", path]) == 1
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+# a file's long value, a long label and a long --n, each quoted in one short
+# line: (argv after the file is written, the part of the line that must stay)
+LONG_VALUES = {
+    "c1_squared": (lambda path: ["check", path], ("c1_squared",), "x" * 100000, "isolated_points.c1_squared: "),
+    "label": (lambda path: ["check", path], ("points", 1), "L" * 50000, "isolated_points.points[1]: "),
+    "key": (lambda path: ["check", path], ("k" * 50000,), 1, "isolated_points: unknown field "),
+    "group": (lambda path: ["group", "A" + "x" * 20000], (), None, "error: not an ADE label: 'Axx"),
+    "identity": (lambda path: ["identity", "--n", "y" * 20000, "--which", "type_a"], (), None,
+                 "argument --n: invalid int value: 'yy"),
+}
+
+
+@pytest.mark.parametrize("argv, where, value, kept", LONG_VALUES.values(), ids=LONG_VALUES)
+def test_a_long_refused_value_makes_a_short_error_line(tmp_path, capsys, argv, where, value, kept):
+    """Exit 1, the value's path or the argument's name kept, and every stderr
+    line under 300 bytes: a quoted value shows at most QUOTE_LIMIT characters."""
+    payload = kummer_payload()
+    if where:
+        edit(payload, where, value)
+    path = write_json(tmp_path, "long.json", payload)
+    try:
+        code = main(argv(path))
+    except SystemExit as stop:  # a usage error, from argparse
+        code = stop.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert kept in err and err.endswith("...\n")
+    assert max(len(line.encode()) for line in err.splitlines()) < 300
 
 
 # (payload, several faults {where: value}, the error line after "error: PATH: "):
@@ -1241,6 +1276,28 @@ def test_identity_sides_that_differ_print_fail(capsys, monkeypatch, which, expec
     assert capsys.readouterr() == (expected, "")
 
 
+def test_orbit_sums_build_no_pair_inverse_row(capsys, monkeypatch):
+    """S(d) is read off the certified division's running sums: with the row
+    builder made to raise, an identity and a group print what they print
+    with it, from cold caches both times."""
+    argvs = (["identity", "--n", "1980", "--which", "half_angle"], ["group", "D152"])
+
+    def outputs():
+        for cached in (contributions.primitive_orbit_sum, contributions.conjugate_pair_inverse):
+            cached.cache_clear()
+        codes = [main(argv) for argv in argvs]
+        return codes, capsys.readouterr()
+
+    expected = outputs()
+
+    def no_row(cls, conductor):
+        raise AssertionError(f"pair_inverse({conductor}) built a row")
+
+    monkeypatch.setattr(scalars.CycloScalar, "pair_inverse", classmethod(no_row))
+    assert outputs() == expected
+    assert expected[0] == [0, 0] and expected[1].err == ""
+
+
 # ----------------------------------------------------------------------
 # table
 
@@ -1421,6 +1478,14 @@ USAGE_ERRORS = {
         TABLE_USAGE + "orbichern table: error: argument --max-n: integer has too many digits\n",
     ("table", "--oracle", "--format", "text", "--max-n", TOO_MANY_DIGITS):
         TABLE_USAGE + "orbichern table: error: argument --max-n: integer has too many digits\n",
+    # a long refused value: its first QUOTE_LIMIT - 4 characters and "..."
+    ("identity", "--n", "y" * 20000, "--which", "type_a"):
+        IDENTITY_USAGE + f"orbichern identity: error: argument --n: invalid int value: '{'y' * 56}...\n",
+    ("identity", "--n", "5", "--which", "w" * 20000):
+        IDENTITY_USAGE + f"orbichern identity: error: argument --which: must be type_a or half_angle, got '{'w' * 56}...\n",
+    ("c" * 20000,):
+        "usage: orbichern [-h] {check,group,identity,table} ...\n"
+        f"orbichern: error: argument command: must be check, group, identity or table, got '{'c' * 56}...\n",
 }
 
 

@@ -35,7 +35,7 @@ from orbichern.contributions import (
 )
 from orbichern.errors import IdentityFailure, NonRationalTotal, ZeroInversion
 from orbichern.groups import ConjugacyClass, FiniteSubgroup, Word, build_ade_group
-from orbichern.scalars import CycloScalar, cyclo_trace, euler_phi
+from orbichern.scalars import CycloScalar, cyclo_trace, euler_phi, pair_inverse_trace
 
 F = Fraction
 
@@ -157,34 +157,56 @@ def test_pair_inverse_check_rejects_a_wrong_row(monkeypatch):
 
 
 WRONG_ROW_ORDERS = (2, 3, 4, 12, 30, 97, 210, 1024, 3990)
+# the two readers of the one certified division: the row, and its trace
+DIVISION_READERS = (CycloScalar.pair_inverse, pair_inverse_trace)
 
 
 @pytest.mark.parametrize("da, db", [(1, 0), (0, 1), (0, -1), (2, 3)])
 def test_pair_inverse_remainders_reject_a_wrong_a_or_b(monkeypatch, da, db):
     """A wrong Phi_d(1) or Phi_d'(1) leaves a nonzero remainder in the
-    division by (1 - x)^2, at every order."""
+    division by (1 - x)^2, at every order, for the row and for its trace."""
     constants = scalars._pair_constants
     monkeypatch.setattr(scalars, "_pair_constants", lambda m: tuple(map(sum, zip(constants(m), (da, db)))))
     for d in WRONG_ROW_ORDERS:
-        with pytest.raises(IdentityFailure):
-            CycloScalar.pair_inverse(d)
+        for read in DIVISION_READERS:
+            with pytest.raises(IdentityFailure):
+                read(d)
 
 
 def test_pair_inverse_remainders_reject_a_wrong_cyclotomic_row(monkeypatch):
     """A Phi_d with one lower coefficient changed, at its bottom, middle or
-    top place, is no longer divisible as a, b and (1 - x)^2 require."""
+    top place, is no longer divisible as a, b and (1 - x)^2 require, for the
+    row and for its trace.  So is one changed at its top and bottom lower
+    places so that one remainder, c L(1) - L'(1) with c = phi + 1 or phi + 2,
+    is 0: T = c - 1 + phi/2 at place phi - 1 and phi - 1 - T at place 0 add
+    (phi - 1) (c a - (a - b) - a T) = 0 to it, and (phi - 1) a to the other."""
     phi_of = scalars.cyclotomic_polynomial
     for d in WRONG_ROW_ORDERS:
         deg = euler_phi(d)
-        for place in sorted({0, deg // 2, deg - 1}):
-            for delta in (1, -2):
-                row = list(phi_of(d))
+        changes = [{place: delta} for place in sorted({0, deg // 2, deg - 1}) for delta in (1, -2)]
+        if deg > 1:
+            changes += [{deg - 1: t, 0: deg - 1 - t} for t in (3 * deg // 2, 3 * deg // 2 + 1)]
+        for change in changes:
+            row = list(phi_of(d))
+            for place, delta in change.items():
                 row[place] += delta
-                monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda m, row=tuple(row): row)
+            monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda m, row=tuple(row): row)
+            for read in DIVISION_READERS:
                 with pytest.raises(IdentityFailure):
-                    CycloScalar.pair_inverse(d)
-                monkeypatch.undo()
+                    read(d)
+            monkeypatch.undo()
     assert CycloScalar.pair_inverse(3990) == conjugate_pair_inverse(3990)
+    assert pair_inverse_trace(3990) == primitive_orbit_sum(3990)
+
+
+def test_pair_inverse_trace_is_the_trace_of_the_row():
+    """The trace read off the running sums is the trace of the row built
+    from them, at every order up to 600 and at the largest orders the
+    identities reach."""
+    for d in [*range(2, 601), 997, 1980, 1999, 2310, 3960, 3990, 4000]:
+        assert pair_inverse_trace(d) == cyclo_trace(CycloScalar.pair_inverse(d)), d
+    with pytest.raises(ZeroInversion):
+        pair_inverse_trace(1)
 
 
 def test_pair_inverse_times_its_term_is_one():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from orbichern.ade import AdeLabel, resolution_data
 from orbichern.cli import parse_rational
 from orbichern.contributions import class_sum_contribution
-from orbichern.errors import DescriptionError
+from orbichern.errors import QUOTE_LIMIT, DescriptionError
 from orbichern.groups import build_ade_group
 from orbichern.invariants import (
     Crossing,
@@ -166,6 +166,15 @@ NOT_SEQUENCES = {
 def test_sequence_fields_take_only_a_list_or_a_tuple(field, build):
     with pytest.raises(DescriptionError, match=f"^{field} must be a list or a tuple, got "):
         build()
+
+
+def test_a_refused_million_element_set_is_quoted_short():
+    """The message quotes the set's first items only (``errors.quoted``)."""
+    with pytest.raises(DescriptionError) as refused:
+        IsolatedPointsDescription(1, 0, set(range(10**6)), True)
+    head = "points must be a list or a tuple, got "
+    assert str(refused.value) == head + "{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16..."
+    assert len(str(refused.value)) == len(head) + QUOTE_LIMIT
 
 
 def test_sequence_fields_keep_their_items_as_a_tuple():

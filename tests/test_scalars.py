@@ -324,6 +324,7 @@ def test_entry_points_take_only_positive_int_conductors():
         lambda m: CycloScalar.zeta_pair_sum(m, 1),
         lambda m: CycloScalar.from_rational(1, m),
         CycloScalar.pair_inverse,
+        scalars.pair_inverse_trace,
         CycloScalar.one(5).embed,
     )
     for entry in entries:

@@ -14,15 +14,17 @@ it is timed.  The cache of subfield inverses is emptied before each timed
 run, so every time is the cold cost; each literal set gets one
 more line with the hits and misses of that cache over one cold pass.
 
-A second table times the path every ``identity`` command runs, at
-mid-size orders where a median field-identities request computes (97, 210
-and 997) and at the largest conductors that benchmark reaches (1980, 1999,
-3960 and 3990): ``cyclotomic_polynomial(d)``, then
-``CycloScalar.pair_inverse(d)`` with Phi_d warm, then ``cyclo_trace`` of
-that inverse, best of 3 each.  Before each of the 3 runs the caches of
-``cyclotomic_polynomial`` and of the number-theory helpers it and the
-trace read (``_factorization``, ``divisors``, ``euler_phi`` and
-``moebius``) are emptied, so each run is as cold as a fresh process.
+A second table times the orbit sum S(d) every ``identity`` command
+reads, at mid-size orders where a median field-identities request
+computes (97, 210 and 997) and at the largest conductors that benchmark
+reaches (1980, 1999, 3960 and 3990): ``cyclotomic_polynomial(d)``, then
+``pair_inverse_trace(d)``, the route S(d) takes, with Phi_d warm; beside
+it the row route it replaced, ``CycloScalar.pair_inverse(d)`` with Phi_d
+warm and ``cyclo_trace`` of that inverse, best of 3 each.  Before each of
+the 3 runs the caches of ``cyclotomic_polynomial`` and of the
+number-theory helpers it and the traces read (``_factorization``,
+``divisors``, ``euler_phi`` and ``moebius``) are emptied, so each run is
+as cold as a fresh process.
 Print only: the exit status is 0 whenever the script runs.
 
 Run from anywhere: ``python3 tools/field_cost.py``.
@@ -47,6 +49,7 @@ from orbichern.scalars import (  # noqa: E402
     divisors,
     euler_phi,
     moebius,
+    pair_inverse_trace,
 )
 
 RUNS = 3
@@ -85,22 +88,25 @@ def best_ms_per_value(step, values) -> float:
     return best * 1000 / len(values)
 
 
-def identity_path_ms(d: int) -> tuple[float, float, float]:
-    """Best of RUNS cold times, in ms, of Phi_d, its pair inverse and the
-    inverse's trace, each run from emptied caches (``COLD``)."""
-    best = [float("inf")] * 3
+def identity_path_ms(d: int) -> list[float]:
+    """Best of RUNS cold times, in ms, of Phi_d, S(d) by ``pair_inverse_trace``,
+    the pair inverse and that inverse's trace, each run from emptied caches
+    (``COLD``)."""
+    best = [float("inf")] * 4
     for _ in range(RUNS):
         for cached in COLD:
             cached.cache_clear()
         times = [time.perf_counter()]
         cyclotomic_polynomial(d)
         times.append(time.perf_counter())
+        pair_inverse_trace(d)
+        times.append(time.perf_counter())
         inverse = CycloScalar.pair_inverse(d)
         times.append(time.perf_counter())
         cyclo_trace(inverse)
         times.append(time.perf_counter())
         best = [min(b, (t1 - t0) * 1000) for b, t0, t1 in zip(best, times, times[1:])]
-    return best[0], best[1], best[2]
+    return best
 
 
 def main() -> int:
@@ -125,10 +131,10 @@ def main() -> int:
             info = _subfield_inverse.cache_info()
             print(f"{'':>13}one cold pass: {info.hits} subfield-inverse hits, {info.misses} misses")
     print()
-    print(f"{'d':>5} {'phi':>5}  {'Phi_d ms':>9} {'pair_inverse ms':>16} {'trace ms':>9}")
+    print(f"{'d':>5} {'phi':>5}  {'Phi_d ms':>9} {'S(d) ms':>8} {'pair_inverse ms':>16} {'trace ms':>9}")
     for d in IDENTITY_CONDUCTORS:
-        phi, inverse, trace = identity_path_ms(d)
-        print(f"{d:>5} {euler_phi(d):>5}  {phi:>9.3f} {inverse:>16.3f} {trace:>9.3f}")
+        phi, orbit_sum, inverse, trace = identity_path_ms(d)
+        print(f"{d:>5} {euler_phi(d):>5}  {phi:>9.3f} {orbit_sum:>8.3f} {inverse:>16.3f} {trace:>9.3f}")
     return 0
 
 
