@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "ade": ("AdeLabel", "AdeResolutionData", "resolution_data"),
-    "cli": ("parse_rational",),
+    "cli": (),  # no public name of its own: listed so that ``orbichern.cli`` resolves
     "contributions": (
         "ContributionReport", "assemble_type_d_contribution", "build_contribution_report",
         "class_sum_contribution", "closed_form_contribution", "contribution_for_label",
@@ -44,7 +44,7 @@ _HOMES = {
         "Crossing", "DivisorEntry", "InvariantReport", "IsolatedPointsDescription",
         "SncPairDescription", "Verdict", "bmy_verdict", "codim2_c2", "codim2_equivalence_check",
         "gerbe_scale", "isolated_points_report", "pair_c1_squared", "pair_orbifold_euler",
-        "snc_report",
+        "parse_rational", "snc_report",
     ),
     "scalars": ("CycloScalar", "cyclo_trace", "cyclotomic_polynomial"),
 }

@@ -26,8 +26,8 @@ checks are each value's one validity rule on both paths.
 
 Imports: ``check`` loads only this module, ``ade``, ``errors`` and
 ``invariants``; its rationals are read by ``parse_rational``, the wire
-form, whose grammar lives in ``invariants`` (``_wire_rational``) so that
-the record constructors take the same texts.  ``group``, ``identity`` and
+form, imported from ``invariants``, its one home, where the record
+constructors read the same texts.  ``group``, ``identity`` and
 ``table`` also run the group and field layers: their first call of
 ``_bind_deferred`` imports
 ``contributions``, which imports ``scalars`` and then ``groups``, and
@@ -58,9 +58,9 @@ from .invariants import (
     IsolatedPointsDescription,
     SncPairDescription,
     Verdict,
-    _wire_rational,
     gerbe_scale,
     isolated_points_report,
+    parse_rational,
     snc_report,
 )
 
@@ -111,13 +111,6 @@ def __getattr__(name: str):
 # (``_label_text``, 128 entries).  An lru_cache keeps no exception, so a value
 # rejected once is rejected again.
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the wire form "p/q" or "p": ASCII digits, a sign on the
-    numerator only, nothing before or after.  The grammar has one home,
-    ``invariants._wire_rational``, which the record constructors read too."""
-    return _wire_rational(text)
-
-
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DescriptionError(" must be an integer")
@@ -131,11 +124,8 @@ def _flag(value) -> bool:
 
 
 _CACHED_LITERAL_CHARS = 40  # a longer literal parses uncached, so no entry outgrows this
-
-
-@functools.lru_cache(maxsize=1024)  # an entry: a short str, a Fraction and a link, under 300 bytes
-def _cached_rational(text: str) -> Fraction:
-    return parse_rational(text)
+# an entry: a short str, a Fraction and a link, under 300 bytes
+_cached_rational = functools.lru_cache(maxsize=1024)(parse_rational)
 
 
 def _rational(value) -> Fraction:
@@ -519,7 +509,8 @@ def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """argparse with usage errors on exit code 1, the input-error code."""
+        """argparse with usage errors on exit code 1, the input-error code, and
+        the command or extra tokens they echo clipped (``errors.clipped``)."""
 
         def error(self, message: str):
             head, _, rest = message.partition("argument command: invalid choice: ")
@@ -527,6 +518,8 @@ def _build_parser():
                 # and quotes with repr: escaping it as ascii() does makes the bytes version-free
                 got = rest.rpartition(" (choose from ")[0].encode("ascii", "backslashreplace").decode()
                 message = f"argument command: must be check, group, identity or table, got {clipped(got)}"
+            elif message.startswith("unrecognized arguments: "):  # every token argparse did not use, whole
+                message = f"unrecognized arguments: {clipped(message.partition(': ')[2])}"
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 

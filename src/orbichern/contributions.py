@@ -27,8 +27,9 @@ exact division of a linear multiple of Phi_d by (1 - x)^2, not a Euclid,
 and the division's zero remainders are its exact check
 u (1 - zeta)^2 = -zeta; the trace is read off the division's running sums
 (``scalars.pair_inverse_trace``) once both remainders are checked, so no
-inverse row is built for an orbit sum.  ``conjugate_pair_inverse`` keeps
-the row itself, for a caller that needs the inverse and not its trace.
+inverse row is built for an orbit sum.  ``conjugate_pair_inverse`` is
+``CycloScalar.pair_inverse`` itself, the row, uncached, for a caller that
+needs the inverse and not its trace.
 S(d) serves every group and every identity check, and no Galois image of
 a trace is computed here.
 Both rotation-sum identities are one divisor sum of S(d)
@@ -53,20 +54,10 @@ from .groups import FiniteSubgroup, Word, build_ade_group
 _F0 = Fraction(0)
 
 
-@functools.lru_cache(maxsize=64)
-def conjugate_pair_inverse(d: int) -> CycloScalar:
-    """1/(2 - zeta_d - zeta_d^(-1)) as an element of Q(zeta_d), d >= 2: the
-    exact quotient of (b + (a - b) x) Phi_d - a^2 x by (1 - x)^2, over a^2
-    (a = Phi_d(1), b = Phi_d'(1)), whose zero remainders certify
-    u*(1 - zeta_d)^2 = -zeta_d.
-
-    No orbit sum reads this row: ``primitive_orbit_sum`` takes the trace off
-    the division's running sums.  The row is for a caller that needs the
-    inverse itself, such as a summand that multiplies it by a cyclotomic
-    unit.  The cache holds the 64 orders asked last."""
-    if d < 2:
-        raise ValueError("need d >= 2 so that the denominator is nonzero")
-    return CycloScalar.pair_inverse(d)
+# 1/(2 - zeta_d - zeta_d^-1) in Q(zeta_d), uncached: no orbit sum reads this
+# row, so it is for a caller that needs the inverse itself, such as a summand
+# that multiplies it by a cyclotomic unit; d = 1 raises ZeroInversion
+conjugate_pair_inverse = CycloScalar.pair_inverse
 
 
 @functools.lru_cache(maxsize=None)

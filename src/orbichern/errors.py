@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one way a message
 quotes a refused value (``quoted``)."""
 
+from fractions import Fraction
+
 
 class OrbichernError(Exception):
     """Base class for all package-specific errors.
@@ -80,8 +82,9 @@ def _ascii_head(value, budget: int) -> str:
     may take the other quote).  A list, tuple, dict, set or frozenset quotes
     its items only until the text passes ``budget``, each with the budget
     left at its start; at no budget left, "..." stands for the rest.  An int
-    of more than 1000 bits is named by its size, since its digits may be
-    past the interpreter's limit.  Any other value is ascii(value).
+    of more than 1000 bits, or a Fraction with a numerator or denominator
+    that long, is named by its size, since its digits may be past the
+    interpreter's limit.  Any other value is ascii(value).
     """
     if budget <= 0:
         return "..."
@@ -90,6 +93,8 @@ def _ascii_head(value, budget: int) -> str:
         return ascii(value[:budget])
     if kind is int and value.bit_length() > 1000:  # past 301 digits
         return f"<an int of {value.bit_length()} bits>"
+    if kind is Fraction and max(value.numerator.bit_length(), value.denominator.bit_length()) > 1000:
+        return f"<a Fraction of {value.numerator.bit_length()} bits over {value.denominator.bit_length()} bits>"
     if kind not in _BRACKETS or not value:
         return ascii(value)
     head, tail = _BRACKETS[kind]

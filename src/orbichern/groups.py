@@ -548,18 +548,6 @@ def _exceptional_parts(parameter: int) -> tuple[list, tuple]:
     return elements, (omega, Quaternion(golden[2], half, golden[3], zero))
 
 
-def _binary_tetrahedral_generators() -> tuple:
-    return _exceptional_parts(6)[1]
-
-
-def _binary_octahedral_generators() -> tuple:
-    return _exceptional_parts(7)[1]
-
-
-def _binary_icosahedral_generators() -> tuple:
-    return _exceptional_parts(8)[1]
-
-
 @functools.cache
 def _exceptional_group(label: AdeLabel) -> FiniteSubgroup:
     """E6, E7 or E8 from its explicit elements and generators; cached for good."""

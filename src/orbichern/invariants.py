@@ -27,9 +27,10 @@ Each description record's field names and types are written once, as the
 keyword arguments of its ``_schema`` base, a namedtuple of those fields.  A
 type is ``int`` (an int that is not a bool), ``bool``, ``Fraction`` (a
 ``Fraction``, an int that is not a bool or a wire-form text "p/q" or "p",
-read by ``_wire_rational``, the grammar's one home, which ``cli.parse_rational``
-reads too; never a float) or ``(cls,)``, a list or tuple of ``cls`` instances
-(``AdeLabel`` or a record) kept as a tuple; a str, dict, set or iterator is
+read by ``parse_rational``, the grammar's one home, which ``cli`` imports
+for ``check``'s reader and ``orbichern`` exports; never a float) or
+``(cls,)``, a list or tuple of ``cls`` instances (``AdeLabel`` or a
+record) kept as a tuple; a str, dict, set or iterator is
 refused there, not taken apart.  ``_Record.__new__``, and so ``_make`` and
 ``_replace``, checks each value against the schema, with the field's name in
 any DescriptionError, and hands the typed values to the record's ``_typed``,
@@ -82,11 +83,12 @@ def _wire_int(digits: str) -> int:
         raise ValueError(f"rational literal has too many digits ({len(digits.lstrip('-'))})") from None
 
 
-def _wire_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> Fraction:
     """The wire form of a rational, "p/q" or "p" (ASCII digits, a sign on the
     numerator only, nothing before or after), as a Fraction; ValueError for
-    any other text.  The one home of that grammar: ``cli.parse_rational``
-    reads it, and so does ``_rational``."""
+    any other text.  The one home of that grammar: ``_rational`` reads it
+    here, ``cli`` imports it for ``check``'s reader, and ``orbichern``
+    exports it from here."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {quoted(text)}")
     num, _, den = text.partition("/")
@@ -99,13 +101,13 @@ def _wire_rational(text: str) -> Fraction:
 
 
 def _rational(value, name: str) -> Fraction:
-    """A ``Fraction``, an int that is not a bool, or a wire-form text (``_wire_rational``), as a Fraction."""
+    """A ``Fraction``, an int that is not a bool, or a wire-form text (``parse_rational``), as a Fraction."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     try:
-        return _wire_rational(value)
+        return parse_rational(value)
     except ValueError:
         raise DescriptionError(f"{name} must be a rational, got {quoted(value)}") from None
 

@@ -10,9 +10,9 @@ Q(sqrt 2) in Q(zeta_8) and Q(sqrt 5) in Q(zeta_5).  ``fractions.Fraction``
 appears only at the edges: constructor inputs (an int other than a bool,
 or a Fraction; anything else raises TypeError), and results that are
 rational numbers (traces down to Q, the ``coeffs`` view).  The wire form
-of a rational, ``parse_rational``, lives with the description reader in
-``cli`` only (and ``orbichern`` exports it from there), so ``check``
-compiles nothing here.
+of a rational, ``parse_rational``, lives with the description records in
+``invariants`` (``cli``'s reader imports it, and ``orbichern`` exports it
+from there), so ``check`` compiles nothing here.
 
 ``divisors``, ``euler_phi`` and ``moebius`` read one cached prime
 factorization of m (``_factorization``), the one trial division here,
@@ -70,12 +70,11 @@ the Euclid runs.  Every level below the top goes through
 entries holding tuples: for odd k the norm of 2 - zeta^k - zeta^-k is
 2 - zeta^2k - zeta^-2k one level down, so the terms of one literal sum
 share their chains.  The top level is not cached, since its rows do not
-repeat.  The inverse is returned only after one exact check s z = lam at
-the top, one more product, which a wrong cached entry fails.  For 4 not dividing m the
-Euclid on Phi_m runs alone, exact by construction, with no product and
-no check.  ``cyclo_trace`` takes a trace by Ramanujan sums
-(``_ramanujan_weights``), one slice sum per squarefree cofactor m/g.  No
-polynomial code works on Fractions.
+repeat.  Every inverse, at every conductor, is returned only after one
+exact check s z = lam at the conductor asked for, one more product, which
+a wrong cached entry or a wrong Euclid cofactor fails.  ``cyclo_trace``
+takes a trace by Ramanujan sums (``_ramanujan_weights``), one slice sum
+per squarefree cofactor m/g.  No polynomial code works on Fractions.
 ``scalar_key`` is the reference order of values: a rational, in any
 field, before every irrational value.  Every value is immutable and
 hashable.
@@ -629,22 +628,21 @@ class CycloScalar:
 
         One call of ``_descent_row``: while 4 | m, through Q(zeta_(m/2)) by
         the norm under zeta -> -zeta down to the first conductor with 4 not
-        dividing it, where the Euclid runs, each level below this one read
-        from or kept in the bounded cache ``_subfield_inverse`` (this level
-        is not: its rows do not repeat); then one exact check s*row = lam
-        modulo Phi_m (one product, one ``_reduce``), IdentityFailure
-        otherwise, so a wrong cached entry is never returned.  For 4 not
-        dividing m, the Euclid on Phi_m runs alone (``_inverse_row``),
-        exact by construction, with no product and no check.
+        dividing it, where the Euclid runs (``_inverse_row``), each level
+        below this one read from or kept in the bounded cache
+        ``_subfield_inverse`` (this level is not: its rows do not repeat).
+        Then, at every conductor, s is padded to phi(m) places and checked
+        once, s*row = lam modulo Phi_m (one product, one ``_reduce``),
+        IdentityFailure otherwise, so neither a wrong cached entry nor a
+        wrong Euclid cofactor is ever returned.
         """
         m, row = self.conductor, self.row
         s, lam = _descent_row(m, row)
-        if m % 4 == 0:
-            check = _product_row(m, row, s)
-            if check[0] != lam or any(check[1:]):
-                raise IdentityFailure(f"an inverse in Q(zeta_{m}) fails u*z = 1")
-        row = [self.den * c for c in s] + [0] * (len(row) - len(s))
-        return CycloScalar._new(m, row, lam)
+        s = list(s) + [0] * (len(row) - len(s))
+        check = _product_row(m, row, s)
+        if check[0] != lam or any(check[1:]):
+            raise IdentityFailure(f"an inverse in Q(zeta_{m}) fails u*z = 1")
+        return CycloScalar._new(m, [self.den * c for c in s], lam)
 
     def _placed(self, conductor: int, k: int) -> "CycloScalar":
         """zeta_m^i -> zeta_M^(i*k mod M) on every place i, reduced mod Phi_M.

@@ -24,12 +24,7 @@ from orbichern.contributions import (
     verify_type_a_identity,
 )
 from orbichern.cli import main
-from orbichern.groups import (
-    _binary_icosahedral_generators,
-    _binary_octahedral_generators,
-    build_ade_group,
-    generate_group,
-)
+from orbichern.groups import _exceptional_parts, build_ade_group, generate_group
 from orbichern.invariants import (
     IsolatedPointsDescription,
     bmy_verdict,
@@ -119,8 +114,8 @@ def test_criterion_04_half_angle_identity_in_the_field():
 
 def test_criterion_05_exceptional_closures():
     start = time.monotonic()
-    order_2o = len(generate_group(_binary_octahedral_generators()))
-    order_2i = len(generate_group(_binary_icosahedral_generators()))
+    order_2o = len(generate_group(_exceptional_parts(7)[1]))
+    order_2i = len(generate_group(_exceptional_parts(8)[1]))
     value_2o = class_sum_contribution(build_ade_group(AdeLabel("E", 7)))
     value_2i = class_sum_contribution(build_ade_group(AdeLabel("E", 8)))
     elapsed = time.monotonic() - start

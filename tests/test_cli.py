@@ -466,8 +466,9 @@ def test_check_error_paths_are_exact(tmp_path, capsys, make, where, value, messa
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
-# a file's long value, a long label and a long --n, each quoted in one short
-# line: (argv after the file is written, the part of the line that must stay)
+# a file's long value, a long label, a long --n and a long extra token, each
+# quoted in one short line: (argv after the file is written, the part of the
+# output that must stay)
 LONG_VALUES = {
     "c1_squared": (lambda path: ["check", path], ("c1_squared",), "x" * 100000, "isolated_points.c1_squared: "),
     "label": (lambda path: ["check", path], ("points", 1), "L" * 50000, "isolated_points.points[1]: "),
@@ -475,6 +476,9 @@ LONG_VALUES = {
     "group": (lambda path: ["group", "A" + "x" * 20000], (), None, "error: not an ADE label: 'Axx"),
     "identity": (lambda path: ["identity", "--n", "y" * 20000, "--which", "type_a"], (), None,
                  "argument --n: invalid int value: 'yy"),
+    "extra": (lambda path: ["identity", "--n", "5", "--which", "type_a", "x" * 20000], (), None,
+              "usage: orbichern [-h] {check,group,identity,table} ...\n"
+              "orbichern: error: unrecognized arguments: xx"),
 }
 
 
@@ -1283,8 +1287,7 @@ def test_orbit_sums_build_no_pair_inverse_row(capsys, monkeypatch):
     argvs = (["identity", "--n", "1980", "--which", "half_angle"], ["group", "D152"])
 
     def outputs():
-        for cached in (contributions.primitive_orbit_sum, contributions.conjugate_pair_inverse):
-            cached.cache_clear()
+        contributions.primitive_orbit_sum.cache_clear()
         codes = [main(argv) for argv in argvs]
         return codes, capsys.readouterr()
 

@@ -121,12 +121,12 @@ def test_conjugate_pair_inverse_is_an_inverse():
         assert conjugate_pair_inverse(d) * (2 - z - z ** -1) == 1
 
 
-def test_pair_inverse_cache_holds_at_most_64_orders():
-    for d in range(2, 200):
-        assert cyclo_trace(conjugate_pair_inverse(d)) == primitive_orbit_sum(d)
-    info = conjugate_pair_inverse.cache_info()
-    assert info.maxsize == 64
-    assert info.currsize <= 64
+def test_conjugate_pair_inverse_is_the_uncached_pair_inverse():
+    """One row function: ``conjugate_pair_inverse`` is ``CycloScalar.pair_inverse``
+    itself, with no cache of its own."""
+    assert conjugate_pair_inverse == CycloScalar.pair_inverse
+    assert conjugate_pair_inverse.__func__ is CycloScalar.pair_inverse.__func__
+    assert not hasattr(conjugate_pair_inverse, "cache_info")
 
 
 def test_conjugate_pair_inverse_matches_euclid_inversion():
@@ -136,11 +136,12 @@ def test_conjugate_pair_inverse_matches_euclid_inversion():
         expected = (2 - z - z ** -1).invert()
         u = conjugate_pair_inverse(d)
         assert (u.row, u.den) == (expected.row, expected.den), d
-    for d in (1, 0, -3):
+    for d in (0, -3):
         with pytest.raises(ValueError):
             conjugate_pair_inverse(d)
-    with pytest.raises(ZeroInversion):
-        CycloScalar.pair_inverse(1)
+    for read in (conjugate_pair_inverse, primitive_orbit_sum):
+        with pytest.raises(ZeroInversion):
+            read(1)
 
 
 def test_pair_inverse_check_rejects_a_wrong_row(monkeypatch):
@@ -221,7 +222,7 @@ def test_pair_inverse_times_its_term_is_one():
 def test_identities_build_no_division_table():
     """The orbit-term inverse takes no remainder, so the identities, which need
     nothing else from the field, leave ``_division_terms`` empty."""
-    for cached in (conjugate_pair_inverse, primitive_orbit_sum, scalars._division_terms):
+    for cached in (primitive_orbit_sum, scalars._division_terms):
         cached.cache_clear()
     for n in range(2, 2001, 23):
         verify_type_a_identity(n)

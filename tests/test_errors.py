@@ -1,6 +1,7 @@
 """How an error message quotes a refused value: ``errors.quoted``."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,14 @@ def test_a_long_value_is_quoted_from_its_head_only():
         deep = [deep]
     assert quoted(deep) == "[" * (QUOTE_LIMIT - 3) + "..."
     assert quoted(-(10**5000)) == "<an int of 16610 bits>"  # past the digit limit, never printed
+    # so is a Fraction whose numerator or denominator has more than 1000 bits, bare and nested
+    big = Fraction(10**5000, 7)
+    assert quoted(big) == "<a Fraction of 16610 bits over 3 bits>"
+    assert quoted(Fraction(1, 3**700)) == "<a Fraction of 1 bits over 1110 bits>"
+    assert quoted({"c1_squared": big}) == "{'c1_squared': <a Fraction of 16610 bits over 3 bits>}"
+    assert quoted([big, big]) == "[<a Fraction of 16610 bits over 3 bits>, <a Fraction of 1..."
+    assert quoted(Fraction(2**1000 - 1, 3)) == ascii(Fraction(2**1000 - 1, 3))[: QUOTE_LIMIT - 3] + "..."
+    assert quoted(Fraction(-1, 2)) == "Fraction(-1, 2)"
 
 
 def test_clipped_keeps_a_text_of_at_most_the_limit():

@@ -29,9 +29,6 @@ from orbichern.groups import (
     FiniteSubgroup,
     Quaternion,
     Word,
-    _binary_icosahedral_generators,
-    _binary_octahedral_generators,
-    _binary_tetrahedral_generators,
     build_ade_group,
     conjugacy_classes,
     element_key,
@@ -120,14 +117,14 @@ def test_closure_of_quaternion_units():
 
 
 def test_closure_sizes_of_exceptional_groups():
-    assert len(generate_group(_binary_tetrahedral_generators())) == 24
-    assert len(generate_group(_binary_octahedral_generators())) == 48
-    assert len(generate_group(_binary_icosahedral_generators())) == 120
+    assert len(generate_group(groups._exceptional_parts(6)[1])) == 24
+    assert len(generate_group(groups._exceptional_parts(7)[1])) == 48
+    assert len(generate_group(groups._exceptional_parts(8)[1])) == 120
 
 
 def test_closure_respects_bound():
     with pytest.raises(BoundExceeded):
-        generate_group(_binary_tetrahedral_generators(), bound=10)
+        generate_group(groups._exceptional_parts(6)[1], bound=10)
     with pytest.raises(ValueError):
         generate_group([])
 
@@ -242,12 +239,8 @@ def test_cyclic_word_group_law_matches_matrices():
 
 def test_quaternion_embedding_is_a_homomorphism():
     rng = random.Random(611)
-    for builder in (
-        _binary_tetrahedral_generators,
-        _binary_octahedral_generators,
-        _binary_icosahedral_generators,
-    ):
-        elements = sorted(generate_group(builder()), key=element_key)
+    for k in (6, 7, 8):
+        elements = sorted(generate_group(groups._exceptional_parts(k)[1]), key=element_key)
         for _ in range(150):
             g, h = rng.choice(elements), rng.choice(elements)
             assert mat_close(as_matrix(g * h), matmul(as_matrix(g), as_matrix(h)))
@@ -295,8 +288,8 @@ def test_word_normalization_and_inverses():
 
 
 def test_quaternion_inverse_in_irrational_groups():
-    for builder in (_binary_octahedral_generators, _binary_icosahedral_generators):
-        for g in builder():
+    for k in (7, 8):
+        for g in groups._exceptional_parts(k)[1]:
             assert (g * g.inverse()).is_identity()
             assert g.norm() == 1
 

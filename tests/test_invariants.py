@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichern.ade import AdeLabel, resolution_data
-from orbichern.cli import parse_rational
 from orbichern.contributions import class_sum_contribution
 from orbichern.errors import QUOTE_LIMIT, DescriptionError
 from orbichern.groups import build_ade_group
@@ -28,6 +27,7 @@ from orbichern.invariants import (
     isolated_points_report,
     pair_c1_squared,
     pair_orbifold_euler,
+    parse_rational,
     point_term,
     snc_report,
 )
@@ -175,6 +175,14 @@ def test_a_refused_million_element_set_is_quoted_short():
     head = "points must be a list or a tuple, got "
     assert str(refused.value) == head + "{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16..."
     assert len(str(refused.value)) == len(head) + QUOTE_LIMIT
+
+
+def test_a_refused_fraction_past_the_digit_limit_is_quoted_by_its_size():
+    """Its digits are never printed, so the error is a short DescriptionError,
+    not the interpreter's ValueError from ``Fraction.__repr__``."""
+    with pytest.raises(DescriptionError) as refused:
+        IsolatedPointsDescription(1, 0, [Fraction(10**5000)], True)
+    assert str(refused.value) == "points[0] must be AdeLabel, got <a Fraction of 16610 bits over 1 bits>"
 
 
 def test_sequence_fields_keep_their_items_as_a_tuple():

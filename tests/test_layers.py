@@ -72,8 +72,13 @@ def test_a_deferred_name_read_before_any_command_is_bound_on_first_read(monkeypa
 
 
 def test_parse_rational_is_the_description_reader_one():
-    assert cli.parse_rational is orbichern.parse_rational
-    assert cli.parse_rational.__module__ == "orbichern.cli"
+    """One function at its grammar's home: the records' reader, the one
+    ``cli`` imports and the one ``orbichern`` exports."""
+    assert invariants.parse_rational.__module__ == "orbichern.invariants"
+    assert cli.parse_rational is invariants.parse_rational is orbichern.parse_rational
+    assert "parse_rational" in orbichern._HOMES["invariants"]
+    assert orbichern._HOMES["cli"] == () and orbichern.cli is cli
+    assert not hasattr(invariants, "_wire_rational")
     assert not hasattr(scalars, "parse_rational")
 
 

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbichern import scalars
-from orbichern.cli import parse_rational
 from orbichern.errors import FieldMismatch, IdentityFailure, ZeroInversion
 from orbichern.contributions import conjugate_pair_inverse
 from orbichern.groups import Quaternion
+from orbichern.invariants import parse_rational
 from orbichern.scalars import (
     CycloScalar,
     _power_rows,
@@ -547,7 +547,8 @@ def test_descent_inverse_matches_the_euclid(m):
 
 
 @pytest.mark.parametrize("m", [7, 30, 3990])
-def test_invert_without_4_dividing_m_is_one_euclid_and_no_remainder(m, monkeypatch):
+def test_invert_without_4_dividing_m_is_one_euclid_and_one_check(m, monkeypatch):
+    """One Euclid on Phi_m and one remainder mod Phi_m, the check product s*z = lam."""
     z1, z2 = CycloScalar.zeta_pow(m, 1), CycloScalar.zeta_pow(m, 2)
     values = [1 + z1, 2 - z1 + 3 * z2]
     expected = [euclid_inverse(z) for z in values]
@@ -555,7 +556,20 @@ def test_invert_without_4_dividing_m_is_one_euclid_and_no_remainder(m, monkeypat
     for z, want in zip(values, expected):
         calls.update(_reduce=0, _inverse_row=0)
         assert z.invert() == want
-        assert calls == {"_reduce": 0, "_inverse_row": 1}, (m, z)
+        assert calls == {"_reduce": 1, "_inverse_row": 1}, (m, z)
+
+
+@pytest.mark.parametrize("m", [30, 105])
+def test_a_wrong_euclid_cofactor_without_4_dividing_m_fails_the_check(m, monkeypatch):
+    """At a conductor the descent does not enter, a wrong cofactor or a wrong
+    lam from the Euclid fails the check u*z = 1 and is not returned."""
+    real = scalars._inverse_row
+    z = 2 - CycloScalar.zeta_pow(m, 1) - CycloScalar.zeta_pow(m, 7)
+    assert z.invert() * z == 1
+    for doctor in (lambda s, lam: ([s[0] + 1] + s[1:], lam), lambda s, lam: (s, lam + 1)):
+        monkeypatch.setattr(scalars, "_inverse_row", lambda row, phi, doctor=doctor: doctor(*real(row, phi)))
+        with pytest.raises(IdentityFailure):
+            z.invert()
 
 
 def test_descent_check_rejects_a_wrong_cofactor(monkeypatch, cold_descent):

@@ -9,7 +9,7 @@ sets are the terms 2 - zeta^k - zeta^-k (k = 1 .. m/2 - 1) of
 the literal half-angle sums at m = 60, 120, 180 and 240; dense values
 with integer coefficients in [-9, 9] at m = 240 and 480, where inversion
 descends through Q(zeta_(m/2)); and dense values at the odd conductor
-105, where it is one Euclid.  The tables each set needs are built before
+105, where it is one Euclid; every ``invert`` ends in one check product.  The tables each set needs are built before
 it is timed.  The cache of subfield inverses is emptied before each timed
 run, so every time is the cold cost; each literal set gets one
 more line with the hits and misses of that cache over one cold pass.

@@ -11,7 +11,7 @@ classes, and the best of 3 in-process times, in ms, of five stages:
 * class lines: the class table's lines, as ``group`` formats them.
 
 Each timed run starts cold: the group caches, the label and quadratic-part
-caches of ``groups``, the orbit-sum, pair-inverse and half-residue caches
+caches of ``groups``, the orbit-sum and half-residue caches
 of ``contributions`` and the term texts of ``CycloScalar.__str__`` are
 emptied first.  One untimed pass per label builds the field tables
 (Phi_m, the power rows) before its stages are timed.  Print only: the exit
@@ -39,7 +39,6 @@ CACHES = (
     groups._trace_rotation,
     groups._quadratic_parts,
     contributions.primitive_orbit_sum,
-    contributions.conjugate_pair_inverse,
     contributions._half_residues,
     scalars._power_texts,
 )
