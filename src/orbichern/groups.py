@@ -26,13 +26,15 @@ eigenvalues zeta_d^(+-j), so its trace is zeta_d^j + zeta_d^-j and d is
 its order.  Two elements share the label exactly when their traces are
 equal, and the trace is rational exactly when phi(d) <= 2.  One rule,
 ``_rotation_label``, turns zeta_m^(+-e) into (d, j) for both kinds of
-element: one gcd and two divisions, computed on each ask.  A word reads
-its label off its period and exponent, so no field element is built for
-it.  A quaternion finds its label by matching its trace in Q(zeta_m)
-against the pair sums of one field, Q(zeta_M) with M = lcm(12, 2m), once
-per distinct trace.  Every element is asked for its label in the class
-partition (a representative for its class, every other member for trace
-constancy) and again for the element sum in ``contributions``.  The
+element: one gcd and two divisions.  A word reads its label off its
+exponent in a per-period table, ``_word_labels``, which holds that
+rule's label for every exponent and is built once per period: no field
+element is built for a word, and its label is computed once per period,
+not on each ask.  A quaternion finds its label by matching its trace in
+Q(zeta_m) against the pair sums of one field, Q(zeta_M) with
+M = lcm(12, 2m), once per distinct trace.  Every element is asked for
+its label in the class partition (a representative for its class, every
+other member for trace constancy) and again for the element sum in ``contributions``.  The
 partition keeps each class's label on its record,
 ``ConjugacyClass.rotation``, which ``contributions._class_rows`` and the
 ``group`` command read.  The trace-2 check reads one label per class: the one
@@ -129,6 +131,13 @@ def _rotation_label(m: int, e: int) -> tuple[int, int]:
     g = gcd(e, m)
     d, j = m // g, e // g
     return d, min(j, d - j)
+
+
+@functools.lru_cache(maxsize=1)
+def _word_labels(period: int) -> tuple:
+    """``_rotation_label(period, e)`` for e = 0 .. period - 1, kept for one
+    period at a time."""
+    return tuple(_rotation_label(period, e) for e in range(period))
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,9 +312,10 @@ class Word(namedtuple("Word", "period flip exp")):
     def rotation(self) -> tuple[int, int]:
         """(d, j) with trace zeta_d^j + zeta_d^-j, d the order, j = min(j, d - j).
 
-        A flip x*a^k has trace 0 = zeta_4 + zeta_4^-1, so it gets (4, 1).
+        A flip x*a^k has trace 0 = zeta_4 + zeta_4^-1, so it gets (4, 1);
+        a^k reads its label off the table of its period, ``_word_labels``.
         """
-        return (4, 1) if self.flip else _rotation_label(self.period, self.exp)
+        return (4, 1) if self.flip else _word_labels(self.period)[self.exp]
 
     def trace(self) -> CycloScalar:
         """zeta^exp + zeta^-exp in Q(zeta_period); 0 for a flip x*a^k."""

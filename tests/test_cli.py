@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -205,6 +206,45 @@ def test_check_hirzebruch_petersen_family(tmp_path, capsys, n, margin):
     assert out["verdict"] == ("HoldsWithEquality" if n == 5 else "Holds")
     if n == 5:
         assert (F(out["c1_squared"]), F(out["c2"])) == (F(9, 5), F(3, 5))
+
+
+def fake_plane_quotient_payload():
+    """The quotient of a fake projective plane by Z/3 (Keum 2008): chi(O) = 1,
+    K^2 = 3 and three A2 points, K ample."""
+    return {
+        "kind": "isolated_points",
+        "chi_structure_sheaf": 1,
+        "c1_squared": 3,
+        "points": ["A2"] * 3,
+        "canonical_nef_asserted": True,
+    }
+
+
+def test_check_fake_plane_quotient_is_an_equality_case(tmp_path, capsys):
+    # c2 = 12 - 3 - 3 * 8/3 = 1, so 3c2 = c1^2: the equality the inequality allows
+    path = write_json(tmp_path, "fake_plane_z3.json", fake_plane_quotient_payload())
+    assert main(["check", path]) == 0
+    assert capsys.readouterr() == (
+        "c1^2    = 3\n"
+        "c2      = 1\n"
+        "margin  = 0\n"
+        "verdict = HoldsWithEquality\n"
+        "per-point terms (chi(E) - 1/|G|):\n"
+        "  A2  8/3\n  A2  8/3\n  A2  8/3\n"
+        "notes: c2 from 12*chi(O) - c1^2 - sum of point terms\n",
+        "",
+    )
+    assert main(["check", path, "--format", "structured"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "c1_squared": "3",
+        "c2": "1",
+        "margin": "0",
+        "verdict": "HoldsWithEquality",
+        "per_point": [["A2", "8/3"]] * 3,
+        "notes": "c2 from 12*chi(O) - c1^2 - sum of point terms",
+    }
 
 
 def test_check_rejects_bad_ramification(tmp_path, capsys):
@@ -981,6 +1021,107 @@ def test_catalog_order_failure_exits_2_with_one_line(capsys, monkeypatch):
     groups.build_ade_group.cache_clear()  # so A5 is built, and checked, again
     assert main(["group", "A5"]) == 2
     assert_one_internal_error(capsys.readouterr(), "A5 built with order 6, catalog says 7")
+
+
+# ----------------------------------------------------------------------
+# the cyclic collector, paused while a command runs
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector_setting_on_every_exit(tmp_path, capsys, monkeypatch, enabled):
+    kummer = write_json(tmp_path, "kummer.json", kummer_payload())
+    fails = kummer_payload() | {"chi_structure_sheaf": 1, "c1_squared": "9", "points": ["A1"]}
+    fails = write_json(tmp_path, "fails.json", fails)
+    during = []
+
+    def disagreeing(group):  # so the routes disagree and ``group`` raises IdentityFailure
+        during.append(gc.isenabled())
+        return F(-1)
+
+    monkeypatch.setattr(cli, "element_sum_contribution", disagreeing)
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        (["check", kummer], 0),
+        (["group", "A9!"], 1),
+        (["check", str(tmp_path / "missing.json")], 1),
+        (["group", "A3"], 2),
+        (["check", fails], 3),
+        (["identity", "--n", "1", "--which", "type_a"], SystemExit),
+        (["--help"], SystemExit),
+    ]
+    try:
+        for argv, code in runs:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            if code is SystemExit:
+                with pytest.raises(SystemExit) as stop:
+                    main(argv)
+                assert stop.value.code == (0 if argv == ["--help"] else 1), argv
+            else:
+                assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+            capsys.readouterr()
+    finally:
+        gc.enable()
+    assert during == [False]  # the collector was paused while the command ran
+
+
+def _check_payload(points):
+    return {
+        "kind": "isolated_points",
+        "chi_structure_sheaf": 40,
+        "c1_squared": "7/2",
+        "points": points,
+        "canonical_nef_asserted": True,
+    }
+
+
+# a small and a large input of each command; "{small}" and "{large}" are check files
+GC_INPUTS = {
+    "group A": (["group", "A3"], ["group", "A299"]),
+    "group D": (["group", "D4"], ["group", "D152"]),
+    "group E": (["group", "E6"], ["group", "E8"]),
+    "identity type_a": (["identity", "--n", "6", "--which", "type_a"], ["identity", "--n", "1999", "--which", "type_a"]),
+    "identity half_angle": (
+        ["identity", "--n", "6", "--which", "half_angle"],
+        ["identity", "--n", "2000", "--which", "half_angle"],
+    ),
+    "table text": (["table", "--max-n", "12"], ["table", "--max-n", "40"]),
+    "table structured": (
+        ["table", "--max-n", "12", "--format", "structured"],
+        ["table", "--max-n", "40", "--format", "structured"],
+    ),
+    "check text": (["check", "{small}"], ["check", "{large}"]),
+    "check structured": (["check", "{small}", "--format", "structured"], ["check", "{large}", "--format", "structured"]),
+}
+
+
+@pytest.mark.parametrize("small, large", GC_INPUTS.values(), ids=GC_INPUTS)
+def test_no_command_leaves_more_cycles_for_a_larger_input(tmp_path, capsys, small, large):
+    """The pause is safe because no command makes reference cycles as it
+    works: with the collector off, what ``gc.collect()`` finds after a
+    command does not grow with its input."""
+    files = {
+        "small": write_json(tmp_path, "small.json", _check_payload(["A1"])),
+        "large": write_json(tmp_path, "large.json", _check_payload(["A1", "D5", "E8", "A17"] * 10)),
+    }
+    small, large = ([arg.format(**files) for arg in argv] for argv in (small, large))
+
+    def unreachable_after(argv) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            capsys.readouterr()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    for argv in (small, large):  # imports and first-use tables, before counting
+        unreachable_after(argv)
+    assert unreachable_after(large) <= unreachable_after(small)
 
 
 def test_no_assert_statement_in_the_package():
