@@ -1,8 +1,10 @@
-"""Which modules each command loads, and which layer checks a description's types."""
+"""Which modules each command loads, which layer checks a description's types,
+and which names the stage-cost tool wraps."""
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,15 +17,15 @@ from orbichern import contributions, invariants
 FIELD_AND_GROUP = {"orbichern.scalars", "orbichern.groups", "orbichern.contributions"}
 
 
-def _load_import_cost():
-    tool = Path(__file__).resolve().parents[1] / "tools" / "import_cost.py"
-    spec = importlib.util.spec_from_file_location("import_cost", tool)
+def _load_tool(name: str):
+    tool = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, tool)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-import_cost = _load_import_cost()
+import_cost = _load_tool("import_cost")
 
 
 def test_cli_import_loads_no_field_or_group_module():
@@ -101,3 +103,27 @@ def test_check_tests_each_record_field_type_once(tmp_path, capsys, monkeypatch):
         assert cli.main(["check", str(path)]) == 0
     capsys.readouterr()
     assert checked == ["gerbe_order", "gerbe_order"]
+
+
+def test_stage_cost_wraps_names_that_resolve_and_restores_every_owner(tmp_path, monkeypatch):
+    """``tools/stage_cost.py`` times ``group`` and ``check`` by swapping the
+    names they look up for timers: each name resolves on its owner, each
+    stage the two commands reach is timed, and every owner's namespace holds
+    exactly its own objects again after the run."""
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts the checkout first
+    stage_cost = _load_tool("stage_cost")
+    stages = {**stage_cost.GROUP_STAGES, **stage_cost.CHECK_STAGES}
+    targets = [target for pairs in stages.values() for target in pairs]
+    assert {name for owner, name in targets if owner is cli._KINDS} == set(cli._KINDS)
+    for owner, name in targets:
+        assert name in owner if isinstance(owner, dict) else hasattr(owner, name), name
+    spaces = [owner if isinstance(owner, dict) else vars(owner) for owner, _ in targets]
+    before = [dict(space) for space in spaces]
+    path = tmp_path / "kummer.json"
+    path.write_text(json.dumps(import_cost.KUMMER))
+    times = stage_cost.command_stages(stages, [["check", str(path)], ["group", "A1"]])
+    assert [stage for stage, seconds in times.items() if not seconds] == ["structured render"]
+    for space, old in zip(spaces, before):
+        assert space.keys() == old.keys()
+        assert all(space[name] is value for name, value in old.items())
+    assert "decode" not in vars(cli._DECODER)
