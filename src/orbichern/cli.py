@@ -25,9 +25,11 @@ argparse accepts keep argparse's output.  ``_order`` and the ``_one_of``
 checks are each value's one validity rule on both paths.
 
 Imports: ``check`` loads only this module, ``ade``, ``errors`` and
-``invariants``; its rationals are read by ``parse_rational``, the wire
-form, imported from ``invariants``, its one home, where the record
-constructors read the same texts.  ``group``, ``identity`` and
+``invariants``; its integers, flags and rationals are read by
+``invariants.SCALAR_READERS``, the readers the record constructors use,
+so a record and a file take the same values (a rational by
+``parse_rational``, the wire form, through the literal cache that lives
+with it in ``invariants``).  ``group``, ``identity`` and
 ``table`` also run the group and field layers: their first call of
 ``_bind_deferred`` imports
 ``contributions``, which imports ``scalars`` and then ``groups``, and
@@ -60,18 +62,17 @@ import functools
 import gc
 import json
 import sys
-from fractions import Fraction
 
 from .ade import AdeLabel, resolution_data
 from .errors import DescriptionError, IdentityFailure, InvalidLabel, OrbichernError, clipped, quoted
 from .invariants import (
+    SCALAR_READERS,
     InvariantReport,
     IsolatedPointsDescription,
     SncPairDescription,
     Verdict,
     gerbe_scale,
     isolated_points_report,
-    parse_rational,
     snc_report,
 )
 
@@ -111,44 +112,18 @@ def __getattr__(name: str):
 # (" must be an integer"); each enclosing reader adds its part as the error
 # passes up ("[index]", ".key", "PATH: kind"), so no path is built on the happy
 # path.  A kind's reader is derived from its record's schema in ``invariants``
-# (``_record``; ``_READERS`` maps each field type to its reader), so field names
-# and types are written there alone; so are the range checks.
+# (``_record``), so field names and types are written there alone; so are the
+# range checks.  ``_READERS`` maps each field type to its reader: the scalar
+# readers are ``invariants.SCALAR_READERS``, the ones the record constructors
+# use, with the rational literal cache (``invariants._cached_rational``, texts
+# of at most 40 characters, 1024 entries, at most about 0.3 MB); the label
+# reader is this module's.
 #
-# Three per-process caches hold pure conversions of immutable values, so a
-# process that checks many files converts each distinct value once: a string
-# rational of at most 40 characters (``_cached_rational``, 1024 entries, at most
-# about 0.3 MB; a JSON integer is ``Fraction(value)``), a label text
-# (``_cached_label``, 128 entries) and, for both renders, a point label's text
-# (``_label_text``, 128 entries).  An lru_cache keeps no exception, so a value
-# rejected once is rejected again.
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptionError(" must be an integer")
-    return value
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise DescriptionError(" must be true or false")
-    return value
-
-
-_CACHED_LITERAL_CHARS = 40  # a longer literal parses uncached, so no entry outgrows this
-# an entry: a short str, a Fraction and a link, under 300 bytes
-_cached_rational = functools.lru_cache(maxsize=1024)(parse_rational)
-
-
-def _rational(value) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    try:
-        if isinstance(value, str) and len(value) <= _CACHED_LITERAL_CHARS:
-            return _cached_rational(value)
-        return parse_rational(value)
-    except ValueError as exc:
-        raise DescriptionError(f": {exc}") from None
-
+# Two more per-process caches hold pure conversions of immutable values, so a
+# process that checks many files converts each distinct value once: a label
+# text (``_cached_label``, 128 entries) and, for both renders, a point label's
+# text (``_label_text``, 128 entries).  An lru_cache keeps no exception, so a
+# value rejected once is rejected again.
 
 @functools.lru_cache  # one parse per distinct label text; ``_label`` passes only str
 def _cached_label(text: str) -> AdeLabel:
@@ -212,7 +187,7 @@ def _record(cls):
     return read_record
 
 
-_READERS = {int: _integer, bool: _flag, Fraction: _rational, AdeLabel: _label}
+_READERS = {**SCALAR_READERS, AdeLabel: _label}
 
 
 def _reader(kind):
@@ -278,7 +253,7 @@ def load_description(path: str):
         raise DescriptionError(f"{path}: kind must be {_KIND_NAMES}, got {quoted(kind)}")
     where = "gerbe_order"
     try:
-        gerbe_order = _integer(obj.pop("gerbe_order", 1))
+        gerbe_order = _READERS[int](obj.pop("gerbe_order", 1))
         where = kind
         return _KINDS[kind](obj), gerbe_order
     except DescriptionError as exc:
@@ -579,6 +554,9 @@ def _parse_with_argparse(argv) -> tuple:
     return values.pop("command"), values
 
 
+_COMMANDS = {"check": cmd_check, "group": cmd_group, "identity": cmd_identity, "table": cmd_table}
+
+
 def main(argv=None) -> int:
     """Run one command with the cyclic collector paused (see "Collector" above)."""
     if argv is None:
@@ -587,13 +565,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         command, values = _read_documented(argv) or _parse_with_argparse(argv)
-        if command == "check":
-            return cmd_check(**values)
-        if command == "group":
-            return cmd_group(**values)
-        if command == "identity":
-            return cmd_identity(**values)
-        return cmd_table(**values)
+        return _COMMANDS[command](**values)
     except OrbichernError as exc:
         prefix = "error" if exc.exit_code == 1 else f"internal error ({type(exc).__name__})"
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -27,14 +27,19 @@ Each description record's field names and types are written once, as the
 keyword arguments of its ``_schema`` base, a namedtuple of those fields.  A
 type is ``int`` (an int that is not a bool), ``bool``, ``Fraction`` (a
 ``Fraction``, an int that is not a bool or a wire-form text "p/q" or "p",
-read by ``parse_rational``, the grammar's one home, which ``cli`` imports
-for ``check``'s reader and ``orbichern`` exports; never a float) or
-``(cls,)``, a list or tuple of ``cls`` instances (``AdeLabel`` or a
-record) kept as a tuple; a str, dict, set or iterator is
-refused there, not taken apart.  ``_Record.__new__``, and so ``_make`` and
-``_replace``, checks each value against the schema, with the field's name in
-any DescriptionError, and hands the typed values to the record's ``_typed``,
-which runs the range checks and builds the record.  The ``cli`` reader
+read by ``parse_rational``, the grammar's one home, which ``orbichern``
+exports; never a float) or ``(cls,)``, a list or tuple of ``cls`` instances
+(``AdeLabel`` or a record) kept as a tuple; a str, dict, set or iterator is
+refused there, not taken apart.  Each scalar type has one reader, in
+``SCALAR_READERS``, which the record constructors, ``gerbe_scale`` and
+``check``'s reader in ``cli`` all use; a rational text of at most 40
+characters is parsed through one cache (``_cached_rational``).
+``_Record.__new__``, and so ``_make`` and ``_replace``, checks each value
+against the schema and hands the typed values to the record's ``_typed``,
+which runs the range checks and builds the record.  A refused scalar is
+worded as ``check`` words it, after the field's name instead of the file's
+path: "k_dot: zero denominator: '1/0'", "ramification must be an integer",
+"canonical_nef_asserted must be true or false".  The ``cli`` reader
 derives its field readers from the same schema, checks the type of every
 value it reads itself, with the file's path in the message, and builds
 records through ``_typed``, so ``check`` tests each value's type once.
@@ -59,20 +64,6 @@ from .errors import DescriptionError, quoted
 _F0 = Fraction(0)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` if it is an int and not a bool, else DescriptionError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptionError(f"{name} must be an integer, got {quoted(value)}")
-    return value
-
-
-def _flag(value) -> bool:
-    """``canonical_nef_asserted`` if it is a bool: a truthy string asserts nothing."""
-    if not isinstance(value, bool):
-        raise DescriptionError(f"canonical_nef_asserted must be a bool, got {quoted(value)}")
-    return value
-
-
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
@@ -87,7 +78,7 @@ def parse_rational(text: str) -> Fraction:
     """The wire form of a rational, "p/q" or "p" (ASCII digits, a sign on the
     numerator only, nothing before or after), as a Fraction; ValueError for
     any other text.  The one home of that grammar: ``_rational`` reads it
-    here, ``cli`` imports it for ``check``'s reader, and ``orbichern``
+    here for the record constructors and ``check`` alike, and ``orbichern``
     exports it from here."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {quoted(text)}")
@@ -100,27 +91,55 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(_wire_int(num), q)
 
 
-def _rational(value, name: str) -> Fraction:
+# The readers of the scalar schema types, for the record constructors, for
+# ``gerbe_scale`` and for ``check`` (``cli._READERS``).  A reader returns its
+# value converted, or raises DescriptionError with its own part of the message
+# (" must be an integer"); the caller puts the field's name or path in front.
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DescriptionError(" must be an integer")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):  # a truthy string asserts nothing
+        raise DescriptionError(" must be true or false")
+    return value
+
+
+_CACHED_LITERAL_CHARS = 40  # a longer literal parses uncached, so no entry outgrows this
+# an entry: a short str, a Fraction and a link, under 300 bytes; an lru_cache
+# keeps no exception, so a text refused once is refused again
+_cached_rational = lru_cache(maxsize=1024)(parse_rational)
+
+
+def _rational(value) -> Fraction:
     """A ``Fraction``, an int that is not a bool, or a wire-form text (``parse_rational``), as a Fraction."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     try:
-        return parse_rational(value)
-    except ValueError:
-        raise DescriptionError(f"{name} must be a rational, got {quoted(value)}") from None
+        if isinstance(value, str) and len(value) <= _CACHED_LITERAL_CHARS:
+            return _cached_rational(value)
+        return Fraction(value) if isinstance(value, Fraction) else parse_rational(value)
+    except ValueError as exc:
+        raise DescriptionError(f": {exc}") from None
+
+
+SCALAR_READERS = {int: _integer, bool: _flag, Fraction: _rational}
 
 
 def _checked(kind, value, name: str):
-    """``value`` checked against one schema type: int, bool, Fraction, or a
-    one-item tuple ``(cls,)`` for a list or tuple of ``cls`` instances."""
-    if kind is int:
-        return _integer(value, name)
-    if kind is bool:
-        return _flag(value)
-    if kind is Fraction:
-        return _rational(value, name)
+    """``value`` checked against one schema type: a scalar type in
+    ``SCALAR_READERS``, or a one-item tuple ``(cls,)`` for a list or tuple of
+    ``cls`` instances."""
+    read = SCALAR_READERS.get(kind)
+    if read is not None:
+        try:
+            return read(value)
+        except DescriptionError as exc:
+            raise DescriptionError(f"{name}{exc}") from None
     if not isinstance(value, (list, tuple)):  # a str, dict, set or iterator is refused, not taken apart
         raise DescriptionError(f"{name} must be a list or a tuple, got {quoted(value)}")
     for index, item in enumerate(value):
@@ -340,7 +359,7 @@ def gerbe_scale(report: InvariantReport, gerbe_order: int) -> InvariantReport:
     Positive scaling preserves the margin's sign, so the verdict is
     copied unchanged.
     """
-    if _integer(gerbe_order, "gerbe_order") < 1:
+    if _checked(int, gerbe_order, "gerbe_order") < 1:
         raise DescriptionError("gerbe_order must be >= 1")
     if gerbe_order == 1:
         return report

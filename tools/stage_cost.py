@@ -34,13 +34,8 @@ at call time (``GROUP_STAGES``, ``CHECK_STAGES``) is swapped for a timer
 and restored afterwards (``command_stages``), as ``perfbench/worker.py
 --trace 1`` wraps ``cli``'s names, so no copy of either pipeline is kept
 here.  A stage time is the mean over the calls that reached it in one run.
-The scripts this tool replaced (``tools/group_cost.py`` and
-``tools/check_cost.py``) timed their own copies of the stages, so these
-numbers differ from theirs in meaning: a ``check`` stage is a mean per
-``check`` call, each file run in both formats, not per file in one; the
-class walk is its time inside build, not a separate re-run; every stage
-runs under ``main``'s collector pause; and each timer adds about 0.5 us
-per call on a 2-core host, well under 1 us.
+Every stage runs under ``main``'s collector pause, and each timer adds
+about 0.5 us per call on a 2-core host.
 
 ``group``, one line per label (E6, E7, E8, A299, D152): its order, its
 number of classes, five stage times in ms and the collector passes of
@@ -125,7 +120,7 @@ GROUP_STAGES = {  # stage: the (owner, name) pairs timed as it
 FILES = 300
 SEED = 20240
 CHECK_CACHES = {
-    "rational literals": cli._cached_rational,
+    "rational literals": invariants._cached_rational,
     "labels": cli._cached_label,
     "label texts": cli._label_text,
     "point terms": invariants.point_term,
