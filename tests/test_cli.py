@@ -4,6 +4,7 @@ import ast
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -1774,6 +1775,18 @@ def run_cli(env, *args):
         check=False,
         env=env,
     )
+
+
+def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
+    # what ``import orbichern.cli`` adds to the modules a bare interpreter already
+    # holds, as tools/import_cost.py prints it; a module the site preloads does not count
+    tool = Path(__file__).resolve().parents[1] / "tools" / "import_cost.py"
+    spec = importlib.util.spec_from_file_location("import_cost", tool)
+    import_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(import_cost)
+    added = import_cost.added_modules()
+    assert "orbichern.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "typing", "argparse", "gettext"}
 
 
 def test_module_entry_point_runs(child_env):
