@@ -5,7 +5,9 @@ Subcommands:
 * ``check <file> [--format text|structured]``: read a surface description
   (strict JSON, one record schema per kind: ``_KINDS``), compute the invariant
   report, exit 0 unless the inequality fails (exit 3) or the file is
-  invalid (exit 1, with the offending value's path in the message).
+  invalid (exit 1, with the offending value's path in the message).  A
+  file past ``_MAX_FILE_BYTES`` (16 MiB) is an input error too, so an
+  endless input such as ``/dev/zero`` ends in one error line.
 * ``group <label>``: conjugacy table and the three contribution routes
   for one ADE group, with an exact-equality confirmation; the group's
   name and order come from the ``ade`` catalog (``resolution_data``).
@@ -28,8 +30,8 @@ Imports: ``check`` loads only this module, ``ade``, ``errors`` and
 ``invariants``; its integers, flags and rationals are read by
 ``invariants.SCALAR_READERS``, the readers the record constructors use,
 so a record and a file take the same values (a rational by
-``parse_rational``, the wire form, through the literal cache that lives
-with it in ``invariants``).  ``group``, ``identity`` and
+``parse_rational``, the wire form, through the literal and integer
+tables that live with it in ``invariants``).  ``group``, ``identity`` and
 ``table`` also run the group and field layers: their first call of
 ``_bind_deferred`` imports
 ``contributions``, which imports ``scalars`` and then ``groups``, and
@@ -61,6 +63,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
 import sys
 
 from .ade import AdeLabel, resolution_data
@@ -105,8 +108,9 @@ def __getattr__(name: str):
 # ----------------------------------------------------------------------
 # description files: one schema table
 #
-# ``load_description`` reads the file's bytes and decodes them once
-# (``_read_text``), one reused JSON decoder parses the text, and the kind's
+# ``load_description`` reads the file's bytes, at most ``_MAX_FILE_BYTES``,
+# with unbuffered ``os`` reads and decodes them once (``_read_text``), one
+# reused JSON decoder parses the text, and the kind's
 # reader in ``_KINDS`` reads the object.  A reader takes a value and returns it
 # converted, or raises DescriptionError with its own part of the message
 # (" must be an integer"); each enclosing reader adds its part as the error
@@ -116,8 +120,11 @@ def __getattr__(name: str):
 # range checks.  ``_READERS`` maps each field type to its reader: the scalar
 # readers are ``invariants.SCALAR_READERS``, the ones the record constructors
 # use, with the rational literal cache (``invariants._cached_rational``, texts
-# of at most 40 characters, 1024 entries, at most about 0.3 MB); the label
-# reader is this module's.
+# of at most 40 characters, 1024 entries, at most about 0.3 MB) and the
+# JSON-integer table (``invariants._cached_integer``, integers of at most 40
+# digits, 256 entries); the label reader is this module's.  ``gerbe_scale``
+# takes each scaled per-point term from ``invariants._scaled_term`` (512
+# entries).
 #
 # Two more per-process caches hold pure conversions of immutable values, so a
 # process that checks many files converts each distinct value once: a label
@@ -215,11 +222,34 @@ def _unique_keys(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # one decoder, reused per file
 
 
+_MAX_FILE_BYTES = 16 * 1024 * 1024  # a generated description is a few kB
+_MIN_READ = 64 * 1024  # a pipe or a /proc file has st_size 0
+
+
 def _read_text(path: str) -> str:
-    """The file's bytes decoded once; "\\r\\n" and a lone "\\r" end a line each,
-    as in text mode, so a JSON error names the line an editor shows."""
-    with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8")
+    """The file's bytes, at most ``_MAX_FILE_BYTES``, decoded once; "\\r\\n" and a
+    lone "\\r" end a line each, as in text mode, so a JSON error names the line
+    an editor shows.
+
+    Each unbuffered read asks for the rest of the size ``fstat`` gave plus
+    one byte, but never for less than ``_MIN_READ`` bytes; a regular file
+    is read whole when the bytes read reach that size, so it takes one
+    read, and anything else is read until end of file or past the cap.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        chunks, total = [], 0
+        while chunk := os.read(fd, min(max(size + 1 - total, _MIN_READ), _MAX_FILE_BYTES + 1 - total)):
+            chunks.append(chunk)
+            total += len(chunk)
+            if total > _MAX_FILE_BYTES:
+                raise DescriptionError(f"more than {_MAX_FILE_BYTES} bytes")
+            if total == size:
+                break
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -21,7 +21,10 @@ Each of c1^2, the orbifold Euler number and c2 is the list of its
 ``Fraction`` built at the end.  ``codim2_equivalence_check`` keeps its
 second route on plain ``Fraction`` arithmetic, as an independent
 restatement.  ``point_term`` is cached per label, so a process scores
-each distinct point type once.
+each distinct point type once, and ``gerbe_scale`` takes a scaled point
+term from a table keyed by integers (``_scaled_term``), so it divides
+each distinct (term, order) once.  ``bmy_verdict`` reads the margin's
+sign off one integer numerator.
 
 Each description record's field names and types are written once, as the
 keyword arguments of its ``_schema`` base, a namedtuple of those fields.  A
@@ -33,7 +36,9 @@ exports; never a float) or ``(cls,)``, a list or tuple of ``cls`` instances
 refused there, not taken apart.  Each scalar type has one reader, in
 ``SCALAR_READERS``, which the record constructors, ``gerbe_scale`` and
 ``check``'s reader in ``cli`` all use; a rational text of at most 40
-characters is parsed through one cache (``_cached_rational``).
+characters is parsed through one cache (``_cached_rational``), and an
+integer of at most 40 digits is made a ``Fraction`` through another
+(``_cached_integer``).
 ``_Record.__new__``, and so ``_make`` and ``_replace``, checks each value
 against the schema and hands the typed values to the record's ``_typed``,
 which runs the range checks and builds the record.  A refused scalar is
@@ -113,11 +118,17 @@ _CACHED_LITERAL_CHARS = 40  # a longer literal parses uncached, so no entry outg
 # an entry: a short str, a Fraction and a link, under 300 bytes; an lru_cache
 # keeps no exception, so a text refused once is refused again
 _cached_rational = lru_cache(maxsize=1024)(parse_rational)
+# an integer of at most 40 digits, as a Fraction: the int, which the Fraction
+# shares as its numerator, a Fraction and a link, under 300 bytes an entry
+_CACHED_INTEGER_BOUND = 10**_CACHED_LITERAL_CHARS
+_cached_integer = lru_cache(maxsize=256)(Fraction)
 
 
 def _rational(value) -> Fraction:
     """A ``Fraction``, an int that is not a bool, or a wire-form text (``parse_rational``), as a Fraction."""
     if isinstance(value, int) and not isinstance(value, bool):
+        if -_CACHED_INTEGER_BOUND < value < _CACHED_INTEGER_BOUND:
+            return _cached_integer(value)
         return Fraction(value)
     try:
         if isinstance(value, str) and len(value) <= _CACHED_LITERAL_CHARS:
@@ -308,17 +319,23 @@ def _c2_from_terms(desc: IsolatedPointsDescription, terms: list) -> Fraction:
 def bmy_verdict(
     c1_squared: Fraction, c2: Fraction, nef_asserted: bool, per_point: tuple = (), notes: str = ""
 ) -> InvariantReport:
-    """Margin 3c2 - c1^2 and its verdict (NotApplicable unless nef is asserted)."""
-    margin = 3 * c2 - c1_squared
+    """Margin 3c2 - c1^2 and its verdict (NotApplicable unless nef is asserted).
+
+    For c1^2 = n1/d1 and c2 = n2/d2 the margin is (3 n2 d1 - n1 d2)/(d1 d2),
+    built as one Fraction; the denominators are positive, so the verdict
+    reads the sign of that integer numerator.
+    """
+    d1, d2 = c1_squared.denominator, c2.denominator
+    excess = 3 * c2.numerator * d1 - c1_squared.numerator * d2
     if not nef_asserted:
         verdict = Verdict.NOT_APPLICABLE
-    elif margin > 0:
+    elif excess > 0:
         verdict = Verdict.HOLDS
-    elif margin == 0:
+    elif excess == 0:
         verdict = Verdict.HOLDS_WITH_EQUALITY
     else:
         verdict = Verdict.FAILS
-    return InvariantReport(c1_squared, c2, margin, verdict, per_point, notes)
+    return InvariantReport(c1_squared, c2, Fraction(excess, d1 * d2), verdict, per_point, notes)
 
 
 def snc_report(desc: SncPairDescription) -> InvariantReport:
@@ -353,20 +370,31 @@ def codim2_equivalence_check(desc: IsolatedPointsDescription) -> bool:
     return route_one == route_two
 
 
+@lru_cache(maxsize=512)  # keyed by integers: a Fraction's hash is computed in Python
+def _scaled_term(numerator: int, denominator: int, order: int) -> Fraction:
+    return Fraction(numerator, denominator * order)
+
+
 def gerbe_scale(report: InvariantReport, gerbe_order: int) -> InvariantReport:
     """Scale every integral by 1/gerbe_order (a trivially-stabilized cover).
 
     Positive scaling preserves the margin's sign, so the verdict is
-    copied unchanged.
+    copied unchanged.  c1^2, c2 and the margin differ from report to
+    report and are divided directly; a per-point term repeats, so its
+    quotient comes from ``_scaled_term``, keyed by the term's numerator
+    and denominator and the order.
     """
     if _checked(int, gerbe_order, "gerbe_order") < 1:
         raise DescriptionError("gerbe_order must be >= 1")
     if gerbe_order == 1:
         return report
-    scale = Fraction(1, gerbe_order)
+    c1_squared, c2, margin = report.c1_squared, report.c2, report.margin
     return report._replace(
-        c1_squared=report.c1_squared * scale,
-        c2=report.c2 * scale,
-        margin=report.margin * scale,
-        per_point=tuple((label, term * scale) for label, term in report.per_point),
+        c1_squared=Fraction(c1_squared.numerator, c1_squared.denominator * gerbe_order),
+        c2=Fraction(c2.numerator, c2.denominator * gerbe_order),
+        margin=Fraction(margin.numerator, margin.denominator * gerbe_order),
+        per_point=tuple([
+            (label, _scaled_term(term.numerator, term.denominator, gerbe_order))
+            for label, term in report.per_point
+        ]),
     )

@@ -11,10 +11,13 @@ import json
 import math
 import random
 import re
+import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +143,36 @@ def test_check_gerbe_scaling(tmp_path, capsys):
     assert F(out["margin"]) == F(409, 24)
     assert out["per_point"] == [["E6", "167/72"]]
     assert out["verdict"] == "Holds"
+
+
+GERBE_LABELS = [f"A{n}" for n in range(41)] + [f"D{n}" for n in range(4, 31)] + ["E6", "E7", "E8"]
+
+
+def test_gerbe_scaled_values_are_plain_quotients(tmp_path, capsys):
+    """Every gerbe-scaled per-point term, in both renders, from an empty and
+    from a warm scaled-term table, is ``point_term(label) / order`` in plain
+    ``Fraction`` arithmetic, and c1^2, c2 and the margin are the unscaled
+    values over the order."""
+    terms = [invariants.point_term(AdeLabel.from_string(text)) for text in GERBE_LABELS]
+    c2 = 12 - F(1, 2) - sum(terms)
+    invariants._scaled_term.cache_clear()
+    for _ in range(2):
+        for order in range(1, 7):
+            path = write_json(tmp_path, f"gerbe{order}.json", {
+                "kind": "isolated_points", "chi_structure_sheaf": 1, "c1_squared": "1/2",
+                "points": GERBE_LABELS, "canonical_nef_asserted": True, "gerbe_order": order,
+            })
+            expected = [[text, str(term / order)] for text, term in zip(GERBE_LABELS, terms)]
+            assert main(["check", path, "--format", "structured"]) == 3
+            out = json.loads(capsys.readouterr().out)
+            assert out["per_point"] == expected
+            assert [out["c1_squared"], out["c2"], out["margin"]] == [
+                str(F(1, 2) / order), str(c2 / order), str((3 * c2 - F(1, 2)) / order)
+            ]
+            assert main(["check", path]) == 3
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split() for line in lines[5:5 + len(GERBE_LABELS)]] == expected
+    assert invariants._scaled_term.cache_info().hits
 
 
 # ----------------------------------------------------------------------
@@ -394,6 +427,8 @@ READ_ERRORS = {
     "mixed": (_kummer_bytes((b"\r\r\n", b"\r", b"\n")), ":4: Expecting property name enclosed in double quotes"),
     "utf-8 at byte 10": (_invalid_utf8_at(10), ": not UTF-8 (invalid start byte at byte 10)"),
     "utf-8 past 8 KiB": (_invalid_utf8_at(9000), ": not UTF-8 (invalid start byte at byte 9000)"),
+    "utf-8 past 64 KiB": (_invalid_utf8_at(70000), ": not UTF-8 (invalid start byte at byte 70000)"),
+    "empty": (b"", ":1: Expecting value"),
     "bom": (b"\xef\xbb\xbf" + json.dumps(kummer_payload()).encode(),
             ":1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     "directory": ("dir", ": Is a directory"),
@@ -412,6 +447,67 @@ def test_check_read_errors_are_exact(tmp_path, capsys, content, message):
         path.write_bytes(content)
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {path}{message}\n")
+
+
+def _through_fifo(path, content):
+    """A FIFO at ``path`` and a thread that writes ``content`` into it once a reader opens it."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fifo:
+            fifo.write(content)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+# a file whose st_size is 0 or falls short of its bytes (a pipe, a /proc
+# file, a file that grew) is read to its end in reads of at least 64 KiB
+READ_PATHS = {
+    "valid, 200 KiB": json.dumps(kummer_payload()).encode() + b" " * 200 * 1024,
+    "crlf": READ_ERRORS["crlf"][0],
+    "utf-8 past 64 KiB": READ_ERRORS["utf-8 past 64 KiB"][0],
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("via", ["fifo", "st_size 0", "st_size 100"])
+@pytest.mark.parametrize("content", READ_PATHS.values(), ids=READ_PATHS)
+def test_check_reads_a_pipe_or_a_misreported_size_whole(tmp_path, capsys, monkeypatch, via, content):
+    regular = tmp_path / "regular.json"
+    regular.write_bytes(content)
+    expected = [(main(["check", str(regular), "--format", fmt]), *capsys.readouterr()) for fmt in ("text", "structured")]
+    path = tmp_path / "other.json"
+    results = []
+    for fmt in ("text", "structured"):
+        if via == "fifo":
+            writer = _through_fifo(path, content)
+            results.append((main(["check", str(path), "--format", fmt]), *capsys.readouterr()))
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            path.unlink()
+        else:
+            path.write_bytes(content)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.os, "fstat", lambda fd: SimpleNamespace(st_size=int(via.split()[1])))
+                code = main(["check", str(path), "--format", fmt])
+            results.append((code, *capsys.readouterr()))
+    assert [(code, out, err.replace(str(path), str(regular))) for code, out, err in results] == expected
+
+
+def test_check_refuses_a_file_past_the_byte_cap(tmp_path, capsys):
+    """``/dev/zero`` never ends and a sparse file reports its size: each is
+    one input error once past the cap; a file of exactly the cap is read."""
+    assert main(["check", "/dev/zero"]) == 1
+    assert capsys.readouterr() == ("", f"error: /dev/zero: more than {cli._MAX_FILE_BYTES} bytes\n")
+    path = tmp_path / "sparse.json"
+    for size, message in ((cli._MAX_FILE_BYTES + 1, f": more than {cli._MAX_FILE_BYTES} bytes"),
+                          (cli._MAX_FILE_BYTES, ":1: Expecting value")):
+        with open(path, "wb") as sparse:
+            sparse.truncate(size)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}{message}\n")
 
 
 def test_check_reads_every_line_ending_alike(tmp_path, capsys):
@@ -593,7 +689,10 @@ def test_label_and_point_term_caches_change_no_output(tmp_path, capsys):
     assert [code for code, _, _ in cached] == [0, 1, 1, 1, 1, 0]
 
 
-CHECK_CACHES = (cli._cached_label, invariants._cached_rational, cli._label_text, invariants.point_term)
+CHECK_CACHES = (
+    cli._cached_label, invariants._cached_rational, invariants._cached_integer, cli._label_text,
+    invariants.point_term, invariants._scaled_term,
+)
 
 
 def test_per_process_caches_change_no_output(tmp_path, monkeypatch):
@@ -609,6 +708,8 @@ def test_per_process_caches_change_no_output(tmp_path, monkeypatch):
             payload[field] = rng.choice(("3/0", "1.5", "٣", " 3", 1.5, ["1"], None))
         elif index % 6 == 1 and payload["kind"] == "isolated_points":
             payload["points"].append(rng.choice(("D3", "E9", "A-1", 7, "A1 ")))
+        elif index % 6 == 2:  # a JSON-integer rational, read through the integer table
+            payload["k_squared" if payload["kind"] == "snc_pair" else "c1_squared"] = rng.randint(-12, 12)
         names.append(f"{index:03d}.json")
         (tmp_path / names[-1]).write_text(json.dumps(payload))
 
@@ -628,7 +729,7 @@ def test_per_process_caches_change_no_output(tmp_path, monkeypatch):
     warm = run(clear=False)
     assert warm == cold
     assert {0, 1, 3} <= {code for code, _, _ in warm}
-    assert invariants._cached_rational.cache_info().hits and cli._label_text.cache_info().hits
+    assert all(cache.cache_info().hits for cache in CHECK_CACHES)
 
 
 @pytest.mark.parametrize("bad", ["3/0", "1.5", "٣", " 3"])
@@ -645,6 +746,13 @@ def test_string_and_integer_literals_read_alike():
     for text, value in (("2", 2), ("-7", -7), ("0", 0)):
         assert invariants._rational(text) == invariants._rational(value) == F(value)
         assert type(invariants._rational(text)) is type(invariants._rational(value)) is F
+
+
+def test_an_integer_past_40_digits_is_read_but_not_cached():
+    invariants._cached_integer.cache_clear()
+    for value in (10**40 - 1, -(10**40) + 1, 10**40, -(10**40), 10**400):
+        assert invariants._rational(value) == value and type(invariants._rational(value)) is F
+    assert invariants._cached_integer.cache_info().currsize == 2
 
 
 def test_a_long_literal_is_read_but_not_cached():

@@ -403,6 +403,22 @@ def test_verdict_examples():
     assert fails.margin == -9
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.fractions(), st.fractions(), st.booleans())
+def test_verdict_matches_plain_fraction_arithmetic(c1_squared, c2, nef):
+    """The margin built from one integer numerator, and the verdict read off
+    its sign, against 3c2 - c1^2 in plain ``Fraction`` arithmetic."""
+    report = bmy_verdict(c1_squared, c2, nef)
+    margin = 3 * c2 - c1_squared
+    assert type(report.margin) is F and report.margin == margin
+    if not nef:
+        assert report.verdict is Verdict.NOT_APPLICABLE
+    else:
+        assert report.verdict is (
+            Verdict.HOLDS if margin > 0 else Verdict.HOLDS_WITH_EQUALITY if margin == 0 else Verdict.FAILS
+        )
+
+
 def test_verdict_string_values():
     assert str(Verdict.HOLDS) == "Holds"
     assert str(Verdict.HOLDS_WITH_EQUALITY) == "HoldsWithEquality"

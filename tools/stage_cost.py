@@ -57,17 +57,19 @@ rows) first.
 ``check``, on a fixed seeded set of valid description files drawn by the
 benchmark's own ``surface-checks`` generators (``perfbench.workloads``,
 imported read-only), each file checked in both formats, one line per
-stage with its mean time per call, in microseconds: read (the byte read
-and its one decode), json (the one reused JSON decoder), records (the
-kind's schema reader in ``cli._KINDS``, with the rational and label
-caches), report (``snc_report`` or ``isolated_points_report``, with the
-point-term cache), gerbe_scale, and the text and structured renders (the
-label-text cache), each once per call in its format.  Each stage is
-timed cold, every cache of ``check`` emptied before each call, and warm,
-after one untimed pass over the set.  The last lines give each cache's
-hits and misses after ``check`` has read every file once in each format,
-from empty caches.  The read stage sees the operating system's file
-cache warm in both columns.
+stage with its mean time per call, in microseconds: read (the unbuffered
+byte read and its one decode), json (the one reused JSON decoder),
+records (the kind's schema reader in ``cli._KINDS``, with the tables of
+string rationals, JSON-integer rationals and labels), report
+(``snc_report`` or ``isolated_points_report``, with the point-term
+table), gerbe_scale (with the table of scaled point terms), and the text
+and structured renders (the label-text table), each once per call in its
+format.  Each stage is timed cold, every table in ``CHECK_CACHES``
+emptied before each call, and warm, after one untimed pass over the set
+has filled those six tables.  The last lines give each table's hits and
+misses after ``check`` has read every file once in each format, from
+empty tables.  The read stage sees the operating system's file cache
+warm in both columns.
 
 Print only: the exit status is 0 whenever the script runs.
 
@@ -121,9 +123,11 @@ FILES = 300
 SEED = 20240
 CHECK_CACHES = {
     "rational literals": invariants._cached_rational,
+    "integer rationals": invariants._cached_integer,
     "labels": cli._cached_label,
     "label texts": cli._label_text,
     "point terms": invariants.point_term,
+    "scaled point terms": invariants._scaled_term,
 }
 CHECK_STAGES = {  # an owner is a module, an instance or a dict
     "read": ((cli, "_read_text"),),
