@@ -2,13 +2,20 @@
 
 A label names a finite subgroup of SU(2) together with the resolution data
 of the corresponding quotient singularity C^2/G.  The stored parameter is
-the family parameter n: type A_{n-1} is stored as n >= 1 (cyclic of order
-n, with n = 1 the smooth point), type D_{n+2} as n >= 2 (binary dihedral of
-order 4n), and types E6/E7/E8 store their own subscript.
+the family parameter n: type A_{n-1} is stored as n (cyclic of order n,
+with n = 1 the smooth point), type D_{n+2} as n (binary dihedral of order
+4n), and types E6/E7/E8 store their own subscript.
+
+Each family fact is written once.  ``_SHIFT`` holds the shift from the
+family parameter to the Dynkin subscript, which ``AdeLabel.subscript``
+adds and ``AdeLabel.from_string`` takes away.  ``_LEAST`` holds the least
+subscript of the infinite families A and D, and E's subscripts are the
+keys of ``_E_DATA``: the constructor applies this one range rule, in
+subscript terms, to every label, parsed or built.
 
 ``resolution_data`` is the one catalog of what a label names: the node
-count, the group order, chi of the exceptional fiber and the group's
-name.
+count (the Dynkin subscript), the group order, chi of the exceptional
+fiber and the group's name.
 """
 
 from __future__ import annotations
@@ -21,11 +28,14 @@ from .errors import InvalidLabel, quoted
 
 _LABEL_RE = re.compile(r"([ADE])([0-9]+)")
 
+_SHIFT = {"A": -1, "D": 2, "E": 0}  # subscript - parameter: A_{n-1}, D_{n+2}, E_k
+_LEAST = {"A": 0, "D": 4}  # the least subscript of each infinite family
+
 _E_DATA = {
-    # subscript -> (node count, group order, group name)
-    6: (6, 24, "binary tetrahedral group"),
-    7: (7, 48, "binary octahedral group"),
-    8: (8, 120, "binary icosahedral group"),
+    # subscript -> (group order, group name)
+    6: (24, "binary tetrahedral group"),
+    7: (48, "binary octahedral group"),
+    8: (120, "binary icosahedral group"),
 }
 
 
@@ -40,24 +50,18 @@ class AdeLabel(namedtuple("AdeLabel", "kind parameter")):
             raise InvalidLabel(f"unknown family {quoted(kind)}")
         if isinstance(parameter, bool) or not isinstance(parameter, int):
             raise InvalidLabel(f"type {kind} parameter must be an integer, got {quoted(parameter)}")
-        if kind == "A":
-            if parameter < 1:
-                raise InvalidLabel(f"type A needs n >= 1, got n={parameter}")
-        elif kind == "D":
-            if parameter < 2:
-                raise InvalidLabel(f"type D needs n >= 2, got n={parameter}")
-        elif parameter not in _E_DATA:
-            raise InvalidLabel(f"type E subscript must be 6, 7 or 8, got {parameter}")
+        sub = parameter + _SHIFT[kind]
+        if kind == "E":
+            if sub not in _E_DATA:
+                raise InvalidLabel(f"type E subscript must be 6, 7 or 8, got {sub}")
+        elif sub < _LEAST[kind]:
+            raise InvalidLabel(f"type {kind} subscript must be >= {_LEAST[kind]}, got {sub}")
         return tuple.__new__(cls, (kind, parameter))
 
     @property
     def subscript(self) -> int:
         """The Dynkin subscript: A_{n-1}, D_{n+2}, E_k."""
-        if self.kind == "A":
-            return self.parameter - 1
-        if self.kind == "D":
-            return self.parameter + 2
-        return self.parameter
+        return self.parameter + _SHIFT[self.kind]
 
     @classmethod
     def from_string(cls, text: str) -> "AdeLabel":
@@ -69,13 +73,7 @@ class AdeLabel(namedtuple("AdeLabel", "kind parameter")):
             sub = int(digits)
         except ValueError:  # past Python's integer-string digit limit
             raise InvalidLabel(f"label subscript has too many digits ({len(digits)})") from None
-        if kind == "A":
-            return cls("A", sub + 1)
-        if kind == "D":
-            if sub < 4:
-                raise InvalidLabel(f"type D subscript must be >= 4, got {sub}")
-            return cls("D", sub - 2)
-        return cls("E", sub)
+        return cls(kind, sub - _SHIFT[kind])
 
     def __str__(self) -> str:
         return f"{self.kind}{self.subscript}"
@@ -103,11 +101,11 @@ class AdeResolutionData(
 
 
 def resolution_data(label: AdeLabel) -> AdeResolutionData:
-    n = label.parameter
+    n, nodes = label.parameter, label.subscript
     if label.kind == "A":
-        nodes, order, name = n - 1, n, "cyclic group"
+        order, name = n, "cyclic group"
     elif label.kind == "D":
-        nodes, order, name = n + 2, 4 * n, "binary dihedral group"
+        order, name = 4 * n, "binary dihedral group"
     else:
-        nodes, order, name = _E_DATA[n]
+        order, name = _E_DATA[n]
     return AdeResolutionData(label, nodes, order, nodes + 1, name)

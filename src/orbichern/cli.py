@@ -261,6 +261,7 @@ def load_description(path: str):
     The top-level object holds ``kind``, an optional ``gerbe_order`` and
     the fields of the kind's record in ``_KINDS``.
     """
+    text = None
     try:
         text = _read_text(path)
         if text.startswith("\ufeff"):  # the check json.loads makes before decoding
@@ -274,7 +275,10 @@ def load_description(path: str):
         raise DescriptionError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except (DescriptionError, RecursionError) as exc:  # a duplicate key, or nesting past the stack
         raise DescriptionError(f"{path}: {exc}") from None
-    except ValueError:  # CPython words its digit-limit error differently by version
+    except ValueError as exc:
+        if text is None:  # os.open refused the path itself, a NUL byte in it, say
+            raise DescriptionError(f"{quoted(path)}: {exc}") from None
+        # CPython words its digit-limit error differently by version
         raise DescriptionError(f"{path}: integer literal has too many digits") from None
     if not isinstance(obj, dict):
         raise DescriptionError(f"{path}: top level must be an object")

@@ -92,3 +92,53 @@ def test_catalog_order_matches_generated_group_order():
         label = AdeLabel("E", n)
         group = build_ade_group(label)
         assert group.order == resolution_data(label).group_order
+
+
+# parameter - subscript of each family, as the module docstring states the
+# convention (A_{n-1}, D_{n+2}, E_k), written here apart from the module
+_PARAMETER_OVER_SUBSCRIPT = {"A": 1, "D": -2, "E": 0}
+
+
+def _labels(kind, subscripts):
+    return [AdeLabel(kind, sub + _PARAMETER_OVER_SUBSCRIPT[kind]) for sub in subscripts]
+
+
+def test_class_count_is_node_count_plus_one():
+    """McKay (1980): a finite subgroup of SU(2) has one more conjugacy class
+    than its Dynkin diagram has nodes, so the brute-force class walk checks
+    the node count the catalog reads off the subscript."""
+    labels = _labels("A", range(1, 121)) + _labels("D", range(4, 121)) + _labels("E", (6, 7, 8))
+    for label in labels:
+        assert len(build_ade_group(label).classes) == resolution_data(label).chi_exceptional, label
+
+
+def _outcome(make, *args):
+    try:
+        return make(*args)
+    except InvalidLabel as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind, window, accepted, rule", [
+    ("A", range(-3, 4), range(0, 4), ">= 0"),
+    ("D", range(0, 8), range(4, 8), ">= 4"),
+    ("E", range(4, 11), (6, 7, 8), "6, 7 or 8"),
+], ids=["A", "D", "E"])
+def test_constructor_and_parser_share_one_range_rule(kind, window, accepted, rule):
+    """Around each family's least subscript, a label built from its
+    parameter and one parsed from its text are accepted or refused alike,
+    with the same message; a negative subscript has no text."""
+    for sub in window:
+        built = _outcome(AdeLabel, kind, sub + _PARAMETER_OVER_SUBSCRIPT[kind])
+        if sub in accepted:
+            assert built.subscript == sub
+        else:
+            assert built == f"type {kind} subscript must be {rule}, got {sub}"
+        if sub >= 0:
+            assert _outcome(AdeLabel.from_string, f"{kind}{sub}") == built, sub
+
+
+def test_labels_round_trip_through_their_text():
+    labels = _labels("A", range(0, 401)) + _labels("D", range(4, 401)) + _labels("E", (6, 7, 8))
+    for label in labels:
+        assert AdeLabel.from_string(str(label)) == label, label

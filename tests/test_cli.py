@@ -510,6 +510,15 @@ def test_check_refuses_a_file_past_the_byte_cap(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {path}{message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_check_names_a_path_open_refuses_in_escapes(capsys, fmt):
+    """A path with a NUL byte is no file name: ``os.open`` refuses it with a
+    ValueError, which check reports as one line that quotes the path, the
+    NUL escaped, and not as a JSON integer past the digit limit."""
+    assert main(["check", "a\x00b.json", "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", "error: 'a\\x00b.json': embedded null byte\n")
+
+
 def test_check_reads_every_line_ending_alike(tmp_path, capsys):
     outputs = set()
     for index, newline in enumerate((b"\n", b"\r", b"\r\n", (b"\r\r\n", b"\r", b"\n"))):

@@ -88,6 +88,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -138,7 +139,6 @@ CHECK_STAGES = {  # an owner is a module, an instance or a dict
     "text render": ((cli, "_render_report_text"),),
     "structured render": ((cli, "_render_report_structured"),),
 }
-_ABSENT = object()
 
 
 def clear(caches) -> None:
@@ -172,29 +172,22 @@ def command_stages(stages: dict, argvs, caches=()) -> dict:
     """{stage: mean seconds per call, 0 if none} over ``cli.main(argv)`` for
     each argv, stdout discarded and ``caches`` emptied before each.
 
-    For the run, each (owner, name) of a stage is swapped for a timer in
-    the owner's namespace (a dict's items, else its ``__dict__``); after
-    it, a name the namespace held gets its object back and any other name
-    is deleted, so an instance holds no method of its class."""
+    For the run, each (owner, name) of a stage is swapped for a timer,
+    by ``mock.patch.dict`` in a dict and by ``mock.patch.object`` anywhere
+    else; after it each owner holds its own objects again, and an instance
+    holds no method of its class."""
     totals = {stage: [0.0, 0] for stage in stages}
-    saved = []
-    try:
+    with contextlib.ExitStack() as patches:
         for stage, targets in stages.items():
             for owner, name in targets:
-                space = owner if isinstance(owner, dict) else vars(owner)
-                fn = space[name] if isinstance(owner, dict) else getattr(owner, name)
-                saved.append((space, name, space.get(name, _ABSENT)))
-                space[name] = _timer(fn, totals[stage])
+                if isinstance(owner, dict):
+                    patches.enter_context(mock.patch.dict(owner, {name: _timer(owner[name], totals[stage])}))
+                else:
+                    patches.enter_context(mock.patch.object(owner, name, _timer(getattr(owner, name), totals[stage])))
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in argvs:
                 clear(caches)
                 cli.main(argv)
-    finally:
-        for space, name, original in reversed(saved):
-            if original is _ABSENT:
-                del space[name]
-            else:
-                space[name] = original
     return {stage: seconds / max(calls, 1) for stage, (seconds, calls) in totals.items()}
 
 
